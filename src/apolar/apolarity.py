@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import perm
 from typing import Sequence
 
 from .combinat import ci_hilbert, dim_forms
-from .linalg import MatrixQ, SubspaceBasis, block_solve, determinant, kernel_basis, rank
+from .linalg import MatrixQ, SubspaceBasis, block_solve, kernel_basis, pivot_columns, rank
 from .poly import (
     FormTuple,
     Polynomial,
+    _polar_term,
     monomial_basis,
     monomial_index,
     polynomials_from_vectors,
@@ -55,14 +54,10 @@ def catalecticant(f: Polynomial, i: int) -> CatalecticantMatrix:
     entries = [[Fraction(0)] * len(cols) for _ in row_index]
     for b, c in f.terms():
         for k, a in enumerate(cols):
-            if any(bi < ai for ai, bi in zip(a, b)):
-                continue
-            factor = 1
-            for ai, bi in zip(a, b):
-                if ai:
-                    factor *= perm(bi, ai)
-            target = tuple(bi - ai for ai, bi in zip(a, b))
-            entries[row_index[target]][k] += c * factor
+            term = _polar_term(a, b)
+            if term:
+                target, factor = term
+                entries[row_index[target]][k] += c * factor
     return CatalecticantMatrix(i, MatrixQ.from_rows(entries))
 
 
@@ -205,10 +200,11 @@ def canonical_kernel_basis(
     k_dim = cat.ncols
     l_dim = cat.nrows
     r = k_dim - n
-    if rank(cat) != r:
+    pivots = pivot_columns(cat)
+    if len(pivots) != r:
         raise ValueError("form is not in the expected rank locus")
     if chart is None:
-        chart = _first_nonsingular_chart(cat, r)
+        chart = _first_nonsingular_chart(cat, pivots)
     rows, cols = chart
     rows, cols = sorted(rows), sorted(cols)
     if len(rows) != r or len(set(rows)) != r or len(cols) != r or len(set(cols)) != r:
@@ -233,10 +229,14 @@ def canonical_kernel_basis(
     return basis
 
 
-def _first_nonsingular_chart(cat: MatrixQ, r: int) -> Chart:
-    for cols in combinations(range(cat.ncols), r):
-        for rows in combinations(range(cat.nrows), r):
-            minor = [[cat.entry(i, j) for j in cols] for i in rows]
-            if determinant(minor):
-                return rows, cols
-    raise ValueError("no nonsingular chart minor exists")
+def _first_nonsingular_chart(cat: MatrixQ, cols: list[int]) -> Chart:
+    """The lexicographically first chart, columns compared first.
+
+    A column subset carries a nonsingular minor exactly when its columns are
+    independent, and greedy selection finds the lexicographically first basis
+    of a matroid, so the chart columns are the pivot columns `cols` of the
+    catalecticant and the chart rows are the pivot columns of the transpose
+    of that column block.
+    """
+    block_t = [[cat.entry(i, j) for i in range(cat.nrows)] for j in cols]
+    return pivot_columns(block_t), cols

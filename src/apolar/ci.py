@@ -22,12 +22,13 @@ two paths).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from typing import Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert, gorenstein_sequence
 from .combinat import ci_hilbert, dim_forms, multinomial
 from .linalg import (
     SubspaceBasis,
+    _integer_rows,
     _triangularize,
     kernel_basis,
     rank_mod_prime,
@@ -35,34 +36,35 @@ from .linalg import (
 from .poly import (
     FormTuple,
     Polynomial,
+    _power_products,
     apply_polar,
     jacobian_det,
     monomial_basis,
     monomial_index,
 )
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
-
 
 class DegenerateTupleError(ValueError):
     """Raised when an operation needs a complete intersection and lacks one."""
 
 
-def _primitive_int_terms(f: Polynomial) -> dict:
-    """Coefficients of f scaled to coprime integers (the ideal is unchanged)."""
-    mult = lcm(*(c.denominator for _, c in f.terms()))
-    ints = {m: int(c * mult) for m, c in f.terms()}
-    content = 0
-    for v in ints.values():
-        content = gcd(content, v)
-        if content == 1:
-            break
-    if content > 1:
-        ints = {m: v // content for m, v in ints.items()}
-    return ints
+def _shift_rows(forms: Sequence[Polynomial], k: int) -> list[list[int]]:
+    """Integer rows m * g for every g in forms (all of one degree e) and
+    every degree-k monomial m, g outermost, m in grlex order; columns are the
+    degree-(e + k) monomials.  Each g is scaled to coprime integers first,
+    which changes no span."""
+    n = forms[0].nvars
+    col = monomial_index(n, forms[0].homogeneous_degree() + k)
+    shifts = monomial_basis(n, k)
+    rows = []
+    for g, coeffs in zip(forms, _integer_rows([[c for _, c in g.terms()] for g in forms])):
+        terms = [(b, c) for (b, _), c in zip(g.terms(), coeffs)]
+        for m in shifts:
+            row = [0] * len(col)
+            for b, c in terms:
+                row[col[tuple(x + y for x, y in zip(m, b))]] = c
+            rows.append(row)
+    return rows
 
 
 class GradedQuotient:
@@ -74,25 +76,10 @@ class GradedQuotient:
         self.degree = f.degree
         self.socle_degree = f.socle_degree
         self.exact_only = exact_only
-        self._int_forms = [_primitive_int_terms(fi) for fi in f.forms]
         self._target = ci_hilbert(f.var_count, f.degree)
         self._ideal_dims: dict[int, int] = {}
         self._is_ci: bool | None = None
         self._socle_functional: tuple[Fraction, ...] | None = None
-
-    def _span_rows(self, j: int) -> list[list]:
-        """Integer rows spanning the ideal's degree-j piece: shifts m * f_i."""
-        n, d = self.var_count, self.degree
-        col = monomial_index(n, j)
-        width = len(col)
-        rows = []
-        for terms in self._int_forms:
-            for m in monomial_basis(n, j - d):
-                row = [0] * width
-                for b, c in terms.items():
-                    row[col[tuple(x + y for x, y in zip(m, b))]] = c
-                rows.append(row)
-        return rows
 
     def _expected_ideal_dim(self, j: int) -> int:
         # The complete intersection value is the generic (maximal) rank.
@@ -106,14 +93,14 @@ class GradedQuotient:
         if j < self.degree:
             return 0
         if j not in self._ideal_dims:
-            rows = self._span_rows(j)
+            rows = _shift_rows(self.tuple.forms, j - self.degree)
             dim = None
             if not self.exact_only:
                 bound = self._expected_ideal_dim(j)
                 if rank_mod_prime(rows) == bound:
                     dim = bound
             if dim is None:
-                dim = len(_triangularize([[mpz(v) for v in r] for r in rows], dim_forms(self.var_count, j)))
+                dim = len(_triangularize(rows, dim_forms(self.var_count, j)))
             self._ideal_dims[j] = dim
         return self._ideal_dims[j]
 
@@ -138,7 +125,7 @@ class GradedQuotient:
         width = dim_forms(self.var_count, j)
         if j < self.degree:
             return SubspaceBasis(width, ())
-        return SubspaceBasis.from_spanning(self._span_rows(j), width)
+        return SubspaceBasis.from_spanning(_shift_rows(self.tuple.forms, j - self.degree), width)
 
     def socle_functional(self) -> tuple[Fraction, ...]:
         """The functional on top-degree forms killing the ideal, with value 1
@@ -146,7 +133,7 @@ class GradedQuotient:
         if self._socle_functional is None:
             if not self.is_complete_intersection():
                 raise DegenerateTupleError("tuple is not a complete intersection")
-            lam = kernel_basis(self._span_rows(self.socle_degree))
+            lam = kernel_basis(_shift_rows(self.tuple.forms, self.socle_degree - self.degree))
             assert lam.dimension == 1, "complete intersection socle must be a line"
             vec = lam.vectors[0]
             jac_vec = jacobian_det(self.tuple).coefficient_vector(self.socle_degree)
@@ -224,20 +211,4 @@ def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
     """All degree-ell monomials in the forms, in grlex order on exponents."""
     if ell < 0:
         raise ValueError("exponent must be nonnegative")
-    powers: dict[tuple[int, int], Polynomial] = {}
-
-    def power(i: int, k: int) -> Polynomial:
-        if k == 0:
-            return Polynomial.constant(f.var_count, 1)
-        if (i, k) not in powers:
-            powers[(i, k)] = power(i, k - 1) * f.forms[i]
-        return powers[(i, k)]
-
-    out = []
-    for alpha in monomial_basis(f.var_count, ell):
-        prod = Polynomial.constant(f.var_count, 1)
-        for i, e in enumerate(alpha):
-            if e:
-                prod = prod * power(i, e)
-        out.append(prod)
-    return out
+    return _power_products(f.forms, monomial_basis(f.var_count, ell))

@@ -62,3 +62,17 @@ def ci_hilbert(n: int, d: int) -> tuple[int, ...]:
         coeffs = out
     assert sum(coeffs) == d**n
     return tuple(coeffs)
+
+
+def tangent_band_sum(n: int, d: int, first_m: int) -> int:
+    """Sum of (-1)^{m-1} (m-1) C(n+1, m) C(nd-md-1, n-1) over the m-band
+    first_m <= m <= n(d-1)/d.
+
+    From m = 0 it is the tangent count N = Kn - n^2 + 1; from m = 3 it is
+    the relation space dimension.
+    """
+    total = 0
+    for m in range(first_m, n * (d - 1) // d + 1):
+        term = (m - 1) * binom(n + 1, m) * binom(n * d - m * d - 1, n - 1)
+        total += term if m % 2 else -term
+    return total

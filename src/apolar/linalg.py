@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Rank, kernel, and solve are fraction-free Bareiss eliminations with
-first-nonzero partial pivoting, so identical inputs take identical pivot
-paths.  Entries are cleared to integers row by row (row scaling changes
-neither rank nor kernel) and manipulated as gmpy2 integers when gmpy2 is
-available; results come back as fractions.Fraction.
+One elimination core, _triangularize, runs fraction-free Bareiss elimination
+with first-nonzero partial pivoting, so identical inputs take identical pivot
+paths.  Rank and pivot columns are read off its pivots, the determinant off
+its last pivot, and kernel, solve and inverse off the reduced row echelon
+form built from its echelon rows.  Entries are cleared to integers row by row
+(row scaling changes neither rank nor kernel) and manipulated as gmpy2
+integers when the optional gmpy2 is installed, as plain ints otherwise;
+results come back as fractions.Fraction.
 
 rank_mod_prime is the one deliberately inexact-looking routine here: it
 computes the rank of the reduction mod a fixed word-size prime, which is a
@@ -16,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional; plain ints give the same answers
     mpz = int
 
 # Mersenne prime 2^31 - 1: products of two residues stay under 2^62, so the
@@ -131,7 +134,7 @@ class SubspaceBasis:
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        reduced = _rref(rows, ambient_dim)
+        _, reduced = _rref(rows, ambient_dim)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced))
 
     def verify(self) -> None:
@@ -155,59 +158,57 @@ class SubspaceBasis:
         return span_dim(list(self.vectors) + list(other.vectors)) == self.dimension
 
 
-def _integer_rows(rows: RowSeq) -> list[list]:
-    """Scale each row to coprime integers (mpz); preserves rank and kernel."""
-    out = []
-    for row in rows:
-        fracs = [_as_fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * mult) for f in fracs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-            if content == 1:
-                break
-        if content > 1:
-            ints = [v // content for v in ints]
-        out.append([mpz(v) for v in ints])
-    return out
+def _primitive_row(row: Sequence[Scalar]) -> tuple[list[int], Fraction]:
+    """A row scaled to coprime integers, and the factor it was scaled by."""
+    mult = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (mult // x.denominator) for x in row]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [v // content for v in ints]
+    return ints, Fraction(mult, content or 1)
 
 
-def _triangularize(rows: list[list], ncols: int) -> list[tuple[int, list]]:
-    """Fraction-free forward elimination (Bareiss), destroying `rows`.
+def _integer_rows(rows: RowSeq) -> list[list[int]]:
+    """Scale each row to coprime integers; preserves rank and kernel."""
+    return [_primitive_row(row)[0] for row in rows]
 
-    Returns pivot records (col, tail) in pivot order, where tail[k] is the
-    surviving entry of the pivot row in column col + k.  Active rows are kept
-    trimmed to the columns not yet processed; the Bareiss divisions are exact,
-    so every intermediate entry is an integer (a minor of the input).
+
+def _triangularize(rows: RowSeq, ncols: int) -> list[tuple[int, int, list]]:
+    """Fraction-free forward elimination (Bareiss) of integer rows.
+
+    Returns pivot records (row, col, tail) in pivot order: row is the index
+    in `rows` of the pivot row, and tail[k] is its surviving entry in column
+    col + k.  The pivot is the first active row, in input order, that is
+    nonzero in the column, so the pivot columns are the lexicographically
+    first column basis.  Active rows are kept trimmed to the columns not yet
+    processed; the Bareiss divisions are exact, so every intermediate entry is
+    an integer (a minor of the input), and the last pivot of a nonsingular
+    square matrix is its determinant up to the sign of the pivot row order.
     """
-    active = [row for row in rows if any(row)]
-    pivots: list[tuple[int, list]] = []
+    active = [(i, list(map(mpz, row))) for i, row in enumerate(rows) if any(row)]
+    pivots: list[tuple[int, int, list]] = []
     prev = mpz(1)
     for c in range(ncols):
         if not active:
             break
-        pivot_tail = None
-        for i, tail in enumerate(active):
-            if tail[0]:
-                pivot_tail = active.pop(i)
-                break
-        if pivot_tail is None:
+        k = next((k for k, (_, tail) in enumerate(active) if tail[0]), None)
+        if k is None:
             # Free column: every active row already has a zero here.
-            active = [tail[1:] for tail in active]
+            active = [(i, tail[1:]) for i, tail in active]
             continue
+        p, pivot_tail = active.pop(k)
         pv = pivot_tail[0]
         nxt = []
-        for tail in active:
+        for i, tail in active:
             f = tail[0]
             if f:
                 new = [(pv * a - f * b) // prev for a, b in zip(tail[1:], pivot_tail[1:])]
             else:
                 new = [(pv * a) // prev for a in tail[1:]]
             if any(new):
-                nxt.append(new)
+                nxt.append((i, new))
         active = nxt
-        pivots.append((c, pivot_tail))
+        pivots.append((p, c, pivot_tail))
         prev = pv
     return pivots
 
@@ -218,51 +219,76 @@ def _entry_rows(m) -> RowSeq:
     return m
 
 
+def pivot_columns(m) -> list[int]:
+    """Pivot columns of the echelon form: the lexicographically first set of
+    columns that is a basis of the column space."""
+    rows = _entry_rows(m)
+    if not rows or not rows[0]:
+        return []
+    return [c for _, c, _ in _triangularize(_integer_rows(rows), len(rows[0]))]
+
+
 def rank(m) -> int:
     """Exact rank of a rational matrix."""
-    rows = _entry_rows(m)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if ncols == 0:
-        return 0
-    return len(_triangularize(_integer_rows(rows), ncols))
+    return len(pivot_columns(m))
 
 
-def _kernel_vectors(pivots: list[tuple[int, list]], ncols: int) -> list[tuple[Fraction, ...]]:
-    pivot_cols = [c for c, _ in pivots]
-    free_cols = sorted(set(range(ncols)) - set(pivot_cols))
-    zero = Fraction(0)
-    out = []
-    for fc in free_cols:
-        v = [zero] * ncols
-        v[fc] = Fraction(1)
-        for c, tail in reversed(pivots):
-            if c > fc:
-                continue
-            s = Fraction(0)
-            for k in range(1, len(tail)):
-                coeff = tail[k]
-                if coeff and v[c + k]:
-                    s += int(coeff) * v[c + k]
-            v[c] = -s / int(tail[0])
-        out.append(tuple(v))
-    return out
+def _rref(rows: RowSeq, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and reduced row echelon form over Fraction, zero rows
+    dropped.
+
+    The pivot columns of the reduced form are unit vectors, so the back
+    substitution runs over the free columns only.  The reduced rows are
+    P^{-1} times the pivot rows, where P is the pivot block, whose
+    determinant is the last pivot `den`; so den times each reduced entry is
+    an integer and the back substitution divides exactly.
+    """
+    pivots = _triangularize(_integer_rows(rows), ncols)
+    pivot_cols = [c for _, c, _ in pivots]
+    free = sorted(set(range(ncols)) - set(pivot_cols))
+    den = pivots[-1][2][0] if pivots else 1
+    # scaled[k]: den times the free-column entries of reduced row k.
+    scaled: list[list] = [[]] * len(pivots)
+    for k in reversed(range(len(pivots))):
+        _, c, tail = pivots[k]
+        acc = [den * tail[f - c] if f > c else 0 for f in free]
+        for pc, below in zip(pivot_cols[k + 1 :], scaled[k + 1 :]):
+            t = tail[pc - c]
+            if t:
+                acc = [a - t * b for a, b in zip(acc, below)]
+        scaled[k] = [a // tail[0] for a in acc]
+    reduced = []
+    for c, values in zip(pivot_cols, scaled):
+        row = [Fraction(0)] * ncols
+        row[c] = Fraction(1)
+        for f, v in zip(free, values):
+            row[f] = Fraction(int(v), int(den))
+        reduced.append(row)
+    return pivot_cols, reduced
 
 
 def kernel_basis(m) -> SubspaceBasis:
     """Reduced-echelon basis of the right kernel.
 
     One vector per free column in ascending order, each carrying a unit in
-    its own free position and zeros in the other free positions.
+    its own free position and zeros in the other free positions; it is read
+    off the reduced row echelon form.
     """
     rows = _entry_rows(m)
     ncols = len(rows[0]) if rows else 0
     if ncols == 0:
         return SubspaceBasis(0, ())
-    pivots = _triangularize(_integer_rows(rows), ncols)
-    vectors = _kernel_vectors(pivots, ncols)
-    assert len(vectors) == ncols - len(pivots), "rank-nullity violated"
+    pivot_cols, reduced = _rref(rows, ncols)
+    pivot_set = set(pivot_cols)
+    vectors = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for pc, row in zip(pivot_cols, reduced):
+            v[pc] = -row[fc]
+        vectors.append(tuple(v))
     return SubspaceBasis(ncols, tuple(vectors))
 
 
@@ -277,29 +303,9 @@ def span_dim(vectors: Iterable[Sequence[Scalar]]) -> int:
     return rank(vecs)
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Reduced row echelon form over Fraction, zero rows dropped."""
-    pivots = _triangularize(_integer_rows(rows), ncols)
-    reduced: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
-    for c, tail in reversed(pivots):
-        pv = int(tail[0])
-        row = [Fraction(0)] * ncols
-        row[c] = Fraction(1)
-        for k in range(1, len(tail)):
-            if tail[k]:
-                row[c + k] = Fraction(int(tail[k]), pv)
-        for pc, prow in zip(pivot_cols, reduced):
-            f = row[pc]
-            if f:
-                row = [a - f * b for a, b in zip(row, prow)]
-        reduced.insert(0, row)
-        pivot_cols.insert(0, c)
-    return reduced
-
-
 def block_solve(a, b) -> MatrixQ:
-    """Return -A^{-1} B for invertible A, by Gauss-Jordan on [A | B]."""
+    """Return -A^{-1} B for invertible A: the right block of the reduced
+    row echelon form of [A | B], negated."""
     a_rows = _entry_rows(a)
     b_rows = _entry_rows(b)
     n = len(a_rows)
@@ -308,61 +314,36 @@ def block_solve(a, b) -> MatrixQ:
     if len(b_rows) != n:
         raise ValueError("right block has wrong row count")
     width = len(b_rows[0]) if n else 0
-    aug = [
-        [_as_fraction(x) for x in ar] + [_as_fraction(x) for x in br]
-        for ar, br in zip(a_rows, b_rows)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return MatrixQ.from_rows([[-x for x in row[n:]] for row in aug])
+    aug = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
+    pivot_cols, reduced = _rref(aug, n + width)
+    # A is invertible exactly when its columns are the first n pivots.
+    if pivot_cols[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return MatrixQ.from_rows([[-x for x in row[n:]] for row in reduced])
 
 
 def matrix_inverse(a) -> MatrixQ:
     """Exact inverse of a square rational matrix."""
-    a_rows = _entry_rows(a)
-    n = len(a_rows)
-    neg_id = [[Fraction(-1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    return block_solve(a_rows, neg_id)
+    n = len(_entry_rows(a))
+    neg_id = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return block_solve(a, neg_id)
 
 
 def determinant(a) -> Fraction:
-    """Exact determinant via Bareiss (the last pivot is the determinant)."""
-    rows = [list(map(_as_fraction, r)) for r in _entry_rows(a)]
+    """Exact determinant: the sign of the Bareiss pivot row order times the
+    last pivot, divided by the factors that scaled the rows to integers."""
+    rows = _entry_rows(a)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows = []
-    for row in rows:
-        mult = lcm(*(f.denominator for f in row))
-        scale *= mult
-        int_rows.append([mpz(int(f * mult)) for f in row])
-    sign = 1
-    prev = mpz(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if int_rows[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            int_rows[c], int_rows[piv] = int_rows[piv], int_rows[c]
-            sign = -sign
-        pv = int_rows[c][c]
-        for i in range(c + 1, n):
-            f = int_rows[i][c]
-            int_rows[i] = [(pv * a - f * b) // prev for a, b in zip(int_rows[i], int_rows[c])]
-        prev = pv
-    return Fraction(sign * int(prev), 1) / scale
+    scaled = [_primitive_row(row) for row in rows]
+    pivots = _triangularize([ints for ints, _ in scaled], n)
+    if len(pivots) < n:
+        return Fraction(0)
+    order = [p for p, _, _ in pivots]
+    inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
+    last = int(pivots[-1][2][0]) if pivots else 1
+    return Fraction(-last if inversions % 2 else last) / prod(f for _, f in scaled)
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]], prime: int = WORD_PRIME) -> int:

@@ -209,6 +209,18 @@ def polynomials_from_vectors(nvars: int, degree: int, vectors) -> list[Polynomia
     return [Polynomial.from_coefficient_vector(nvars, degree, v) for v in vectors]
 
 
+def _polar_term(a: Monomial, b: Monomial) -> tuple[Monomial, int] | None:
+    """x^a acting on y^b: (b - a, prod_i b_i!/(b_i-a_i)!), or None when
+    some a_i > b_i."""
+    if any(bi < ai for ai, bi in zip(a, b)):
+        return None
+    factor = 1
+    for ai, bi in zip(a, b):
+        if ai:
+            factor *= perm(bi, ai)
+    return tuple(bi - ai for ai, bi in zip(a, b)), factor
+
+
 def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     """Apply h as a differential operator to f (the polar pairing).
 
@@ -221,13 +233,10 @@ def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     out: dict[Monomial, Fraction] = {}
     for a, ca in h.terms():
         for b, cb in f.terms():
-            if any(bi < ai for ai, bi in zip(a, b)):
+            term = _polar_term(a, b)
+            if not term:
                 continue
-            factor = 1
-            for ai, bi in zip(a, b):
-                if ai:
-                    factor *= perm(bi, ai)
-            mono = tuple(bi - ai for ai, bi in zip(a, b))
+            mono, factor = term
             s = out.get(mono, Fraction(0)) + ca * cb * factor
             if s:
                 out[mono] = s
@@ -324,24 +333,31 @@ def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     for g in images:
         if g.nvars != out_nvars:
             raise ValueError("mismatched variable counts among images")
-    powers: dict[tuple[int, int], Polynomial] = {}
+    products = _power_products(images, [mono for mono, _ in p.terms()])
+    out: dict[Monomial, Fraction] = {}
+    for (_, c), term in zip(p.terms(), products):
+        for mono, v in term.terms():
+            out[mono] = out.get(mono, 0) + c * v
+    return Polynomial(out_nvars, out)
 
-    def power(i: int, k: int) -> Polynomial:
-        if k == 0:
-            return Polynomial.constant(out_nvars, 1)
-        key = (i, k)
-        if key not in powers:
-            powers[key] = power(i, k - 1) * images[i]
-        return powers[key]
 
-    acc = Polynomial.zero(out_nvars)
-    for mono, c in p.terms():
-        term = Polynomial.constant(out_nvars, c)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power(i, e)
-        acc = acc + term
-    return acc
+def _power_products(
+    bases: Sequence[Polynomial], exponents: Iterable[Monomial]
+) -> list[Polynomial]:
+    """prod_i bases[i]^e_i for each exponent tuple e, each power computed
+    once."""
+    one = Polynomial.constant(bases[0].nvars, 1)
+    powers = [[one] for _ in bases]
+    out = []
+    for e in exponents:
+        prod = one
+        for i, k in enumerate(e):
+            if k:
+                while len(powers[i]) <= k:
+                    powers[i].append(powers[i][-1] * bases[i])
+                prod = prod * powers[i][k]
+        out.append(prod)
+    return out
 
 
 def _linear_images(g: MatrixQ, nvars: int) -> list[Polynomial]:
@@ -431,7 +447,10 @@ def parse_polynomial(text: str, nvars: int, letter: str | None = None) -> Polyno
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if _NUMBER.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {text!r}") from None
                 continue
             m = _FACTOR.match(factor)
             if not m:

@@ -85,6 +85,8 @@ def random_ci_tuple(
 
 def random_invertible_matrix(n: int, stream: SplitMix64, coeff_bound: int = 3) -> MatrixQ:
     """Integer matrix with nonzero determinant, entries in [-bound, bound]."""
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be at least 1")
     while True:
         rows = [[stream.randint(-coeff_bound, coeff_bound) for _ in range(n)] for _ in range(n)]
         if determinant(rows):

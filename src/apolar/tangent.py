@@ -17,15 +17,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .apolarity import annihilator_polynomials, stratify
-from .ci import DegenerateTupleError, GradedQuotient, _primitive_int_terms
-from .combinat import binom, dim_forms
+from .ci import DegenerateTupleError, GradedQuotient, _shift_rows
+from .combinat import dim_forms, tangent_band_sum
 from .linalg import _triangularize, span_dim
-from .poly import FormTuple, Polynomial, monomial_basis, monomial_index
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
+from .poly import FormTuple, Polynomial
 
 
 @dataclass(frozen=True)
@@ -63,17 +58,8 @@ def expected_N(n: int, d: int) -> int:
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
     value = dim_forms(n, d) * n - n * n + 1
-    assert _tangent_alternating_sum(n, d) == value, "alternating sum disagrees with N"
+    assert tangent_band_sum(n, d, 0) == value, "alternating sum disagrees with N"
     return value
-
-
-def _tangent_alternating_sum(n: int, d: int) -> int:
-    """Sum of (-1)^{m-1} (m-1) C(n+1,m) C(nd-md-1, n-1) over the m-band."""
-    total = 0
-    for m in range(n * (d - 1) // d + 1):
-        term = (m - 1) * binom(n + 1, m) * binom(n * d - m * d - 1, n - 1)
-        total += -term if m % 2 == 0 else term
-    return total
 
 
 def product_space_dim(us: Sequence[Polynomial], vs: Sequence[Polynomial]) -> int:
@@ -124,17 +110,6 @@ def tangent_dim(f: Polynomial) -> TangentReport:
     )
 
 
-def _shift_rows(int_terms: dict, n: int, shift_degree: int, col) -> list[list[int]]:
-    """Rows m * g over all degree-`shift_degree` monomials m, in grlex order."""
-    rows = []
-    for m in monomial_basis(n, shift_degree):
-        row = [0] * len(col)
-        for b, c in int_terms.items():
-            row[col[tuple(x + y for x, y in zip(m, b))]] = c
-        rows.append(row)
-    return rows
-
-
 def relation_space_dim_bruteforce(f: FormTuple) -> int:
     """Kernel dimension of (a_ij) -> sum a_ij f_i f_j, by full exact
     elimination (deliberately no modular shortcut: this is the independent
@@ -146,14 +121,9 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
         raise ValueError("need n(d-1) >= 2d")
     if not GradedQuotient(f).is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
-    col = monomial_index(n, socle)
-    rows: list[list] = []
-    for i in range(n):
-        for j in range(i, n):
-            prod = _primitive_int_terms(f.forms[i] * f.forms[j])
-            rows.extend(_shift_rows(prod, n, shift, col))
-    pivots = _triangularize([[mpz(v) for v in r] for r in rows], len(col))
-    return len(rows) - len(pivots)
+    products = [f.forms[i] * f.forms[j] for i in range(n) for j in range(i, n)]
+    rows = _shift_rows(products, shift)
+    return len(rows) - len(_triangularize(rows, dim_forms(n, socle)))
 
 
 def relation_space_dim_formula(n: int, d: int) -> int:
@@ -162,11 +132,7 @@ def relation_space_dim_formula(n: int, d: int) -> int:
         raise ValueError("need n >= 3, and d >= 3 when n = 3")
     if d < 2:
         raise ValueError("need d >= 2")
-    total = 0
-    for m in range(3, n * (d - 1) // d + 1):
-        term = (m - 1) * binom(n + 1, m) * binom(n * (d - 1) - m * d + n - 1, n - 1)
-        total += term if m % 2 else -term
-    return total
+    return tangent_band_sum(n, d, 3)
 
 
 def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
@@ -177,22 +143,15 @@ def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
         raise ValueError("need rho >= d")
     if not GradedQuotient(f).is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
-    ints = [_primitive_int_terms(fi) for fi in f.forms]
-    col_hi = monomial_index(n, rho + d)
-    block = dim_forms(n, rho)
-    phi_rows: list[list] = []
-    for terms in ints:
-        phi_rows.extend(_shift_rows(terms, n, rho, col_hi))
-    pivots = _triangularize([[mpz(v) for v in r] for r in phi_rows], len(col_hi))
-    kernel_dim = len(phi_rows) - len(pivots)
+    phi_rows = _shift_rows(f.forms, rho)
+    kernel_dim = len(phi_rows) - len(_triangularize(phi_rows, dim_forms(n, rho + d)))
 
-    col_lo = monomial_index(n, rho)
+    block = dim_forms(n, rho)
+    low = [_shift_rows([g], rho - d) for g in f.forms]
     koszul_rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            rows_j = _shift_rows(ints[j], n, rho - d, col_lo)
-            rows_i = _shift_rows(ints[i], n, rho - d, col_lo)
-            for vec_j, vec_i in zip(rows_j, rows_i):
+            for vec_j, vec_i in zip(low[j], low[i]):
                 full = [0] * (n * block)
                 full[i * block : (i + 1) * block] = vec_j
                 full[j * block : (j + 1) * block] = [-v for v in vec_i]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,10 +15,13 @@ from apolar import (
     ci_hilbert,
     dim_forms,
     gorenstein_sequence,
+    determinant,
     parse_polynomial,
     random_ci_tuple,
     stratify,
 )
+from apolar.apolarity import _first_nonsingular_chart
+from apolar.linalg import pivot_columns
 
 
 def test_catalecticant_of_product_form():
@@ -145,3 +149,49 @@ def test_canonical_kernel_basis_spans_the_annihilator_piece():
     assert SubspaceBasis.from_spanning(vecs, 3).same_span(
         SubspaceBasis.from_spanning(ref, 3)
     )
+
+
+def exhaustive_first_chart(cat, r):
+    """Reference: the first (rows, cols) with a nonsingular minor, column
+    subsets outermost, both in lexicographic order."""
+    for cols in combinations(range(cat.ncols), r):
+        for rows in combinations(range(cat.nrows), r):
+            if determinant([[cat.entry(i, j) for j in cols] for i in rows]):
+                return list(rows), list(cols)
+    raise AssertionError("no nonsingular chart minor")
+
+
+CHART_FORMS = [
+    ("y1^2 + y2^2", 2),
+    ("y1*y2", 2),
+    ("y1^2*y2^2", 2),
+    ("y1^3*y2 + y2^4", 2),
+    ("y1^4 + y1^2*y2^2 + y2^4", 2),
+    ("y1*y2*y3", 3),
+    ("y1^2*y2^2*y3^2", 3),
+    ("y1^4*y2^2 + y3^6 + y1*y2*y3^4", 3),
+]
+
+
+@pytest.mark.parametrize("text, n", CHART_FORMS)
+def test_greedy_chart_is_the_exhaustive_lex_first_chart(text, n):
+    f = parse_polynomial(text, n)
+    d = f.homogeneous_degree() // n + 1
+    cat = catalecticant(f, d).matrix
+    cols = pivot_columns(cat)
+    assert _first_nonsingular_chart(cat, cols) == exhaustive_first_chart(cat, len(cols))
+
+
+@pytest.mark.parametrize("n, d, seed", [(2, 2, 0), (2, 3, 1), (3, 2, 2), (3, 2, 3)])
+def test_greedy_chart_of_associated_forms(n, d, seed):
+    cat = catalecticant(associated_form(random_ci_tuple(n, d, seed=seed)), d).matrix
+    cols = pivot_columns(cat)
+    assert len(cols) == dim_forms(n, d) - n
+    assert _first_nonsingular_chart(cat, cols) == exhaustive_first_chart(cat, len(cols))
+
+
+def test_canonical_kernel_basis_of_four_variable_monomial():
+    f = parse_polynomial("y1^2*y2^2*y3^2*y4^2", 4)
+    assert canonical_kernel_basis(f) == [
+        parse_polynomial(f"x{i}^3", 4) for i in range(1, 5)
+    ]

@@ -8,6 +8,7 @@ from apolar import (
     DegenerateTupleError,
     FormTuple,
     GradedQuotient,
+    SplitMix64,
     apply_polar,
     associated_form,
     ci_hilbert,
@@ -18,6 +19,7 @@ from apolar import (
     jacobian_det,
     parse_polynomial,
     random_ci_tuple,
+    random_invertible_matrix,
     roundtrip_span,
     socle_coordinate,
     verify_inverse_system,
@@ -122,3 +124,11 @@ def test_sampled_tuples_have_target_hilbert(seed):
     q = GradedQuotient(f)
     assert q.hilbert() == ci_hilbert(2, 2)
     assert q.socle_coordinate(jacobian_det(f)) == 1
+
+
+def test_samplers_reject_an_empty_coefficient_range():
+    # With bound 0 every draw is zero, so no sample could ever be accepted.
+    with pytest.raises(ValueError):
+        random_ci_tuple(2, 2, seed=0, coeff_bound=0)
+    with pytest.raises(ValueError):
+        random_invertible_matrix(2, SplitMix64(0), 0)

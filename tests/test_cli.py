@@ -106,6 +106,15 @@ def test_assoc_degenerate_tuple_reports_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_zero_denominator_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "tuple.txt"
+    path.write_text("2 2\nx1^2\n1/0*x2^2\n")
+    code, out, err = run_main(["assoc", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_reports_error(capsys):
     code, out, err = run_main(["stratify", "/nonexistent/f.txt"], capsys)
     assert code == 2

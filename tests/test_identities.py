@@ -97,6 +97,16 @@ def test_delta_consistency_on_valid_grid():
             assert check_delta_consistency(n, d).passed
 
 
+def test_delta_consistency_catches_a_wrong_band_sum(monkeypatch):
+    # The right side is the conormal count, which never reads the band sum.
+    import apolar.tangent
+
+    monkeypatch.setattr(apolar.tangent, "tangent_band_sum", lambda n, d, first_m: 0)
+    result = check_delta_consistency(4, 4)
+    assert result.rhs == 20
+    assert not result.passed
+
+
 def test_identity_result_json_shape():
     rec = check_a1(2, 3).to_json_dict()
     assert rec == {

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,3 +155,60 @@ def test_modular_rank_sees_characteristic_drop():
     p = 2147483647
     assert rank_mod_prime([[p]]) == 0
     assert rank([[p]]) == 1
+
+
+small_fraction = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 4))
+
+
+@st.composite
+def square_fraction_matrix(draw, max_side=4):
+    n = draw(st.integers(1, max_side))
+    return draw(
+        st.lists(
+            st.lists(small_fraction, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def from_sympy(m) -> tuple:
+    return tuple(
+        tuple(Fraction(int(m[i, j].p), int(m[i, j].q)) for j in range(m.cols))
+        for i in range(m.rows)
+    )
+
+
+@given(square_fraction_matrix())
+@settings(deadline=None)
+def test_determinant_matches_sympy(m):
+    ref = sympy_matrix(m).det()
+    assert determinant(m) == Fraction(int(ref.p), int(ref.q))
+
+
+@given(square_fraction_matrix())
+@settings(deadline=None)
+def test_inverse_matches_sympy(m):
+    ref = sympy_matrix(m)
+    if ref.det() == 0:
+        with pytest.raises(ValueError):
+            matrix_inverse(m)
+    else:
+        assert matrix_inverse(m).entries == from_sympy(ref.inv())
+
+
+@given(square_fraction_matrix(), st.integers(0, 3), st.data())
+@settings(deadline=None)
+def test_block_solve_matches_sympy(a, width, data):
+    b = [data.draw(st.lists(small_fraction, min_size=width, max_size=width)) for _ in a]
+    ref = sympy_matrix(a)
+    if ref.det() == 0:
+        with pytest.raises(ValueError):
+            block_solve(a, b)
+    else:
+        expected = -ref.inv() * sympy.Matrix(len(a), width, [
+            sympy.Rational(x.numerator, x.denominator) for row in b for x in row
+        ])
+        assert block_solve(a, b).entries == from_sympy(expected)

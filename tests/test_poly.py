@@ -141,6 +141,11 @@ def test_parse_rejects_mixed_letters_and_bad_index():
         parse_polynomial("x1 +", 2)
 
 
+def test_parse_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_polynomial("1/0*x2^2", 2)
+
+
 def test_parse_respects_requested_letter():
     assert parse_polynomial("y1*y2", 2, letter="y") == parse_polynomial("x1*x2", 2)
     with pytest.raises(ValueError):
