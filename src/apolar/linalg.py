@@ -279,11 +279,8 @@ def kernel_basis(m) -> SubspaceBasis:
     if ncols == 0:
         return SubspaceBasis(0, ())
     pivot_cols, reduced = _rref(rows, ncols)
-    pivot_set = set(pivot_cols)
     vectors = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
+    for fc in sorted(set(range(ncols)) - set(pivot_cols)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for pc, row in zip(pivot_cols, reduced):

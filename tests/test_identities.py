@@ -97,13 +97,15 @@ def test_delta_consistency_on_valid_grid():
             assert check_delta_consistency(n, d).passed
 
 
-def test_delta_consistency_catches_a_wrong_band_sum(monkeypatch):
-    # The right side is the conormal count, which never reads the band sum.
+def test_delta_consistency_right_side_never_reads_the_band_sum(monkeypatch):
+    # The right side is the conormal count, so a wrong band sum shows.
+    import apolar.identities
     import apolar.tangent
 
-    monkeypatch.setattr(apolar.tangent, "tangent_band_sum", lambda n, d, first_m: 0)
+    for module in (apolar.tangent, apolar.identities):
+        monkeypatch.setattr(module, "tangent_band_sum", lambda n, d, first_m: 0)
     result = check_delta_consistency(4, 4)
-    assert result.rhs == 20
+    assert (result.lhs, result.rhs) == (0, 20)
     assert not result.passed
 
 
