@@ -29,6 +29,7 @@ SAMPLED = ["--trials", "2", "--seed", "5"]
 
 CASES = {
     "tangent_3x3.jsonl": ["tangent", "--n", "3", "--d", "3", *SAMPLED],
+    "tangent_3x4.jsonl": ["tangent", "--n", "3", "--d", "4", *SAMPLED],
     "relations_3x3.jsonl": ["relations", "--n", "3", "--d", "3", *SAMPLED],
     "relations_4x2.jsonl": ["relations", "--n", "4", "--d", "2", *SAMPLED],
     "koszul_3x3.jsonl": ["koszul", "--n", "3", "--d", "3", *SAMPLED],
