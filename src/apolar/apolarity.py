@@ -87,6 +87,23 @@ def annihilator_polynomials(f: Polynomial, j: int) -> list[Polynomial]:
     return polynomials_from_vectors(f.nvars, j, annihilator_piece(f, j).vectors)
 
 
+def _ures_generators(f: Polynomial, d: int) -> list[Polynomial] | None:
+    """The degree-d annihilator piece of f when f lies in U_Res, else None.
+
+    A form f of degree n(d-1), n = f.nvars, lies in U_Res when that piece has
+    n elements and they form a complete intersection.  Their ideal J then
+    lies in Ann(f), and S/J is Gorenstein with socle degree deg f, so J is
+    the annihilator of the one form, up to scale, that it kills in that
+    degree; that form is f.  So Ann(f) = J is generated in degree d.
+    """
+    from .ci import is_complete_intersection
+
+    gens = annihilator_polynomials(f, d)
+    if len(gens) == f.nvars and is_complete_intersection(FormTuple(f.nvars, d, tuple(gens))):
+        return gens
+    return None
+
+
 def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     """Catalecticant ranks for every contraction degree 0..deg f.
 
@@ -144,19 +161,13 @@ def stratify(f: Polynomial, n: int, d: int) -> StratumReport:
     socle = n * (d - 1)
     if f.homogeneous_degree() != socle:
         raise ValueError(f"form must be homogeneous of degree {socle}")
-    cat = catalecticant(f, d).matrix
-    rank_d = rank(cat)
+    hilbert = apolar_hilbert(f)
+    rank_d = hilbert[d]
     target_rank = dim_forms(n, d) - n
     in_v = rank_d <= target_rank
     in_u = rank_d == target_rank
-    hilbert = apolar_hilbert(f)
     in_gor = hilbert == gorenstein_sequence(n, d)
-    in_ures = False
-    if in_u:
-        from .ci import is_complete_intersection
-
-        gens = polynomials_from_vectors(n, d, kernel_basis(cat).vectors)
-        in_ures = is_complete_intersection(FormTuple(n, d, tuple(gens)))
+    in_ures = in_u and _ures_generators(f, d) is not None
     report = StratumReport(
         in_V=in_v,
         in_U=in_u,

@@ -90,21 +90,6 @@ class MatrixQ:
         c = _as_fraction(c)
         return MatrixQ(tuple(tuple(c * x for x in row) for row in self.entries))
 
-    def to_json(self) -> list[list[str]]:
-        """Entries as exact 'p/q' strings (integers print without '/q')."""
-        return [[fraction_str(x) for x in row] for row in self.entries]
-
-
-def fraction_str(x: Fraction) -> str:
-    x = _as_fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
-
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -136,9 +121,6 @@ class SubspaceBasis:
                 raise ValueError("vector length does not match ambient dimension")
         _, reduced = _rref(rows, ambient_dim)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced))
-
-    def verify(self) -> None:
-        assert span_dim(self.vectors) == self.dimension, "basis vectors are dependent"
 
     def contains(self, vector: Sequence[Scalar]) -> bool:
         if len(vector) != self.ambient_dim:

@@ -23,10 +23,6 @@ from .linalg import MatrixQ, matrix_inverse
 Monomial = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 @lru_cache(maxsize=None)
 def monomial_basis(nvars: int, degree: int) -> tuple[Monomial, ...]:
     """All exponent tuples of the given total degree, grlex descending."""
@@ -125,11 +121,6 @@ class Polynomial:
                 raise ValueError("polynomial is not homogeneous of the requested degree")
             vec[idx[mono]] = c
         return tuple(vec)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            raise ValueError("zero polynomial has no degree")
-        return max(sum(m) for m in self._terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         degrees = {sum(m) for m in self._terms}

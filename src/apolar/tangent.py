@@ -1,11 +1,15 @@
 """Tangent-space dimension counts and the relation space of form products.
 
-For a form F of degree n(d-1) whose degree-d annihilator piece is a complete
-intersection, the tangent space to the catalecticant rank locus has dimension
+For a form F of degree s = n(d-1) whose degree-d annihilator piece is a
+complete intersection, the tangent space to the catalecticant rank locus has
+dimension
 
-    dim k[y]_{n(d-1)} - dim( I_d * I_{n(d-1)-d} ),
+    dim k[y]_s - dim( I_d * I_{s-d} ),
 
 and the expected value is N = K n - n^2 + 1 with K = C(d+n-1, n-1).  The
+complete intersection check certifies that I = Ann(F) is generated by I_d =
+span{g_i}, so I_{s-d} = k[x]_{s-2d} * I_d and the product is the degree-s
+piece of I^2, spanned by the shifted pairwise products m * g_i * g_j.  The
 relation space R collects the linear relations among the shifted pairwise
 products of a tuple's forms; its dimension admits both a brute-force kernel
 computation and a closed alternating-sum formula, and the two are compared as
@@ -16,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .apolarity import annihilator_polynomials, stratify
+from .apolarity import _ures_generators
 from .ci import DegenerateTupleError, GradedQuotient, _shift_rows
 from .combinat import dim_forms, tangent_band_sum
-from .linalg import _triangularize, span_dim
+from .linalg import _triangularize, rank, span_dim
 from .poly import FormTuple, Polynomial
 
 
@@ -80,9 +84,22 @@ def product_space_dim(us: Sequence[Polynomial], vs: Sequence[Polynomial]) -> int
     return span_dim(vectors)
 
 
+def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
+    """Exact rank of the rows m * g_i * g_j, i <= j, over the forms g and
+    every degree-`shift` monomial m."""
+    products = [g * h for i, g in enumerate(forms) for h in forms[i:]]
+    return rank(_shift_rows(products, shift))
+
+
 def tangent_dim(f: Polynomial) -> TangentReport:
     """Tangent dimension report for a form whose annihilator is a complete
-    intersection; n and d are read off the form itself."""
+    intersection; n and d are read off the form itself.
+
+    The degree-d catalecticant is eliminated once, for the generators g_i of
+    Ann(f); they generate the whole ideal (certified by the complete
+    intersection check), so dim(I_d * I_{s-d}) is the rank of the shifted
+    products m * g_i * g_j, and 0 when s < 2d.
+    """
     n = f.nvars
     if f.is_zero:
         raise ValueError("zero input")
@@ -90,16 +107,13 @@ def tangent_dim(f: Polynomial) -> TangentReport:
     if s % n:
         raise ValueError("form degree is not a multiple of the variable count")
     d = s // n + 1
-    if d < 2:
-        raise ValueError("need degree at least n")
-    report = stratify(f, n, d)
-    if not report.in_URes:
+    if n < 2 or d < 2:
+        raise ValueError("need n >= 2 and degree at least n")
+    gens = _ures_generators(f, d)
+    if gens is None:
         raise DegenerateTupleError("form does not lie in the complete intersection locus")
-    gens = annihilator_polynomials(f, d)
-    assert len(gens) == n
-    upper = annihilator_polynomials(f, s - d)
     dim_ambient = dim_forms(n, s)
-    dim_product = product_space_dim(gens, upper)
+    dim_product = _pairwise_product_rank(gens, s - 2 * d) if s >= 2 * d else 0
     return TangentReport(
         n=n,
         d=d,
@@ -115,15 +129,13 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
     elimination (deliberately no modular shortcut: this is the independent
     route against relation_space_dim_formula)."""
     n, d = f.var_count, f.degree
-    socle = f.socle_degree
-    shift = socle - 2 * d
+    shift = f.socle_degree - 2 * d
     if shift < 0:
         raise ValueError("need n(d-1) >= 2d")
     if not GradedQuotient(f).is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
-    products = [f.forms[i] * f.forms[j] for i in range(n) for j in range(i, n)]
-    rows = _shift_rows(products, shift)
-    return len(rows) - len(_triangularize(rows, dim_forms(n, socle)))
+    pairs = n * (n + 1) // 2
+    return pairs * dim_forms(n, shift) - _pairwise_product_rank(f.forms, shift)
 
 
 def relation_space_dim_formula(n: int, d: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from apolar import (
     FormTuple,
+    SplitMix64,
     SubspaceBasis,
     annihilator_piece,
     annihilator_polynomials,
@@ -18,6 +19,8 @@ from apolar import (
     determinant,
     parse_polynomial,
     random_ci_tuple,
+    random_form,
+    rank,
     stratify,
 )
 from apolar.apolarity import _first_nonsingular_chart
@@ -93,6 +96,19 @@ def test_stratify_associated_form_lands_in_smooth_locus():
     assert report.in_URes and report.in_GorT and report.in_U and report.in_V
     assert not report.in_Z
     assert report.hilbert == ci_hilbert(3, 2)
+
+
+def test_stratify_rank_d_is_the_catalecticant_rank():
+    forms = [
+        (parse_polynomial("y1^2", 2), 2, 2),
+        (random_form(3, 6, SplitMix64(11), 5), 3, 3),
+        (associated_form(random_ci_tuple(3, 3, seed=1)), 3, 3),
+        (associated_form(random_ci_tuple(2, 4, seed=2)), 2, 4),
+    ]
+    for f, n, d in forms:
+        report = stratify(f, n, d)
+        assert report.rank_d == rank(catalecticant(f, d).matrix)
+        assert report.in_U == (len(annihilator_polynomials(f, d)) == n)
 
 
 def test_stratify_json_key_order():

@@ -6,6 +6,8 @@ from apolar import (
     DegenerateTupleError,
     FormTuple,
     Polynomial,
+    SplitMix64,
+    annihilator_polynomials,
     associated_form,
     dim_forms,
     expected_N,
@@ -13,9 +15,11 @@ from apolar import (
     parse_polynomial,
     product_space_dim,
     random_ci_tuple,
+    random_form,
     rank,
     relation_space_dim_bruteforce,
     relation_space_dim_formula,
+    stratify,
     tangent_dim,
 )
 
@@ -104,6 +108,28 @@ def test_tangent_dim_rejects_bad_inputs():
         tangent_dim(parse_polynomial("y1^3", 2))
     with pytest.raises(DegenerateTupleError):
         tangent_dim(parse_polynomial("y1^2", 2))
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (3, 4), (4, 2), (3, 5)])
+def test_tangent_product_matches_annihilator_product_oracle(n, d):
+    """dim (I^2)_s from the generators equals dim I_d * I_{s-d} computed from
+    the two annihilator pieces, the route that needs no generation claim."""
+    s = n * (d - 1)
+    for seed in (0, 1):
+        a = associated_form(random_ci_tuple(n, d, seed=seed))
+        oracle = product_space_dim(annihilator_polynomials(a, d), annihilator_polynomials(a, s - d))
+        report = tangent_dim(a)
+        assert report.dim_product == oracle
+        assert report.tangent_dim == report.expected_N
+
+
+def test_tangent_dim_rejects_form_outside_u():
+    f = random_form(3, 6, SplitMix64(11), 5)
+    assert not f.is_zero
+    assert len(annihilator_polynomials(f, 3)) != 3
+    assert not stratify(f, 3, 3).in_U
+    with pytest.raises(DegenerateTupleError):
+        tangent_dim(f)
 
 
 def test_koszul_check_at_minimal_degree():
