@@ -28,9 +28,9 @@ from .apolarity import annihilator_piece, apolar_hilbert, gorenstein_sequence
 from .combinat import ci_hilbert, dim_forms, multinomial
 from .linalg import (
     SubspaceBasis,
+    _exact_kernel_basis,
     _integer_rows,
     _triangularize,
-    kernel_basis,
     rank_mod_prime,
 )
 from .poly import (
@@ -87,7 +87,12 @@ class GradedQuotient:
         return dim_forms(self.var_count, j) - hf
 
     def ideal_dim(self, j: int) -> int:
-        """Exact dimension of the ideal's degree-j piece."""
+        """Exact dimension of the ideal's degree-j piece.
+
+        Lower bound: the rank mod p of the shifted rows.  Upper bound: the
+        complete intersection value, the generic rank.  When the two differ,
+        Bareiss elimination decides (always, with exact_only).
+        """
         if j < 0:
             raise ValueError("degree must be nonnegative")
         if j < self.degree:
@@ -133,7 +138,11 @@ class GradedQuotient:
         if self._socle_functional is None:
             if not self.is_complete_intersection():
                 raise DegenerateTupleError("tuple is not a complete intersection")
-            lam = kernel_basis(_shift_rows(self.tuple.forms, self.socle_degree - self.degree))
+            # Exact route: this kernel vector's entries run to hundreds of
+            # bits, past what three word-size primes can reconstruct.
+            lam = _exact_kernel_basis(
+                _shift_rows(self.tuple.forms, self.socle_degree - self.degree)
+            )
             assert lam.dimension == 1, "complete intersection socle must be a line"
             vec = lam.vectors[0]
             jac_vec = jacobian_det(self.tuple).coefficient_vector(self.socle_degree)
@@ -166,13 +175,13 @@ class GradedQuotient:
 
 def ideal_piece(f: FormTuple, j: int) -> SubspaceBasis:
     """Degree-j piece of the ideal generated by the tuple."""
-    return GradedQuotient(f).ideal_piece(j)
+    return f.quotient.ideal_piece(j)
 
 
 def is_complete_intersection(f: FormTuple) -> bool:
     """Whether the tuple's quotient has the length-d^n Hilbert function and
     vanishes one degree past the socle (equivalently, nonzero resultant)."""
-    return GradedQuotient(f).is_complete_intersection()
+    return f.quotient.is_complete_intersection()
 
 
 def socle_coordinate(q: GradedQuotient, p: Polynomial) -> Fraction:
@@ -181,7 +190,7 @@ def socle_coordinate(q: GradedQuotient, p: Polynomial) -> Fraction:
 
 def associated_form(f: FormTuple) -> Polynomial:
     """Associated form of a complete intersection tuple."""
-    return GradedQuotient(f).associated_form()
+    return f.quotient.associated_form()
 
 
 def verify_inverse_system(f: FormTuple, g: Polynomial) -> bool:

@@ -4,6 +4,10 @@ Each subcommand builds a list of JSON-serializable result records, writes
 them as JSON lines (stdout or --out), prints a human summary to stderr, and
 exits 0 exactly when no record carries "pass": false.  Output depends only
 on the configuration, so identical invocations produce identical bytes.
+
+Exit codes: 0 all checks passed, 1 a check failed, 2 a usage or input
+error, 3 an internal error (a failed invariant or any other unexpected
+exception), reported as one "internal error: ..." line.
 """
 from __future__ import annotations
 
@@ -368,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, DegenerateTupleError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     emit_report(results, cfg.out, cfg.csv_path)
     return 1 if _summarize(results) else 0
 

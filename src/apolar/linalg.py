@@ -2,24 +2,33 @@
 
 One elimination core, _triangularize, runs fraction-free Bareiss elimination
 with first-nonzero partial pivoting, so identical inputs take identical pivot
-paths.  Rank and pivot columns are read off its pivots, the determinant off
-its last pivot, and kernel, solve and inverse off the reduced row echelon
+paths.  Pivot columns are read off its pivots, the determinant off its last
+pivot, and solve, inverse and the exact kernel off the reduced row echelon
 form built from its echelon rows.  Entries are cleared to integers row by row
 (row scaling changes neither rank nor kernel) and manipulated as gmpy2
 integers when the optional gmpy2 is installed, as plain ints otherwise;
 results come back as fractions.Fraction.
 
-rank_mod_prime is the one deliberately inexact-looking routine here: it
-computes the rank of the reduction mod a fixed word-size prime, which is a
-certified lower bound for the rational rank.  Callers combine it with an
-a-priori upper bound to certify exact dimensions cheaply; nothing in this
-module ever touches floating point.
+rank and kernel_basis first try a certified modular shortcut and fall back to
+that core whenever the certificate is missing:
+
+- Lower bound on the rank: the rank mod a word-size prime (specialization can
+  only drop rank).  When it reaches min(rows, cols) it is the rank.
+- Upper bound on the rank: a kernel whose vectors were computed mod primes,
+  lifted by CRT and rational reconstruction, and then verified exactly over
+  the integers.  k verified independent vectors in the right (left) kernel
+  bound the rank by cols - k (rows - k) from above.
+
+The certificate reads nothing but the matrix itself, never a closed formula
+for the answer the caller expects, so a shortcut result is as independent of
+such formulas as the Bareiss one.  Nothing in this module touches floating
+point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 try:
@@ -27,9 +36,10 @@ try:
 except ImportError:  # gmpy2 is optional; plain ints give the same answers
     mpz = int
 
-# Mersenne prime 2^31 - 1: products of two residues stay under 2^62, so the
-# modular elimination fits in int64 without overflow.
-WORD_PRIME = 2147483647
+# The three largest primes below 2^31, the Mersenne prime 2^31 - 1 first:
+# products of two residues stay under 2^62, so the modular elimination fits
+# in int64 without overflow.
+PRIMES = (2147483647, 2147483629, 2147483587)
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -211,8 +221,26 @@ def pivot_columns(m) -> list[int]:
 
 
 def rank(m) -> int:
-    """Exact rank of a rational matrix."""
-    return len(pivot_columns(m))
+    """Exact rank of a rational matrix.
+
+    Lower bound: rank_mod_prime of the integer rows; when it reaches
+    min(rows, cols) it is the rank.  Upper bound otherwise: the left kernel,
+    certified as in kernel_basis, bounds the rank by rows minus its
+    dimension, and the mod-p rank of the transpose bounds it from below by the
+    same number.  When neither certificate holds, Bareiss elimination decides.
+    """
+    rows = _entry_rows(m)
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    ints = _integer_rows(rows)
+    low = rank_mod_prime(ints)
+    if low == min(len(ints), ncols):
+        return low
+    left = _modular_kernel(list(zip(*ints)), len(ints))
+    if left is not None:
+        return len(ints) - len(left)
+    return len(_triangularize(ints, ncols))
 
 
 def _rref(rows: RowSeq, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
@@ -253,9 +281,25 @@ def kernel_basis(m) -> SubspaceBasis:
     """Reduced-echelon basis of the right kernel.
 
     One vector per free column in ascending order, each carrying a unit in
-    its own free position and zeros in the other free positions; it is read
-    off the reduced row echelon form.
+    its own free position and zeros in the other free positions.  It is
+    first sought mod primes and certified by _verify_kernel: the mod-p rank
+    bounds the kernel dimension from above, the verified vectors bound it
+    from below, and their supports pin down the pivot columns, so the
+    certified basis is the one the reduced row echelon form gives.  Without a
+    certificate the basis is read off the exact reduced row echelon form.
     """
+    rows = _entry_rows(m)
+    ncols = len(rows[0]) if rows else 0
+    vectors = _modular_kernel(_integer_rows(rows), ncols) if ncols else ()
+    if vectors is None:
+        return _exact_kernel_basis(rows)
+    return SubspaceBasis(ncols, tuple(vectors))
+
+
+def _exact_kernel_basis(m) -> SubspaceBasis:
+    """kernel_basis read off the exact reduced row echelon form, with no
+    modular attempt: for kernels whose entries are known to be too wide to
+    reconstruct from three word-size primes."""
     rows = _entry_rows(m)
     ncols = len(rows[0]) if rows else 0
     if ncols == 0:
@@ -325,37 +369,166 @@ def determinant(a) -> Fraction:
     return Fraction(-last if inversions % 2 else last) / prod(f for _, f in scaled)
 
 
-def rank_mod_prime(rows: Sequence[Sequence[int]], prime: int = WORD_PRIME) -> int:
+def rank_mod_prime(rows: Sequence[Sequence[int]], prime: int = PRIMES[0]) -> int:
     """Rank of an integer matrix reduced mod `prime`.
 
     Always a lower bound for the rational rank (specialization can only drop
     rank).  Entries must be integers; clear denominators first.  Integer-only
     numpy arithmetic, word-size residues.
     """
-    import numpy as np
-
     if not rows or not len(rows[0]):
         return 0
-    a = np.array([[int(x) % prime for x in row] for row in rows], dtype=np.int64)
+    a = _residues(rows, prime)
+    if a.shape[0] < a.shape[1]:
+        a = a.T.copy()
+    return len(_echelon_mod_prime(a, prime, reduced=False))
+
+
+def _residues(rows: Sequence[Sequence[int]], prime: int):
+    """The rows mod `prime` as an int64 array; entries that fit in int64
+    are converted in one numpy call, wider ones are reduced in Python."""
+    import numpy as np
+
+    try:
+        return np.array(rows, dtype=np.int64) % prime
+    except OverflowError:
+        return np.array([[int(x) % prime for x in row] for row in rows], dtype=np.int64)
+
+
+def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
+    """Pivot columns of the int64 residue matrix `a`, which is brought in
+    place to row echelon form mod `prime` with unit pivots in rows
+    0..rank-1; with `reduced`, each pivot column is also cleared above its
+    pivot, giving the reduced row echelon form."""
+    import numpy as np
+
     nrows, ncols = a.shape
-    if nrows < ncols:
-        a = a.T
-        nrows, ncols = ncols, nrows
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        r = len(pivots)
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, prime)
-        a[r, c:] = (a[r, c:] * inv) % prime
-        if r + 1 < nrows:
-            factors = a[r + 1 :, c]
-            a[r + 1 :, c:] = (a[r + 1 :, c:] - np.outer(factors, a[r, c:])) % prime
-        r += 1
-        if r == nrows:
-            break
-    return r
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, prime)) % prime
+        first = 0 if reduced else r + 1
+        hits = first + np.flatnonzero(a[first:, c])
+        hits = hits[hits != r]
+        if hits.size:
+            a[hits, c:] = (a[hits, c:] - np.outer(a[hits, c], a[r, c:])) % prime
+        pivots.append(c)
+    return pivots
+
+
+def _modular_kernel(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> list[tuple[Fraction, ...]] | None:
+    """The reduced-echelon kernel basis of integer rows, found mod PRIMES and
+    certified by _verify_kernel, or None when no prime gives a certificate.
+
+    Each prime gives the reduced row echelon form mod p, whose entries at the
+    free columns are, negated, the kernel vectors mod p.  Reduction can only
+    lose pivots or move them right, so a prime with fewer or
+    lexicographically later pivot columns than an earlier one is skipped, and
+    one with more or earlier ones starts the lift afresh.  After each prime
+    the residues are joined by CRT and rationally reconstructed (Wang), and
+    the candidate is verified exactly.
+    """
+    best = None
+    for prime in PRIMES:
+        a = _residues(rows, prime)
+        pivots = _echelon_mod_prime(a, prime, reduced=True)
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        # images[k][t]: kernel vector of free column free[k] at pivots[t].
+        images = ((-a[: len(pivots)][:, free]) % prime).T.tolist()
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus, lifted = key, prime, images
+        elif key > best:
+            continue
+        else:
+            inv = pow(modulus, -1, prime)
+            lifted = [
+                [u + modulus * ((w - u) * inv % prime) for u, w in zip(us, ws)]
+                for us, ws in zip(lifted, images)
+            ]
+            modulus *= prime
+        vectors = _reconstruct_kernel(lifted, modulus, pivots, free, ncols)
+        if vectors is not None and _verify_kernel(rows, ncols, pivots, vectors):
+            return vectors
+    return None
+
+
+def _reconstruct_kernel(
+    lifted: list[list[int]], modulus: int, pivots: list[int], free: list[int], ncols: int
+) -> list[tuple[Fraction, ...]] | None:
+    """Kernel vectors with unit free entries and reconstructed pivot entries,
+    or None when some residue has no fraction small enough for `modulus`."""
+    bound = isqrt(modulus // 2)
+    vectors = []
+    for f, column in zip(free, lifted):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for pc, u in zip(pivots, column):
+            if u:
+                x = _rational_reconstruction(u, modulus, bound)
+                if x is None:
+                    return None
+                v[pc] = x
+        vectors.append(tuple(v))
+    return vectors
+
+
+def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:
+    """The fraction a/b = u mod `modulus` with |a|, |b| <= bound, where
+    2 bound^2 < modulus makes it unique, or None (Wang 1981): the extended
+    Euclidean algorithm on (modulus, u), stopped at the first remainder not
+    above the bound."""
+    r0, r1, s0, s1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _verify_kernel(
+    rows: Sequence[Sequence[int]],
+    ncols: int,
+    pivots: Sequence[int],
+    vectors: Sequence[Sequence[Fraction]],
+) -> bool:
+    """Whether `vectors` is exactly the reduced-echelon kernel basis of the
+    integer `rows`, given the rows' pivot columns mod some prime.
+
+    Upper bound on the kernel dimension: ncols - len(pivots), because the
+    mod-p rank is at most the rational rank.  Lower bound: one vector per
+    non-pivot column f, in ascending order, each 1 at f and supported only on
+    f and pivot columns left of f (so they are independent), and each with
+    A v = 0 over the integers.  Such a vector writes column f as a
+    combination of earlier columns, so no such f is a rational pivot column;
+    the bounds then meet, the mod-p pivot columns are the rational ones, and
+    each vector is the one kernel vector with its pattern on the free
+    columns: the vector the exact reduced row echelon form gives.  Nothing
+    here relies on how the vectors were computed.
+    """
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    if len(vectors) != len(free):
+        return False
+    for f, v in zip(free, vectors):
+        support = [j for j, x in enumerate(v) if x]
+        if v[f] != 1 or any(j != f and (j not in pivot_set or j > f) for j in support):
+            return False
+        scale = lcm(*(v[j].denominator for j in support))
+        w = [(j, int(v[j] * scale)) for j in support]
+        if any(sum(row[j] * x for j, x in w) for row in rows):
+            return False
+    return True

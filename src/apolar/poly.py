@@ -13,12 +13,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import perm
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .linalg import MatrixQ, matrix_inverse
+
+if TYPE_CHECKING:
+    from .ci import GradedQuotient
 
 Monomial = tuple[int, ...]
 
@@ -272,6 +275,15 @@ class FormTuple:
     @property
     def socle_degree(self) -> int:
         return self.var_count * (self.degree - 1)
+
+    @cached_property
+    def quotient(self) -> "GradedQuotient":
+        """This tuple's GradedQuotient, made on first use and kept on this
+        object, so every check on the tuple shares one complete intersection
+        verdict.  An equal but distinct tuple gets its own."""
+        from .ci import GradedQuotient
+
+        return GradedQuotient(self)
 
     def coefficient_rows(self) -> list[tuple[Fraction, ...]]:
         return [f.coefficient_vector(self.degree) for f in self.forms]

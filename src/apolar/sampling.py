@@ -6,11 +6,14 @@ essentially every draw.  All sampling is deterministic in the seed.
 """
 from __future__ import annotations
 
-from .ci import GradedQuotient
 from .linalg import MatrixQ, determinant
 from .poly import FormTuple, Polynomial, monomial_basis
 
 _MASK64 = (1 << 64) - 1
+# A random integer matrix is singular with probability at most about 1/2
+# even at coeff_bound 1, so this many singular draws in a row means the
+# determinant test is broken, not unlucky.
+_INVERTIBLE_ATTEMPTS = 64
 
 
 class SplitMix64:
@@ -75,7 +78,7 @@ def random_ci_tuple(
         if any(f.is_zero for f in forms):
             continue
         candidate = FormTuple(n, d, tuple(forms))
-        if GradedQuotient(candidate).is_complete_intersection():
+        if candidate.quotient.is_complete_intersection():
             return candidate
     raise SamplingError(
         f"no complete intersection in {max_attempts} attempts for n={n} d={d} "
@@ -87,7 +90,11 @@ def random_invertible_matrix(n: int, stream: SplitMix64, coeff_bound: int = 3) -
     """Integer matrix with nonzero determinant, entries in [-bound, bound]."""
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be at least 1")
-    while True:
+    for _ in range(_INVERTIBLE_ATTEMPTS):
         rows = [[stream.randint(-coeff_bound, coeff_bound) for _ in range(n)] for _ in range(n)]
         if determinant(rows):
             return MatrixQ.from_rows(rows)
+    raise SamplingError(
+        f"no invertible {n}x{n} matrix in {_INVERTIBLE_ATTEMPTS} attempts "
+        f"with coeff_bound={coeff_bound}"
+    )

@@ -13,7 +13,13 @@ piece of I^2, spanned by the shifted pairwise products m * g_i * g_j.  The
 relation space R collects the linear relations among the shifted pairwise
 products of a tuple's forms; its dimension admits both a brute-force kernel
 computation and a closed alternating-sum formula, and the two are compared as
-independent routes (the brute force is always full exact elimination).
+independent routes.
+
+The tangent and relation counts take their product ranks from linalg.rank:
+the mod-p rank is its lower bound, and when that falls short of full rank an
+exactly verified left kernel is its upper bound, with Bareiss elimination as
+the fallback.  That certificate reads only the matrix, never
+relation_space_dim_formula or N, so the routes stay independent.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .apolarity import _ures_generators
-from .ci import DegenerateTupleError, GradedQuotient, _shift_rows
+from .ci import DegenerateTupleError, _shift_rows
 from .combinat import dim_forms, tangent_band_sum
 from .linalg import _triangularize, rank, span_dim
 from .poly import FormTuple, Polynomial
@@ -125,14 +131,19 @@ def tangent_dim(f: Polynomial) -> TangentReport:
 
 
 def relation_space_dim_bruteforce(f: FormTuple) -> int:
-    """Kernel dimension of (a_ij) -> sum a_ij f_i f_j, by full exact
-    elimination (deliberately no modular shortcut: this is the independent
-    route against relation_space_dim_formula)."""
+    """Kernel dimension of (a_ij) -> sum a_ij f_i f_j: the number of
+    coefficients minus the rank of the products m * f_i * f_j.
+
+    That rank is linalg.rank, bounded below by its mod-p rank and above by
+    the rows minus an exactly verified left kernel, with Bareiss when the two
+    do not meet.  The certificate reads only the product matrix, never
+    relation_space_dim_formula or N, so this stays the independent route
+    against the formula."""
     n, d = f.var_count, f.degree
     shift = f.socle_degree - 2 * d
     if shift < 0:
         raise ValueError("need n(d-1) >= 2d")
-    if not GradedQuotient(f).is_complete_intersection():
+    if not f.quotient.is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
     pairs = n * (n + 1) // 2
     return pairs * dim_forms(n, shift) - _pairwise_product_rank(f.forms, shift)
@@ -153,7 +164,7 @@ def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
     n, d = f.var_count, f.degree
     if rho < d:
         raise ValueError("need rho >= d")
-    if not GradedQuotient(f).is_complete_intersection():
+    if not f.quotient.is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
     phi_rows = _shift_rows(f.forms, rho)
     kernel_dim = len(phi_rows) - len(_triangularize(phi_rows, dim_forms(n, rho + d)))

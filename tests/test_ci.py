@@ -8,6 +8,7 @@ from apolar import (
     DegenerateTupleError,
     FormTuple,
     GradedQuotient,
+    SamplingError,
     SplitMix64,
     apply_polar,
     associated_form,
@@ -132,3 +133,62 @@ def test_samplers_reject_an_empty_coefficient_range():
         random_ci_tuple(2, 2, seed=0, coeff_bound=0)
     with pytest.raises(ValueError):
         random_invertible_matrix(2, SplitMix64(0), 0)
+
+
+def test_invertible_sampler_gives_up_after_its_attempt_cap(monkeypatch):
+    import apolar.sampling as sampling
+
+    monkeypatch.setattr(sampling, "determinant", lambda rows: 0)
+    with pytest.raises(SamplingError):
+        random_invertible_matrix(2, SplitMix64(0))
+
+
+@pytest.fixture
+def ci_passes(monkeypatch):
+    """Counts the mod-p ranks the complete intersection checks take, one per
+    degree of a GradedQuotient pass."""
+    import apolar.ci as ci
+
+    calls = []
+    rank_mod_prime = ci.rank_mod_prime
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return rank_mod_prime(rows, *args)
+
+    monkeypatch.setattr(ci, "rank_mod_prime", counted)
+    return calls
+
+
+def test_one_complete_intersection_pass_per_tuple_object(ci_passes):
+    f = random_ci_tuple(3, 3, seed=7)
+    # The sampler's pass covers degrees d..s+1.
+    per_pass = f.socle_degree + 2 - f.degree
+    assert len(ci_passes) == per_pass
+    assert is_complete_intersection(f)
+    associated_form(f)
+    assert len(ci_passes) == per_pass
+    # An equal but distinct tuple shares nothing with the first one.
+    twin = FormTuple(f.var_count, f.degree, f.forms)
+    assert twin == f and twin is not f
+    assert is_complete_intersection(twin)
+    assert len(ci_passes) == 2 * per_pass
+    assert associated_form(twin) == associated_form(f)
+    assert len(ci_passes) == 2 * per_pass
+
+
+def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
+    from apolar.cli import _tangent_trial, trial_seeds
+
+    n, d = 3, 5
+    task = (0, trial_seeds(1, 1)[0], n, d, 5)
+    record = _tangent_trial(task)
+    assert record["pass"] and record["dim_R_bruteforce"] == 0
+    # One pass for the sampled tuple, shared by the sampler, the associated
+    # form and the relation count; one for the annihilator's g_i.
+    per_pass = n * (d - 1) + 2 - d
+    assert len(ci_passes) == 2 * per_pass
+    # The same seed again builds fresh tuples and repeats both passes:
+    # nothing carries over from one trial to the next.
+    assert _tangent_trial(task) == record
+    assert len(ci_passes) == 4 * per_pass

@@ -187,3 +187,17 @@ def test_run_suite_dispatch_matches_main(tmp_path):
     records = run_suite(cfg)
     assert len(records) == 2
     assert all(r["suite"] == "tangent" for r in records)
+
+
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    import apolar.cli as cli
+
+    def broken(form):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(cli, "tangent_dim", broken)
+    code, out, err = run_main(["tangent", "--n", "2", "--d", "2", "--trials", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: AssertionError: invariant broken\n"
+
