@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinat import ci_hilbert, dim_forms
-from .linalg import MatrixQ, SubspaceBasis, block_solve, kernel_basis, pivot_columns, rank
+from .linalg import MatrixQ, SubspaceBasis, block_solve, kernel_basis, rank
 from .poly import (
     FormTuple,
     Polynomial,
@@ -96,10 +96,10 @@ def _ures_generators(f: Polynomial, d: int) -> list[Polynomial] | None:
     the annihilator of the one form, up to scale, that it kills in that
     degree; that form is f.  So Ann(f) = J is generated in degree d.
     """
-    from .ci import is_complete_intersection
-
     gens = annihilator_polynomials(f, d)
-    if len(gens) == f.nvars and is_complete_intersection(FormTuple(f.nvars, d, tuple(gens))):
+    if len(gens) != f.nvars:
+        return None
+    if FormTuple(f.nvars, d, tuple(gens)).quotient.is_complete_intersection():
         return gens
     return None
 
@@ -196,9 +196,11 @@ def canonical_kernel_basis(
     pair (rows, cols) of (K-n)-subsets with an invertible minor A; the basis
     vectors carry -A^{-1}B on the chart columns and the identity on the n
     complementary columns, one basis vector per complementary column in
-    ascending order.  With chart=None the lexicographically first pair with a
-    nonzero minor is used (column subsets outermost); for generic forms that
-    is the leading principal chart.
+    ascending order.  With chart=None the chart columns are the
+    lexicographically first column basis, the pivot columns, and the basis
+    is the reduced-echelon kernel basis: each of its vectors is 1 at one
+    free column and 0 at the others, which pins it down whatever the chart
+    rows, so it is the basis of the lexicographically first chart.
     """
     if f.is_zero:
         raise ValueError("zero input")
@@ -208,14 +210,13 @@ def canonical_kernel_basis(
         raise ValueError("form degree is not a multiple of the variable count")
     d = e // n + 1
     cat = catalecticant(f, d).matrix
-    k_dim = cat.ncols
-    l_dim = cat.nrows
-    r = k_dim - n
-    pivots = pivot_columns(cat)
-    if len(pivots) != r:
+    kernel = kernel_basis(cat)
+    if kernel.dimension != n:
         raise ValueError("form is not in the expected rank locus")
     if chart is None:
-        chart = _first_nonsingular_chart(cat, pivots)
+        return polynomials_from_vectors(n, d, kernel.vectors)
+    k_dim = cat.ncols
+    r = k_dim - n
     rows, cols = chart
     rows, cols = sorted(rows), sorted(cols)
     if len(rows) != r or len(set(rows)) != r or len(cols) != r or len(set(cols)) != r:
@@ -238,16 +239,3 @@ def canonical_kernel_basis(
             assert sum(x * y for x, y in zip(row, v)) == 0
         basis.append(Polynomial.from_coefficient_vector(n, d, v))
     return basis
-
-
-def _first_nonsingular_chart(cat: MatrixQ, cols: list[int]) -> Chart:
-    """The lexicographically first chart, columns compared first.
-
-    A column subset carries a nonsingular minor exactly when its columns are
-    independent, and greedy selection finds the lexicographically first basis
-    of a matroid, so the chart columns are the pivot columns `cols` of the
-    catalecticant and the chart rows are the pivot columns of the transpose
-    of that column block.
-    """
-    block_t = [[cat.entry(i, j) for i in range(cat.nrows)] for j in cols]
-    return pivot_columns(block_t), cols

@@ -2,10 +2,12 @@
 
 GradedQuotient tracks the ideal generated by a tuple of n degree-d forms in
 n variables, degree by degree.  The tuple is a complete intersection exactly
-when the quotient's Hilbert function matches the coefficients of
-(1 + u + ... + u^{d-1})^n and the piece one past the socle degree vanishes;
-in that case the quotient is Gorenstein with one-dimensional socle generated
-by the Jacobian determinant, and the associated form
+when its ideal fills degree s + 1, s = n(d-1) (Macaulay's resultant
+criterion): then S/I is Artinian, so the forms are a system of parameters of
+the Cohen-Macaulay ring S, hence a regular sequence (Bruns-Herzog 2.1); and
+a regular sequence has Hilbert function (1 + u + ... + u^{d-1})^n, zero past
+s.  The quotient is then Gorenstein with one-dimensional socle generated by
+the Jacobian determinant, and the associated form
 
     A(f) = sum multinomial(a) * socle_coordinate(x^a) * y^a
 
@@ -78,20 +80,15 @@ class GradedQuotient:
         self.exact_only = exact_only
         self._target = ci_hilbert(f.var_count, f.degree)
         self._ideal_dims: dict[int, int] = {}
-        self._is_ci: bool | None = None
         self._socle_functional: tuple[Fraction, ...] | None = None
-
-    def _expected_ideal_dim(self, j: int) -> int:
-        # The complete intersection value is the generic (maximal) rank.
-        hf = self._target[j] if j <= self.socle_degree else 0
-        return dim_forms(self.var_count, j) - hf
 
     def ideal_dim(self, j: int) -> int:
         """Exact dimension of the ideal's degree-j piece.
 
         Lower bound: the rank mod p of the shifted rows.  Upper bound: the
-        complete intersection value, the generic rank.  When the two differ,
-        Bareiss elimination decides (always, with exact_only).
+        complete intersection value, the generic rank (the column count past
+        degree s).  When the two differ, Bareiss elimination decides (always,
+        with exact_only).
         """
         if j < 0:
             raise ValueError("degree must be nonnegative")
@@ -99,14 +96,12 @@ class GradedQuotient:
             return 0
         if j not in self._ideal_dims:
             rows = _shift_rows(self.tuple.forms, j - self.degree)
-            dim = None
-            if not self.exact_only:
-                bound = self._expected_ideal_dim(j)
-                if rank_mod_prime(rows) == bound:
-                    dim = bound
-            if dim is None:
-                dim = len(_triangularize(rows, dim_forms(self.var_count, j)))
-            self._ideal_dims[j] = dim
+            width = dim_forms(self.var_count, j)
+            bound = width - (self._target[j] if j <= self.socle_degree else 0)
+            if not self.exact_only and rank_mod_prime(rows) == bound:
+                self._ideal_dims[j] = bound
+            else:
+                self._ideal_dims[j] = len(_triangularize(rows, width))
         return self._ideal_dims[j]
 
     def quotient_dim(self, j: int) -> int:
@@ -117,13 +112,11 @@ class GradedQuotient:
         return tuple(self.quotient_dim(j) for j in range(self.socle_degree + 1))
 
     def is_complete_intersection(self) -> bool:
-        if self._is_ci is None:
-            ok = all(
-                self.quotient_dim(j) == self._target[j]
-                for j in range(self.degree, self.socle_degree + 1)
-            )
-            self._is_ci = ok and self.quotient_dim(self.socle_degree + 1) == 0
-        return self._is_ci
+        """Whether the ideal fills degree s + 1: then S/I is Artinian, so the
+        forms are a system of parameters of the Cohen-Macaulay S, hence a
+        regular sequence, whose quotient stops at s.  One rank, certified
+        when the mod-p rank reaches the column count."""
+        return self.quotient_dim(self.socle_degree + 1) == 0
 
     def ideal_piece(self, j: int) -> SubspaceBasis:
         """Reduced-echelon basis of the ideal's degree-j piece."""
@@ -179,8 +172,8 @@ def ideal_piece(f: FormTuple, j: int) -> SubspaceBasis:
 
 
 def is_complete_intersection(f: FormTuple) -> bool:
-    """Whether the tuple's quotient has the length-d^n Hilbert function and
-    vanishes one degree past the socle (equivalently, nonzero resultant)."""
+    """Whether the tuple's quotient vanishes one degree past the socle
+    (equivalently, nonzero resultant)."""
     return f.quotient.is_complete_intersection()
 
 

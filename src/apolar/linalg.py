@@ -2,12 +2,12 @@
 
 One elimination core, _triangularize, runs fraction-free Bareiss elimination
 with first-nonzero partial pivoting, so identical inputs take identical pivot
-paths.  Pivot columns are read off its pivots, the determinant off its last
-pivot, and solve, inverse and the exact kernel off the reduced row echelon
-form built from its echelon rows.  Entries are cleared to integers row by row
-(row scaling changes neither rank nor kernel) and manipulated as gmpy2
-integers when the optional gmpy2 is installed, as plain ints otherwise;
-results come back as fractions.Fraction.
+paths.  The determinant is read off its last pivot, and solve, inverse and
+the exact kernel off the reduced row echelon form built from its echelon
+rows.  Entries are cleared to integers row by row (row scaling changes
+neither rank nor kernel) and manipulated as gmpy2 integers when the optional
+gmpy2 is installed, as plain ints otherwise; results come back as
+fractions.Fraction.
 
 rank and kernel_basis first try a certified modular shortcut and fall back to
 that core whenever the certificate is missing:
@@ -211,15 +211,6 @@ def _entry_rows(m) -> RowSeq:
     return m
 
 
-def pivot_columns(m) -> list[int]:
-    """Pivot columns of the echelon form: the lexicographically first set of
-    columns that is a basis of the column space."""
-    rows = _entry_rows(m)
-    if not rows or not rows[0]:
-        return []
-    return [c for _, c, _ in _triangularize(_integer_rows(rows), len(rows[0]))]
-
-
 def rank(m) -> int:
     """Exact rank of a rational matrix.
 
@@ -369,8 +360,8 @@ def determinant(a) -> Fraction:
     return Fraction(-last if inversions % 2 else last) / prod(f for _, f in scaled)
 
 
-def rank_mod_prime(rows: Sequence[Sequence[int]], prime: int = PRIMES[0]) -> int:
-    """Rank of an integer matrix reduced mod `prime`.
+def rank_mod_prime(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix reduced mod PRIMES[0].
 
     Always a lower bound for the rational rank (specialization can only drop
     rank).  Entries must be integers; clear denominators first.  Integer-only
@@ -378,10 +369,10 @@ def rank_mod_prime(rows: Sequence[Sequence[int]], prime: int = PRIMES[0]) -> int
     """
     if not rows or not len(rows[0]):
         return 0
-    a = _residues(rows, prime)
+    a = _residues(rows, PRIMES[0])
     if a.shape[0] < a.shape[1]:
         a = a.T.copy()
-    return len(_echelon_mod_prime(a, prime, reduced=False))
+    return len(_echelon_mod_prime(a, PRIMES[0], reduced=False))
 
 
 def _residues(rows: Sequence[Sequence[int]], prime: int):

@@ -29,7 +29,7 @@ from typing import Sequence
 from .apolarity import _ures_generators
 from .ci import DegenerateTupleError, _shift_rows
 from .combinat import dim_forms, tangent_band_sum
-from .linalg import _triangularize, rank, span_dim
+from .linalg import rank, span_dim
 from .poly import FormTuple, Polynomial
 
 
@@ -160,16 +160,15 @@ def relation_space_dim_formula(n: int, d: int) -> int:
 
 def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
     """Whether the syzygies of (h_1..h_n) -> sum h_i f_i in degree rho are
-    exactly the Koszul ones m (f_j e_i - f_i e_j)."""
+    exactly the Koszul ones m (f_j e_i - f_i e_j).  The map's rank is the
+    dimension of the ideal's degree rho + d piece, read off the quotient."""
     n, d = f.var_count, f.degree
     if rho < d:
         raise ValueError("need rho >= d")
     if not f.quotient.is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
-    phi_rows = _shift_rows(f.forms, rho)
-    kernel_dim = len(phi_rows) - len(_triangularize(phi_rows, dim_forms(n, rho + d)))
-
     block = dim_forms(n, rho)
+    kernel_dim = n * block - f.quotient.ideal_dim(rho + d)
     low = [_shift_rows([g], rho - d) for g in f.forms]
     koszul_rows = []
     for i in range(n):

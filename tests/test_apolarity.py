@@ -23,8 +23,6 @@ from apolar import (
     rank,
     stratify,
 )
-from apolar.apolarity import _first_nonsingular_chart
-from apolar.linalg import pivot_columns
 
 
 def test_catalecticant_of_product_form():
@@ -189,21 +187,28 @@ CHART_FORMS = [
 ]
 
 
-@pytest.mark.parametrize("text, n", CHART_FORMS)
-def test_greedy_chart_is_the_exhaustive_lex_first_chart(text, n):
-    f = parse_polynomial(text, n)
+def assert_default_chart_is_exhaustive_lex_first(f):
+    """The default basis equals the one on the exhaustive search's chart and
+    the reduced-echelon annihilator basis."""
+    n = f.nvars
     d = f.homogeneous_degree() // n + 1
     cat = catalecticant(f, d).matrix
-    cols = pivot_columns(cat)
-    assert _first_nonsingular_chart(cat, cols) == exhaustive_first_chart(cat, len(cols))
+    chart = exhaustive_first_chart(cat, cat.ncols - n)
+    default = canonical_kernel_basis(f)
+    assert default == canonical_kernel_basis(f, chart=chart)
+    assert default == annihilator_polynomials(f, d)
+
+
+@pytest.mark.parametrize("text, n", CHART_FORMS)
+def test_greedy_chart_is_the_exhaustive_lex_first_chart(text, n):
+    assert_default_chart_is_exhaustive_lex_first(parse_polynomial(text, n))
 
 
 @pytest.mark.parametrize("n, d, seed", [(2, 2, 0), (2, 3, 1), (3, 2, 2), (3, 2, 3)])
 def test_greedy_chart_of_associated_forms(n, d, seed):
-    cat = catalecticant(associated_form(random_ci_tuple(n, d, seed=seed)), d).matrix
-    cols = pivot_columns(cat)
-    assert len(cols) == dim_forms(n, d) - n
-    assert _first_nonsingular_chart(cat, cols) == exhaustive_first_chart(cat, len(cols))
+    f = associated_form(random_ci_tuple(n, d, seed=seed))
+    assert rank(catalecticant(f, d).matrix) == dim_forms(n, d) - n
+    assert_default_chart_is_exhaustive_lex_first(f)
 
 
 def test_canonical_kernel_basis_of_four_variable_monomial():

@@ -8,6 +8,7 @@ from apolar import (
     DegenerateTupleError,
     FormTuple,
     GradedQuotient,
+    Polynomial,
     SamplingError,
     SplitMix64,
     apply_polar,
@@ -20,6 +21,7 @@ from apolar import (
     jacobian_det,
     parse_polynomial,
     random_ci_tuple,
+    random_form,
     random_invertible_matrix,
     roundtrip_span,
     socle_coordinate,
@@ -143,18 +145,64 @@ def test_invertible_sampler_gives_up_after_its_attempt_cap(monkeypatch):
         random_invertible_matrix(2, SplitMix64(0))
 
 
+def assert_verdict_matches_full_hilbert_definition(f):
+    """The one-degree verdict against the definition it replaces, on a fresh
+    exact GradedQuotient: the complete intersection Hilbert function in every
+    degree, and nothing one degree past the socle."""
+    n, d, s = f.var_count, f.degree, f.socle_degree
+    oracle = GradedQuotient(f, exact_only=True)
+    expected = oracle.hilbert() == ci_hilbert(n, d) and oracle.quotient_dim(s + 1) == 0
+    assert is_complete_intersection(f) == expected
+    assert GradedQuotient(f, exact_only=True).is_complete_intersection() == expected
+    return expected
+
+
+small_shape = st.sampled_from([(2, 2), (2, 3), (3, 2)])
+
+
+@given(small_shape, st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_degree_verdict_matches_full_hilbert_definition(shape, data):
+    n, d = shape
+    coeffs = st.lists(st.integers(-1, 1), min_size=dim_forms(n, d), max_size=dim_forms(n, d))
+    forms = []
+    for _ in range(n):
+        vec = data.draw(coeffs.filter(any))
+        forms.append(Polynomial.from_coefficient_vector(n, d, vec))
+    assert_verdict_matches_full_hilbert_definition(FormTuple(n, d, tuple(forms)))
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_one_degree_verdict_on_the_sampler_rejected_draws(n, d):
+    """Replays random_ci_tuple(n, d, seed, coeff_bound=1) draw by draw; the
+    seeds reach at least one rejected draw for every shape."""
+    rejected = 0
+    for seed in range(16):
+        stream = SplitMix64(seed)
+        while True:
+            forms = tuple(random_form(n, d, stream, 1) for _ in range(n))
+            if any(g.is_zero for g in forms):
+                continue
+            f = FormTuple(n, d, forms)
+            if assert_verdict_matches_full_hilbert_definition(f):
+                assert f == random_ci_tuple(n, d, seed, coeff_bound=1)
+                break
+            rejected += 1
+    assert rejected
+
+
 @pytest.fixture
 def ci_passes(monkeypatch):
     """Counts the mod-p ranks the complete intersection checks take, one per
-    degree of a GradedQuotient pass."""
+    GradedQuotient pass (the degree s + 1 ideal piece)."""
     import apolar.ci as ci
 
     calls = []
     rank_mod_prime = ci.rank_mod_prime
 
-    def counted(rows, *args):
+    def counted(rows):
         calls.append(len(rows))
-        return rank_mod_prime(rows, *args)
+        return rank_mod_prime(rows)
 
     monkeypatch.setattr(ci, "rank_mod_prime", counted)
     return calls
@@ -162,8 +210,8 @@ def ci_passes(monkeypatch):
 
 def test_one_complete_intersection_pass_per_tuple_object(ci_passes):
     f = random_ci_tuple(3, 3, seed=7)
-    # The sampler's pass covers degrees d..s+1.
-    per_pass = f.socle_degree + 2 - f.degree
+    # The sampler's pass ranks degree s + 1 only.
+    per_pass = 1
     assert len(ci_passes) == per_pass
     assert is_complete_intersection(f)
     associated_form(f)
@@ -186,7 +234,7 @@ def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
     assert record["pass"] and record["dim_R_bruteforce"] == 0
     # One pass for the sampled tuple, shared by the sampler, the associated
     # form and the relation count; one for the annihilator's g_i.
-    per_pass = n * (d - 1) + 2 - d
+    per_pass = 1
     assert len(ci_passes) == 2 * per_pass
     # The same seed again builds fresh tuples and repeats both passes:
     # nothing carries over from one trial to the next.

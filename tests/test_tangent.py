@@ -22,6 +22,8 @@ from apolar import (
     stratify,
     tangent_dim,
 )
+from apolar.ci import _shift_rows
+from apolar.linalg import _triangularize
 
 
 def test_expected_n_table():
@@ -150,7 +152,7 @@ def test_koszul_check_rejects_low_degree():
 
 
 def test_koszul_kernel_dimension_oracle():
-    """Rank-nullity cross-check built from plain polynomial products.
+    """Rank-nullity cross-checks of the kernel dimension the check uses.
 
     The kernel of (h_1, h_2) -> h_1 f_1 + h_2 f_2 in degree rho = 2 for
     (x1^2, x2^2) must be one-dimensional: the single Koszul relation.
@@ -164,3 +166,13 @@ def test_koszul_kernel_dimension_oracle():
     kernel_dim = len(rows) - rank(rows)
     assert kernel_dim == 1
     assert koszul_kernel_check(f, 2)
+    # On sampled tuples, over the whole band: the Bareiss rank-nullity of the
+    # map's own shift matrix against the kernel dimension the check reads off
+    # the tuple's quotient.
+    for n, d, seed in [(3, 3, 0), (3, 4, 1), (4, 2, 2)]:
+        f = random_ci_tuple(n, d, seed=seed)
+        for rho in range(d, f.socle_degree - d + 1):
+            rows = _shift_rows(f.forms, rho)
+            bareiss = len(rows) - len(_triangularize(rows, dim_forms(n, rho + d)))
+            assert bareiss == n * dim_forms(n, rho) - f.quotient.ideal_dim(rho + d)
+            assert koszul_kernel_check(f, rho)
