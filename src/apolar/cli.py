@@ -128,7 +128,7 @@ def _koszul_trial(task: tuple[int, int, int, int, int]) -> list[dict]:
 def _map_trials(worker, tasks: list[tuple], jobs: int) -> list:
     """Run trial workers, in order of trial index regardless of scheduling."""
     if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(tasks))) as pool:
             return pool.map(worker, tasks)
     return [worker(t) for t in tasks]
 
@@ -369,13 +369,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         results = run_suite(cfg)
+        emit_report(results, cfg.out, cfg.csv_path)
     except (OSError, ValueError, DegenerateTupleError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    emit_report(results, cfg.out, cfg.csv_path)
     return 1 if _summarize(results) else 0
 
 

@@ -7,6 +7,10 @@ is graded lexicographic with x1 > x2 > ... > xn, descending within a degree
 The polar pairing lets a polynomial in x act on one in y as a constant
 coefficient differential operator: apply_polar(h, F) = h(d/dy1,...,d/dyn) F.
 Variable letters are a printing concern only; the algebra never records them.
+
+The Polynomial constructor is the one place where terms are normalised: it
+adds the coefficients of equal monomials and then drops zero coefficients.
+Every operation below hands it raw (monomial, coefficient) pairs.
 """
 from __future__ import annotations
 
@@ -56,7 +60,7 @@ class Polynomial:
         if nvars < 1:
             raise ValueError("need at least one variable")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, Fraction] = {}
+        merged: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
             mono = tuple(mono)
             if len(mono) != nvars:
@@ -64,14 +68,10 @@ class Polynomial:
             if any(e < 0 for e in mono):
                 raise ValueError("exponents must be nonnegative")
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if c:
-                c = clean.get(mono, Fraction(0)) + c
-                if c:
-                    clean[mono] = c
-                else:
-                    clean.pop(mono, None)
+            prev = merged.get(mono)
+            merged[mono] = c if prev is None else prev + c
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", {m: c for m, c in merged.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -145,14 +145,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_ring(other)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial(self.nvars, [*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.nvars, {m: -c for m, c in self._terms.items()})
@@ -163,16 +156,12 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            out: dict[Monomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = tuple(a + b for a, b in zip(m1, m2))
-                    s = out.get(mono, Fraction(0)) + c1 * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-            return Polynomial(self.nvars, out)
+            pairs = [
+                (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                for m1, c1 in self._terms.items()
+                for m2, c2 in other._terms.items()
+            ]
+            return Polynomial(self.nvars, pairs)
         return Polynomial(self.nvars, {m: c * other for m, c in self._terms.items()})
 
     def __rmul__(self, other):
@@ -191,11 +180,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{format_polynomial(self)}>"
-
-
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Product of two polynomials in the same ring."""
-    return p * q
 
 
 def polynomials_from_vectors(nvars: int, degree: int, vectors) -> list[Polynomial]:
@@ -224,19 +208,14 @@ def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     """
     if h.nvars != f.nvars:
         raise ValueError("mismatched variable counts")
-    out: dict[Monomial, Fraction] = {}
+    pairs = []
     for a, ca in h.terms():
         for b, cb in f.terms():
             term = _polar_term(a, b)
-            if not term:
-                continue
-            mono, factor = term
-            s = out.get(mono, Fraction(0)) + ca * cb * factor
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return Polynomial(f.nvars, out)
+            if term:
+                mono, factor = term
+                pairs.append((mono, ca * cb * factor))
+    return Polynomial(f.nvars, pairs)
 
 
 def partial(p: Polynomial, i: int) -> Polynomial:
@@ -337,11 +316,10 @@ def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
         if g.nvars != out_nvars:
             raise ValueError("mismatched variable counts among images")
     products = _power_products(images, [mono for mono, _ in p.terms()])
-    out: dict[Monomial, Fraction] = {}
-    for (_, c), term in zip(p.terms(), products):
-        for mono, v in term.terms():
-            out[mono] = out.get(mono, 0) + c * v
-    return Polynomial(out_nvars, out)
+    pairs = [
+        (mono, c * v) for (_, c), term in zip(p.terms(), products) for mono, v in term.terms()
+    ]
+    return Polynomial(out_nvars, pairs)
 
 
 def _power_products(
@@ -404,15 +382,11 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
         else:
             if g2.nrows != g2.ncols or g2.nrows != n:
                 raise ValueError("matrix size does not match the tuple length")
-            g2inv = matrix_inverse(g2)
+            inv = matrix_inverse(g2)
             mixed = []
             for j in range(n):
-                acc = Polynomial.zero(n)
-                for i in range(n):
-                    c = g2inv.entry(i, j)
-                    if c:
-                        acc = acc + moved[i] * c
-                mixed.append(acc)
+                pairs = [(m, c * inv.entry(i, j)) for i in range(n) for m, c in moved[i].terms()]
+                mixed.append(Polynomial(n, pairs))
         return FormTuple(n, target.degree, tuple(mixed))
     raise TypeError("act_gl expects a Polynomial or FormTuple target")
 
@@ -433,7 +407,7 @@ def parse_polynomial(text: str, nvars: int, letter: str | None = None) -> Polyno
     if not s:
         raise ValueError("empty polynomial text")
     seen_letter = letter
-    terms: dict[Monomial, Fraction] = {}
+    terms: list[tuple[Monomial, Fraction]] = []
     chunks = [c for c in _TERM_SPLIT.split(s) if c]
     for chunk in chunks:
         if chunk in ("+", "-"):
@@ -467,12 +441,7 @@ def parse_polynomial(text: str, nvars: int, letter: str | None = None) -> Polyno
             if not 1 <= idx <= nvars:
                 raise ValueError(f"variable index {idx} out of range 1..{nvars}")
             exps[idx - 1] += int(exp_s) if exp_s else 1
-        mono = tuple(exps)
-        acc = terms.get(mono, Fraction(0)) + coeff
-        if acc:
-            terms[mono] = acc
-        else:
-            terms.pop(mono, None)
+        terms.append((tuple(exps), coeff))
     return Polynomial(nvars, terms)
 
 

@@ -30,9 +30,12 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, m: int) -> int:
-        """Unbiased uniform integer in [0, m), by rejection."""
+        """Unbiased uniform integer in [0, m), by rejection; m is at most
+        2^64, the span of one draw."""
         if m <= 0:
             raise ValueError("need a positive range")
+        if m > 1 << 64:
+            raise ValueError(f"range of {m} values exceeds one 64-bit draw")
         limit = (1 << 64) // m * m
         while True:
             u = self.next_u64()

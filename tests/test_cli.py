@@ -201,3 +201,53 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     assert out == ""
     assert err == "internal error: AssertionError: invariant broken\n"
 
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_report_path_is_an_input_error(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "report"
+    code, out, err = run_main(
+        ["tangent", "--n", "2", "--d", "2", "--trials", "1", flag, str(target)], capsys
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_coeff_bound_past_one_draw_is_an_input_error(capsys):
+    """2^63 asks for 2^64 + 1 values, more than one 64-bit draw covers."""
+    args = ["tangent", "--n", "2", "--d", "2", "--trials", "1", "--coeff-bound"]
+    assert run_main(args + [str(2**63 - 1)], capsys)[0] == 0
+    code, out, err = run_main(args + [str(2**63)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("trials, jobs, size", [(2, 64, 2), (3, 2, 2)])
+def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, capsys, trials, jobs, size):
+    import apolar.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            return [worker(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    args = ["tangent", "--n", "2", "--d", "2", "--trials", str(trials), "--jobs", str(jobs)]
+    code, out, err = run_main(args, capsys)
+    assert code == 0
+    assert sizes == [size]
+    assert len(out.splitlines()) == trials

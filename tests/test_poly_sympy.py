@@ -1,0 +1,148 @@
+"""Polynomial arithmetic against sympy 1.14 as an independent engine.
+
+Every operation that hands the Polynomial constructor raw (monomial,
+coefficient) pairs is checked here on inputs with repeated monomials and
+exact cancellations, by comparing the resulting terms with sympy's
+Poly.as_dict().
+"""
+from fractions import Fraction
+
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apolar import Polynomial, apply_polar, monomial_basis, parse_polynomial, substitute
+
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+nvars_st = st.integers(min_value=1, max_value=3)
+# sympy is slow enough per example to trip hypothesis's default deadline.
+oracle = settings(max_examples=60, deadline=None)
+
+
+def gens(nvars):
+    return sympy.symbols(f"x1:{nvars + 1}")
+
+
+def monomials(nvars):
+    return st.sampled_from([m for k in range(4) for m in monomial_basis(nvars, k)])
+
+
+@st.composite
+def pair_lists(draw, nvars):
+    """Raw pairs of degree at most 3, some monomials repeated and some
+    pairs followed somewhere by their exact negatives."""
+    pairs = draw(st.lists(st.tuples(monomials(nvars), coeffs), max_size=6))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        pairs += [(m, -c) for m, c in draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return draw(st.permutations(pairs))
+
+
+def sympy_expr(nvars, pairs):
+    xs = gens(nvars)
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**e for x, e in zip(xs, m)))
+            for m, c in pairs
+        )
+    )
+
+
+def sympy_terms(expr, nvars):
+    """Poly.as_dict() of expr with Fraction values."""
+    as_dict = sympy.Poly(sympy.expand(expr), *gens(nvars)).as_dict()
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in as_dict.items()}
+
+
+def terms(p):
+    return dict(p.terms())
+
+
+@oracle
+@given(st.data())
+def test_constructor_merges_like_terms_as_sympy_does(data):
+    nvars = data.draw(nvars_st)
+    pairs = data.draw(pair_lists(nvars))
+    p = Polynomial(nvars, pairs)
+    assert terms(p) == sympy_terms(sympy_expr(nvars, pairs), nvars)
+    assert p == Polynomial(nvars, reversed(pairs))
+    assert all(c != 0 for _, c in p.terms())
+
+
+def test_constructor_drops_exactly_cancelling_terms():
+    pairs = [((1, 0), Fraction(1, 2)), ((0, 1), 3), ((1, 0), Fraction(-1, 2)), ((0, 1), -3)]
+    assert Polynomial(2, pairs).is_zero
+    assert sympy_terms(sympy_expr(2, pairs), 2) == {}
+
+
+@oracle
+@given(st.data())
+def test_sum_difference_and_product_match_sympy(data):
+    nvars = data.draw(nvars_st)
+    u, v = data.draw(pair_lists(nvars)), data.draw(pair_lists(nvars))
+    p, q = Polynomial(nvars, u), Polynomial(nvars, v)
+    eu, ev = sympy_expr(nvars, u), sympy_expr(nvars, v)
+    assert terms(p + q) == sympy_terms(eu + ev, nvars)
+    assert terms(p - q) == sympy_terms(eu - ev, nvars)
+    assert terms(p * q) == sympy_terms(eu * ev, nvars)
+
+
+@oracle
+@given(st.data())
+def test_apply_polar_matches_sympy_derivatives(data):
+    """h(d/dy) F: each term c * x^a of h differentiates F a_i times in y_i."""
+    nvars = data.draw(nvars_st)
+    h_pairs, f_pairs = data.draw(pair_lists(nvars)), data.draw(pair_lists(nvars))
+    f_expr = sympy_expr(nvars, f_pairs)
+    expected = sympy.Integer(0)
+    for a, c in Polynomial(nvars, h_pairs).terms():
+        orders = [(y, e) for y, e in zip(gens(nvars), a) if e]
+        derivative = sympy.diff(f_expr, *orders) if orders else f_expr
+        expected += sympy.Rational(c.numerator, c.denominator) * derivative
+    got = apply_polar(Polynomial(nvars, h_pairs), Polynomial(nvars, f_pairs))
+    assert terms(got) == sympy_terms(expected, nvars)
+
+
+@oracle
+@given(st.data())
+def test_substitute_matches_simultaneous_sympy_subs(data):
+    nvars = data.draw(nvars_st)
+    out_nvars = data.draw(nvars_st)
+    p_pairs = data.draw(pair_lists(nvars))
+    image_pairs = [data.draw(pair_lists(out_nvars)) for _ in range(nvars)]
+    images = [Polynomial(out_nvars, pairs) for pairs in image_pairs]
+    # Both rings name their variables x1, x2, ..., so only a simultaneous
+    # substitution keeps x1 -> (image with x2) from being rewritten again.
+    expected = sympy_expr(nvars, p_pairs).subs(
+        {x: sympy_expr(out_nvars, pairs) for x, pairs in zip(gens(nvars), image_pairs)},
+        simultaneous=True,
+    )
+    got = substitute(Polynomial(nvars, p_pairs), images)
+    assert terms(got) == sympy_terms(expected, out_nvars)
+
+
+def pair_text(pairs):
+    """The parser's syntax for raw pairs, one written term per pair."""
+    pieces = []
+    for mono, c in pairs:
+        body = f"{abs(c).numerator}/{abs(c).denominator}"
+        body += "".join(f"*x{i + 1}^{e}" for i, e in enumerate(mono) if e)
+        pieces.append(("-" if c < 0 else "+") + body)
+    return " ".join(pieces) if pieces else "0"
+
+
+@oracle
+@given(st.data())
+def test_parse_merges_repeated_terms_as_sympy_does(data):
+    nvars = data.draw(nvars_st)
+    text = pair_text(data.draw(pair_lists(nvars)))
+    expected = sympy.parse_expr(
+        text.replace("^", "**"), local_dict=dict(zip(map(str, gens(nvars)), gens(nvars)))
+    )
+    assert terms(parse_polynomial(text, nvars)) == sympy_terms(expected, nvars)
+
+
+def test_parse_of_cancelling_terms_is_zero():
+    assert parse_polynomial("x1 + x1 - 2*x1", 1).is_zero
+    assert parse_polynomial("1/2*x1*x2 - x2*x1 + 1/2*x1^1*x2^1", 2).is_zero
+    assert parse_polynomial("x1^2 - 3 + x1^2 + 3", 1) == parse_polynomial("2*x1^2", 1)
