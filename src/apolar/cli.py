@@ -32,6 +32,7 @@ from .poly import FormTuple, Polynomial, format_polynomial, parse_polynomial
 from .sampling import SamplingError, SplitMix64, random_ci_tuple
 from .tangent import (
     koszul_kernel_check,
+    relation_band,
     relation_space_dim_bruteforce,
     relation_space_dim_formula,
     tangent_dim,
@@ -64,96 +65,63 @@ def trial_seeds(seed: int, trials: int) -> list[int]:
     return [stream.next_u64() for _ in range(trials)]
 
 
-def _relation_band(n: int, d: int) -> bool:
-    """Where both relation-space routes are defined."""
-    return n >= 3 and (n > 3 or d >= 3) and n * (d - 1) >= 2 * d
-
-
-def _tangent_trial(task: tuple[int, int, int, int, int]) -> dict:
-    trial, trial_seed, n, d, bound = task
-    f = random_ci_tuple(n, d, trial_seed, bound)
-    report = tangent_dim(associated_form(f))
-    if _relation_band(n, d):
-        report = report.with_relations(
-            relation_space_dim_bruteforce(f), relation_space_dim_formula(n, d)
-        )
-    ok = report.tangent_dim == report.expected_N
-    if report.dim_R_bruteforce is not None:
-        ok = ok and report.dim_R_bruteforce == report.dim_R_formula
-    return {
-        "suite": "tangent",
-        "trial": trial,
-        "seed": trial_seed,
-        **report.to_json_dict(),
-        "pass": ok,
-    }
-
-
-def _relations_trial(task: tuple[int, int, int, int, int]) -> dict:
-    trial, trial_seed, n, d, bound = task
-    f = random_ci_tuple(n, d, trial_seed, bound)
+def _relations_records(f: FormTuple) -> list[dict]:
+    n, d = f.var_count, f.degree
     brute = relation_space_dim_bruteforce(f)
     formula = relation_space_dim_formula(n, d)
-    return {
-        "suite": "relations",
-        "trial": trial,
-        "seed": trial_seed,
-        "n": n,
-        "d": d,
-        "dim_R_bruteforce": brute,
-        "dim_R_formula": formula,
-        "pass": brute == formula,
-    }
+    record = {"n": n, "d": d, "dim_R_bruteforce": brute, "dim_R_formula": formula}
+    return [{**record, "pass": brute == formula}]
 
 
-def _koszul_trial(task: tuple[int, int, int, int, int]) -> list[dict]:
-    trial, trial_seed, n, d, bound = task
-    f = random_ci_tuple(n, d, trial_seed, bound)
-    records = []
-    for rho in range(d, n * (d - 1) - d + 1):
-        records.append(
-            {
-                "suite": "koszul",
-                "trial": trial,
-                "seed": trial_seed,
-                "n": n,
-                "d": d,
-                "rho": rho,
-                "pass": koszul_kernel_check(f, rho),
-            }
-        )
-    return records
+def _tangent_records(f: FormTuple) -> list[dict]:
+    """The tangent count, and both dim R routes where they are defined."""
+    report = tangent_dim(associated_form(f)).to_json_dict()
+    relations = {"dim_R_bruteforce": None, "dim_R_formula": None, "pass": True}
+    if relation_band(f.var_count, f.degree):
+        (relations,) = _relations_records(f)
+    # relations repeats n and d, so its keys land after the report's.
+    ok = report["tangent_dim"] == report["expected_N"] and relations["pass"]
+    return [{**report, **relations, "pass": ok}]
 
 
-def _map_trials(worker, tasks: list[tuple], jobs: int) -> list:
-    """Run trial workers, in order of trial index regardless of scheduling."""
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(min(jobs, len(tasks))) as pool:
-            return pool.map(worker, tasks)
-    return [worker(t) for t in tasks]
+def _koszul_records(f: FormTuple) -> list[dict]:
+    n, d = f.var_count, f.degree
+    return [
+        {"n": n, "d": d, "rho": rho, "pass": koszul_kernel_check(f, rho)}
+        for rho in range(d, n * (d - 1) - d + 1)
+    ]
 
 
-def _sampled_tasks(cfg: RunConfig) -> list[tuple[int, int, int, int, int]]:
-    seeds = trial_seeds(cfg.seed, cfg.trials)
-    return [(i, s, cfg.n, cfg.d, cfg.coeff_bound) for i, s in enumerate(seeds)]
+_SAMPLED_SUITES = {
+    "tangent": _tangent_records,
+    "relations": _relations_records,
+    "koszul": _koszul_records,
+}
 
 
-def run_tangent(cfg: RunConfig) -> list[dict]:
-    return _map_trials(_tangent_trial, _sampled_tasks(cfg), cfg.jobs)
+def _sampled_trial(task: tuple[RunConfig, int, int]) -> list[dict]:
+    """One trial: sample its tuple once and check it with the config's suite."""
+    cfg, trial, seed = task
+    f = random_ci_tuple(cfg.n, cfg.d, seed, cfg.coeff_bound)
+    head = {"suite": cfg.command, "trial": trial, "seed": seed}
+    return [{**head, **record} for record in _SAMPLED_SUITES[cfg.command](f)]
 
 
-def run_relations(cfg: RunConfig) -> list[dict]:
-    if not _relation_band(cfg.n, cfg.d):
+def run_sampled(cfg: RunConfig) -> list[dict]:
+    """Every trial's records, in order of trial index regardless of how many
+    workers run them."""
+    if cfg.command == "relations" and not relation_band(cfg.n, cfg.d):
         raise ValueError(
             f"relations needs n >= 3 (d >= 3 when n = 3) and n(d-1) >= 2d; "
             f"got n={cfg.n} d={cfg.d}"
         )
-    return _map_trials(_relations_trial, _sampled_tasks(cfg), cfg.jobs)
-
-
-def run_koszul(cfg: RunConfig) -> list[dict]:
-    nested = _map_trials(_koszul_trial, _sampled_tasks(cfg), cfg.jobs)
-    return [record for batch in nested for record in batch]
+    tasks = [(cfg, i, s) for i, s in enumerate(trial_seeds(cfg.seed, cfg.trials))]
+    if cfg.jobs > 1 and len(tasks) > 1:
+        with Pool(min(cfg.jobs, len(tasks))) as pool:
+            batches = pool.map(_sampled_trial, tasks)
+    else:
+        batches = map(_sampled_trial, tasks)
+    return [record for batch in batches for record in batch]
 
 
 def run_identities(cfg: RunConfig) -> list[dict]:
@@ -171,7 +139,7 @@ def run_identities(cfg: RunConfig) -> list[dict]:
     for n in range(2, cfg.max_nd + 1):
         for d in range(2, cfg.max_nd + 1):
             results.append(check_dimt2_equals_n(n, d))
-            if n >= 3 and (n > 3 or d >= 3):
+            if relation_band(n, d):
                 results.append(check_delta_consistency(n, d))
     return [{"suite": "identities", **r.to_json_dict()} for r in results]
 
@@ -183,9 +151,10 @@ def _read_poly_file(path: str) -> tuple[int, int, list[Polynomial]]:
     if not lines:
         raise ValueError(f"{path}: empty file")
     header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"{path}: header must be two integers, got {lines[0]!r}")
-    n, d = int(header[0]), int(header[1])
+    try:
+        n, d = map(int, header)
+    except ValueError:
+        raise ValueError(f"{path}: header must be two integers, got {lines[0]!r}") from None
     polys = [parse_polynomial(text, n) for text in lines[1:]]
     return n, d, polys
 
@@ -235,9 +204,9 @@ def run_assoc(cfg: RunConfig) -> list[dict]:
 
 _RUNNERS = {
     "identities": run_identities,
-    "tangent": run_tangent,
-    "relations": run_relations,
-    "koszul": run_koszul,
+    "tangent": run_sampled,
+    "relations": run_sampled,
+    "koszul": run_sampled,
     "stratify": run_stratify,
     "assoc": run_assoc,
 }
@@ -360,7 +329,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = config_from_args(args)
-    if cfg.command in ("tangent", "relations", "koszul"):
+    if cfg.command in _SAMPLED_SUITES:
         if cfg.trials < 0:
             print("error: --trials must be nonnegative", file=sys.stderr)
             return 2

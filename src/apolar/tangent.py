@@ -23,7 +23,7 @@ relation_space_dim_formula or N, so the routes stay independent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .apolarity import _ures_generators
@@ -35,8 +35,7 @@ from .poly import FormTuple, Polynomial
 
 @dataclass(frozen=True)
 class TangentReport:
-    """Dimension counts for one form; dim_R fields stay None until a suite
-    fills them (they live on the tuple, not the form)."""
+    """Dimension counts for one form."""
 
     n: int
     d: int
@@ -44,11 +43,6 @@ class TangentReport:
     dim_product: int
     tangent_dim: int
     expected_N: int
-    dim_R_bruteforce: int | None = None
-    dim_R_formula: int | None = None
-
-    def with_relations(self, brute: int, formula: int) -> "TangentReport":
-        return replace(self, dim_R_bruteforce=brute, dim_R_formula=formula)
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,8 +52,6 @@ class TangentReport:
             "dim_product": self.dim_product,
             "tangent_dim": self.tangent_dim,
             "expected_N": self.expected_N,
-            "dim_R_bruteforce": self.dim_R_bruteforce,
-            "dim_R_formula": self.dim_R_formula,
         }
 
 
@@ -130,6 +122,12 @@ def tangent_dim(f: Polynomial) -> TangentReport:
     )
 
 
+def relation_band(n: int, d: int) -> bool:
+    """Where both dim R routes are defined: n >= 3 forms whose socle degree
+    s = n(d-1) reaches 2d, the degree of the products f_i * f_j."""
+    return n >= 3 and n * (d - 1) >= 2 * d
+
+
 def relation_space_dim_bruteforce(f: FormTuple) -> int:
     """Kernel dimension of (a_ij) -> sum a_ij f_i f_j: the number of
     coefficients minus the rank of the products m * f_i * f_j.
@@ -140,21 +138,19 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
     relation_space_dim_formula or N, so this stays the independent route
     against the formula."""
     n, d = f.var_count, f.degree
-    shift = f.socle_degree - 2 * d
-    if shift < 0:
-        raise ValueError("need n(d-1) >= 2d")
+    if not relation_band(n, d):
+        raise ValueError("need n >= 3 and n(d-1) >= 2d")
     if not f.quotient.is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
     pairs = n * (n + 1) // 2
+    shift = f.socle_degree - 2 * d
     return pairs * dim_forms(n, shift) - _pairwise_product_rank(f.forms, shift)
 
 
 def relation_space_dim_formula(n: int, d: int) -> int:
     """Closed form for dim R: the m >= 3 band of the alternating sum."""
-    if n < 3 or (n == 3 and d < 3):
-        raise ValueError("need n >= 3, and d >= 3 when n = 3")
-    if d < 2:
-        raise ValueError("need d >= 2")
+    if not relation_band(n, d):
+        raise ValueError("need n >= 3 and n(d-1) >= 2d")
     return tangent_band_sum(n, d, 3)
 
 

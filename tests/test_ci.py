@@ -145,6 +145,18 @@ def test_invertible_sampler_gives_up_after_its_attempt_cap(monkeypatch):
         random_invertible_matrix(2, SplitMix64(0))
 
 
+def test_ci_sampler_gives_up_after_its_attempt_cap(monkeypatch, capsys):
+    from apolar.cli import main
+
+    monkeypatch.setattr(GradedQuotient, "is_complete_intersection", lambda self: False)
+    with pytest.raises(SamplingError):
+        random_ci_tuple(2, 2, seed=0)
+    assert main(["tangent", "--n", "2", "--d", "2", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--coeff-bound" in err
+
+
 def assert_verdict_matches_full_hilbert_definition(f):
     """The one-degree verdict against the definition it replaces, on a fresh
     exact GradedQuotient: the complete intersection Hilbert function in every
@@ -226,11 +238,11 @@ def test_one_complete_intersection_pass_per_tuple_object(ci_passes):
 
 
 def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
-    from apolar.cli import _tangent_trial, trial_seeds
+    from apolar.cli import RunConfig, _sampled_trial, trial_seeds
 
     n, d = 3, 5
-    task = (0, trial_seeds(1, 1)[0], n, d, 5)
-    record = _tangent_trial(task)
+    task = (RunConfig("tangent", n=n, d=d, coeff_bound=5), 0, trial_seeds(1, 1)[0])
+    (record,) = _sampled_trial(task)
     assert record["pass"] and record["dim_R_bruteforce"] == 0
     # One pass for the sampled tuple, shared by the sampler, the associated
     # form and the relation count; one for the annihilator's g_i.
@@ -238,5 +250,5 @@ def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
     assert len(ci_passes) == 2 * per_pass
     # The same seed again builds fresh tuples and repeats both passes:
     # nothing carries over from one trial to the next.
-    assert _tangent_trial(task) == record
+    assert _sampled_trial(task) == [record]
     assert len(ci_passes) == 4 * per_pass

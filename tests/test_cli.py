@@ -51,8 +51,11 @@ def test_tangent_output_is_reproducible(tmp_path, capsys):
     assert all(r["tangent_dim"] == r["expected_N"] == 3 for r in records)
 
 
-def test_parallel_run_matches_serial(tmp_path, capsys):
-    args = ["tangent", "--n", "2", "--d", "2", "--trials", "4", "--seed", "3"]
+@pytest.mark.parametrize(
+    "suite, n, d", [("tangent", 2, 2), ("relations", 4, 2), ("koszul", 3, 3)]
+)
+def test_parallel_run_matches_serial(tmp_path, capsys, suite, n, d):
+    args = [suite, "--n", str(n), "--d", str(d), "--trials", "4", "--seed", "3"]
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
     assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
@@ -180,6 +183,16 @@ def test_read_form_file_validates_header(tmp_path):
     path.write_text("2\ny1^2\n")
     with pytest.raises(ValueError):
         read_form_file(str(path))
+
+
+@pytest.mark.parametrize("header", ["a b", "2 1.5"])
+def test_non_integer_header_names_the_file(tmp_path, capsys, header):
+    path = tmp_path / "tuple.txt"
+    path.write_text(f"{header}\nx1^2\nx2^2\n")
+    code, out, err = run_main(["assoc", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: header must be two integers, got {header!r}\n"
 
 
 def test_run_suite_dispatch_matches_main(tmp_path):

@@ -93,14 +93,6 @@ def test_tangent_dim_smallest_case():
     assert report.dim_ambient == 3
     assert report.tangent_dim == report.dim_ambient - report.dim_product
     assert report.tangent_dim == report.expected_N == 3
-    assert report.dim_R_bruteforce is None
-
-
-def test_tangent_report_with_relations():
-    f = random_ci_tuple(2, 2, seed=0)
-    report = tangent_dim(associated_form(f)).with_relations(7, 7)
-    assert report.dim_R_bruteforce == 7 and report.dim_R_formula == 7
-    assert list(report.to_json_dict())[-2:] == ["dim_R_bruteforce", "dim_R_formula"]
 
 
 def test_tangent_dim_rejects_bad_inputs():
