@@ -33,16 +33,9 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class CatalecticantMatrix:
-    """Matrix of contraction by degree-i polynomials, rows in degree e-i."""
-
-    contraction_degree: int
-    matrix: MatrixQ
-
-
-def catalecticant(f: Polynomial, i: int) -> CatalecticantMatrix:
-    """Catalecticant of a nonzero homogeneous form at contraction degree i."""
+def catalecticant(f: Polynomial, i: int) -> MatrixQ:
+    """Catalecticant of a nonzero homogeneous form at contraction degree i:
+    columns run over the degree-i contractors, rows over degree e - i."""
     if f.is_zero:
         raise ValueError("zero input")
     e = f.homogeneous_degree()
@@ -58,7 +51,7 @@ def catalecticant(f: Polynomial, i: int) -> CatalecticantMatrix:
             if term:
                 target, factor = term
                 entries[row_index[target]][k] += c * factor
-    return CatalecticantMatrix(i, MatrixQ.from_rows(entries))
+    return MatrixQ.from_rows(entries)
 
 
 def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
@@ -79,7 +72,7 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
             tuple(one if t == k else zero for t in range(dim)) for k in range(dim)
         )
         return SubspaceBasis(dim, vectors)
-    return kernel_basis(catalecticant(f, j).matrix)
+    return kernel_basis(catalecticant(f, j))
 
 
 def annihilator_polynomials(f: Polynomial, j: int) -> list[Polynomial]:
@@ -113,7 +106,7 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     if f.is_zero:
         raise ValueError("zero input")
     e = f.homogeneous_degree()
-    ranks = tuple(rank(catalecticant(f, i).matrix) for i in range(e + 1))
+    ranks = tuple(rank(catalecticant(f, i)) for i in range(e + 1))
     assert ranks == ranks[::-1], "apolar Hilbert function must be symmetric"
     assert ranks[0] == 1
     return ranks
@@ -128,7 +121,8 @@ def gorenstein_sequence(n: int, d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class StratumReport:
-    """Membership flags for one form, plus the data behind them."""
+    """Membership flags for one form, plus the data behind them; reports
+    list the fields in this order."""
 
     in_V: bool
     in_U: bool
@@ -137,17 +131,6 @@ class StratumReport:
     in_URes: bool
     hilbert: tuple[int, ...]
     rank_d: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "in_V": self.in_V,
-            "in_U": self.in_U,
-            "in_GorT": self.in_GorT,
-            "in_Z": self.in_Z,
-            "in_URes": self.in_URes,
-            "hilbert": list(self.hilbert),
-            "rank_d": self.rank_d,
-        }
 
 
 def stratify(f: Polynomial, n: int, d: int) -> StratumReport:
@@ -209,7 +192,7 @@ def canonical_kernel_basis(
     if e % n:
         raise ValueError("form degree is not a multiple of the variable count")
     d = e // n + 1
-    cat = catalecticant(f, d).matrix
+    cat = catalecticant(f, d)
     kernel = kernel_basis(cat)
     if kernel.dimension != n:
         raise ValueError("form is not in the expected rank locus")
@@ -219,8 +202,9 @@ def canonical_kernel_basis(
     r = k_dim - n
     rows, cols = chart
     rows, cols = sorted(rows), sorted(cols)
-    if len(rows) != r or len(set(rows)) != r or len(cols) != r or len(set(cols)) != r:
-        raise ValueError(f"chart must pick {r} distinct rows and columns")
+    for picked, size in ((rows, cat.nrows), (cols, k_dim)):
+        if len(set(picked)) != r or len(picked) != r or not 0 <= picked[0] <= picked[-1] < size:
+            raise ValueError(f"chart must pick {r} distinct rows and columns, each in range")
     comp = [c for c in range(k_dim) if c not in set(cols)]
     a_block = [[cat.entry(i, j) for j in cols] for i in rows]
     b_block = [[cat.entry(i, j) for j in comp] for i in rows]

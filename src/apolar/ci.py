@@ -177,10 +177,6 @@ def is_complete_intersection(f: FormTuple) -> bool:
     return f.quotient.is_complete_intersection()
 
 
-def socle_coordinate(q: GradedQuotient, p: Polynomial) -> Fraction:
-    return q.socle_coordinate(p)
-
-
 def associated_form(f: FormTuple) -> Polynomial:
     """Associated form of a complete intersection tuple."""
     return f.quotient.associated_form()

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -41,10 +42,12 @@ from .tangent import (
 
 @dataclass
 class RunConfig:
+    """One run's settings; the defaults here are the command line's."""
+
     command: str
     n: int = 0
     d: int = 0
-    trials: int = 0
+    trials: int = 5
     seed: int = 0
     coeff_bound: int = 5
     jobs: int = 1
@@ -75,7 +78,7 @@ def _relations_records(f: FormTuple) -> list[dict]:
 
 def _tangent_records(f: FormTuple) -> list[dict]:
     """The tangent count, and both dim R routes where they are defined."""
-    report = tangent_dim(associated_form(f)).to_json_dict()
+    report = vars(tangent_dim(associated_form(f)))
     relations = {"dim_R_bruteforce": None, "dim_R_formula": None, "pass": True}
     if relation_band(f.var_count, f.degree):
         (relations,) = _relations_records(f)
@@ -116,8 +119,9 @@ def run_sampled(cfg: RunConfig) -> list[dict]:
             f"got n={cfg.n} d={cfg.d}"
         )
     tasks = [(cfg, i, s) for i, s in enumerate(trial_seeds(cfg.seed, cfg.trials))]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with Pool(min(cfg.jobs, len(tasks))) as pool:
+    workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             batches = pool.map(_sampled_trial, tasks)
     else:
         batches = map(_sampled_trial, tasks)
@@ -177,16 +181,8 @@ def read_form_file(path: str) -> tuple[int, int, Polynomial]:
 
 def run_stratify(cfg: RunConfig) -> list[dict]:
     n, d, form = read_form_file(cfg.path)
-    report = stratify(form, n, d)
-    return [
-        {
-            "suite": "stratify",
-            "n": n,
-            "d": d,
-            "form": format_polynomial(form, "y"),
-            **report.to_json_dict(),
-        }
-    ]
+    text = format_polynomial(form, "y")
+    return [{"suite": "stratify", "n": n, "d": d, "form": text, **vars(stratify(form, n, d))}]
 
 
 def run_assoc(cfg: RunConfig) -> list[dict]:
@@ -274,22 +270,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_sampling(sp):
         sp.add_argument("--n", type=int, required=True, help="number of variables")
         sp.add_argument("--d", type=int, required=True, help="degree of each form")
-        sp.add_argument("--trials", type=int, default=5, help="sampled tuples")
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
+        sp.add_argument("--trials", type=int, help="sampled tuples")
+        sp.add_argument("--seed", type=int, help="master seed")
         sp.add_argument(
-            "--coeff-bound",
-            type=int,
-            default=5,
-            help="coefficients drawn uniformly from [-bound, bound]",
+            "--coeff-bound", type=int, help="coefficients drawn uniformly from [-bound, bound]"
         )
-        sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        sp.add_argument("--jobs", type=int, help="parallel workers, at most one per CPU")
 
     sp = sub.add_parser("identities", help="exhaustive combinatorial identity checks")
-    sp.add_argument("--max-p", type=int, default=40)
-    sp.add_argument("--max-r", type=int, default=40)
-    sp.add_argument("--max-n", type=int, default=30)
-    sp.add_argument("--max-m", type=int, default=40)
-    sp.add_argument("--max-nd", type=int, default=12)
+    for flag in ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd"):
+        sp.add_argument(flag, type=int)
     add_output(sp)
 
     sp = sub.add_parser(
@@ -322,6 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The parsed flags over RunConfig's defaults, the only copy of them."""
     fields = {k: v for k, v in vars(args).items() if v is not None}
     return RunConfig(**fields)
 

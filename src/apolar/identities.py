@@ -28,13 +28,7 @@ class IdentityResult:
         return self.lhs == self.rhs
 
     def to_json_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "params": list(self.params),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-        }
+        return {**vars(self), "pass": self.passed}
 
 
 def delta(s: int, n: int) -> int:

@@ -17,7 +17,9 @@ that core whenever the certificate is missing:
 - Upper bound on the rank: a kernel whose vectors were computed mod primes,
   lifted by CRT and rational reconstruction, and then verified exactly over
   the integers.  k verified independent vectors in the right (left) kernel
-  bound the rank by cols - k (rows - k) from above.
+  bound the rank by cols - k (rows - k) from above.  The primes must agree:
+  the first prime's pivot columns are the reference, and a later prime with
+  other pivot columns sends the call to the exact core.
 
 The certificate reads nothing but the matrix itself, never a closed formula
 for the answer the caller expects, so a shortcut result is as independent of
@@ -95,10 +97,6 @@ class MatrixQ:
                 for row in self.entries
             )
         )
-
-    def scaled(self, c: Scalar) -> "MatrixQ":
-        c = _as_fraction(c)
-        return MatrixQ(tuple(tuple(c * x for x in row) for row in self.entries))
 
 
 @dataclass(frozen=True)
@@ -422,33 +420,30 @@ def _modular_kernel(
     certified by _verify_kernel, or None when no prime gives a certificate.
 
     Each prime gives the reduced row echelon form mod p, whose entries at the
-    free columns are, negated, the kernel vectors mod p.  Reduction can only
-    lose pivots or move them right, so a prime with fewer or
-    lexicographically later pivot columns than an earlier one is skipped, and
-    one with more or earlier ones starts the lift afresh.  After each prime
-    the residues are joined by CRT and rationally reconstructed (Wang), and
-    the candidate is verified exactly.
+    free columns are, negated, the kernel vectors mod p.  The first prime's
+    pivot columns are the reference.  A later prime with other pivot columns
+    shows that one of the two lost pivots to reduction, and the call returns
+    None, leaving the matrix to Bareiss.  After each prime the residues are
+    joined by CRT and rationally reconstructed (Wang), and the candidate is
+    verified exactly.
     """
-    best = None
     for prime in PRIMES:
         a = _residues(rows, prime)
         pivots = _echelon_mod_prime(a, prime, reduced=True)
-        pivot_set = set(pivots)
-        free = [c for c in range(ncols) if c not in pivot_set]
+        if prime == PRIMES[0]:
+            reference, modulus, pivot_set = pivots, 1, set(pivots)
+            free = [c for c in range(ncols) if c not in pivot_set]
+            lifted = [[0] * len(pivots) for _ in free]
+        elif pivots != reference:
+            return None
         # images[k][t]: kernel vector of free column free[k] at pivots[t].
         images = ((-a[: len(pivots)][:, free]) % prime).T.tolist()
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, modulus, lifted = key, prime, images
-        elif key > best:
-            continue
-        else:
-            inv = pow(modulus, -1, prime)
-            lifted = [
-                [u + modulus * ((w - u) * inv % prime) for u, w in zip(us, ws)]
-                for us, ws in zip(lifted, images)
-            ]
-            modulus *= prime
+        inv = pow(modulus, -1, prime)
+        lifted = [
+            [u + modulus * ((w - u) * inv % prime) for u, w in zip(us, ws)]
+            for us, ws in zip(lifted, images)
+        ]
+        modulus *= prime
         vectors = _reconstruct_kernel(lifted, modulus, pivots, free, ncols)
         if vectors is not None and _verify_kernel(rows, ncols, pivots, vectors):
             return vectors

@@ -341,23 +341,6 @@ def _power_products(
     return out
 
 
-def _linear_images(g: MatrixQ, nvars: int) -> list[Polynomial]:
-    """Images of the variables under v -> v . g^{-t} (matrix rows mix them)."""
-    m = matrix_inverse(g).transpose()
-    images = []
-    for j in range(nvars):
-        images.append(
-            Polynomial(
-                nvars,
-                {
-                    tuple(1 if t == i else 0 for t in range(nvars)): m.entry(i, j)
-                    for i in range(nvars)
-                },
-            )
-        )
-    return images
-
-
 def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
     """Left action of GL(n) (pairs of them on form tuples).
 
@@ -368,27 +351,27 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
     if isinstance(target, Polynomial):
         if g2 is not None:
             raise ValueError("a single form is acted on by one matrix")
-        if g1.nrows != g1.ncols or g1.nrows != target.nvars:
-            raise ValueError("matrix size does not match the variable count")
-        return substitute(target, _linear_images(g1, target.nvars))
-    if isinstance(target, FormTuple):
+        n = target.nvars
+    elif isinstance(target, FormTuple):
         n = target.var_count
-        if g1.nrows != g1.ncols or g1.nrows != n:
-            raise ValueError("matrix size does not match the variable count")
-        images = _linear_images(g1, n)
-        moved = [substitute(fi, images) for fi in target.forms]
-        if g2 is None:
-            mixed = moved
-        else:
-            if g2.nrows != g2.ncols or g2.nrows != n:
-                raise ValueError("matrix size does not match the tuple length")
-            inv = matrix_inverse(g2)
-            mixed = []
-            for j in range(n):
-                pairs = [(m, c * inv.entry(i, j)) for i in range(n) for m, c in moved[i].terms()]
-                mixed.append(Polynomial(n, pairs))
-        return FormTuple(n, target.degree, tuple(mixed))
-    raise TypeError("act_gl expects a Polynomial or FormTuple target")
+    else:
+        raise TypeError("act_gl expects a Polynomial or FormTuple target")
+    if g1.nrows != g1.ncols or g1.nrows != n:
+        raise ValueError("matrix size does not match the variable count")
+    # Variable j goes to row j of g1^{-1}, read as a linear form.
+    images = polynomials_from_vectors(n, 1, matrix_inverse(g1).entries)
+    if isinstance(target, Polynomial):
+        return substitute(target, images)
+    moved = [substitute(fi, images) for fi in target.forms]
+    if g2 is not None:
+        if g2.nrows != g2.ncols or g2.nrows != n:
+            raise ValueError("matrix size does not match the tuple length")
+        # Form j of the result is sum_i (g2^{-1})_{ij} f_i: column j of g2^{-1}.
+        moved = [
+            Polynomial(n, [(m, c * w) for g, w in zip(moved, col) for m, c in g.terms()])
+            for col in matrix_inverse(g2).transpose().entries
+        ]
+    return FormTuple(n, target.degree, tuple(moved))
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")

@@ -35,7 +35,8 @@ from .poly import FormTuple, Polynomial
 
 @dataclass(frozen=True)
 class TangentReport:
-    """Dimension counts for one form."""
+    """Dimension counts for one form; reports list the fields in this
+    order."""
 
     n: int
     d: int
@@ -43,16 +44,6 @@ class TangentReport:
     dim_product: int
     tangent_dim: int
     expected_N: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "dim_ambient": self.dim_ambient,
-            "dim_product": self.dim_product,
-            "tangent_dim": self.tangent_dim,
-            "expected_N": self.expected_N,
-        }
 
 
 def expected_N(n: int, d: int) -> int:

@@ -27,9 +27,7 @@ from apolar import (
 
 def test_catalecticant_of_product_form():
     f = parse_polynomial("y1*y2", 2)
-    cat = catalecticant(f, 1)
-    assert cat.contraction_degree == 1
-    assert cat.matrix.entries == ((0, 1), (1, 0))
+    assert catalecticant(f, 1).entries == ((0, 1), (1, 0))
 
 
 def test_catalecticant_shape():
@@ -37,8 +35,8 @@ def test_catalecticant_shape():
     # so right-kernel vectors are annihilator coefficient vectors.
     f = parse_polynomial("y1^4 + y2^4", 2)
     cat = catalecticant(f, 3)
-    assert cat.matrix.nrows == dim_forms(2, 1)
-    assert cat.matrix.ncols == dim_forms(2, 3)
+    assert cat.nrows == dim_forms(2, 1)
+    assert cat.ncols == dim_forms(2, 3)
 
 
 def test_catalecticant_rejects_contraction_past_degree():
@@ -105,13 +103,13 @@ def test_stratify_rank_d_is_the_catalecticant_rank():
     ]
     for f, n, d in forms:
         report = stratify(f, n, d)
-        assert report.rank_d == rank(catalecticant(f, d).matrix)
+        assert report.rank_d == rank(catalecticant(f, d))
         assert report.in_U == (len(annihilator_polynomials(f, d)) == n)
 
 
 def test_stratify_json_key_order():
     report = stratify(parse_polynomial("y1^2", 2), 2, 2)
-    assert list(report.to_json_dict()) == [
+    assert list(vars(report)) == [
         "in_V",
         "in_U",
         "in_GorT",
@@ -145,6 +143,22 @@ def test_canonical_kernel_basis_rejects_singular_chart():
     f = parse_polynomial("y1^2 + y2^2", 2)
     with pytest.raises(ValueError):
         canonical_kernel_basis(f, chart=((0,), (1,)))
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        ((0, 1), (-1, 0)),  # a negative index would be read from the end
+        ((0, 1), (0, 4)),  # past the K = 4 catalecticant columns
+        ((0, 2), (0, 1)),  # past the 2 catalecticant rows
+    ],
+)
+def test_canonical_kernel_basis_rejects_chart_index_out_of_range(chart):
+    # n = 2 and degree 4, so d = 3: the catalecticant is 2 x 4 and r = 2.
+    f = parse_polynomial("y1^4 + y1^2*y2^2 + y2^4", 2)
+    assert canonical_kernel_basis(f, chart=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="in range"):
+        canonical_kernel_basis(f, chart=chart)
 
 
 def test_canonical_kernel_basis_requires_exact_corank():
@@ -192,7 +206,7 @@ def assert_default_chart_is_exhaustive_lex_first(f):
     the reduced-echelon annihilator basis."""
     n = f.nvars
     d = f.homogeneous_degree() // n + 1
-    cat = catalecticant(f, d).matrix
+    cat = catalecticant(f, d)
     chart = exhaustive_first_chart(cat, cat.ncols - n)
     default = canonical_kernel_basis(f)
     assert default == canonical_kernel_basis(f, chart=chart)
@@ -207,7 +221,7 @@ def test_greedy_chart_is_the_exhaustive_lex_first_chart(text, n):
 @pytest.mark.parametrize("n, d, seed", [(2, 2, 0), (2, 3, 1), (3, 2, 2), (3, 2, 3)])
 def test_greedy_chart_of_associated_forms(n, d, seed):
     f = associated_form(random_ci_tuple(n, d, seed=seed))
-    assert rank(catalecticant(f, d).matrix) == dim_forms(n, d) - n
+    assert rank(catalecticant(f, d)) == dim_forms(n, d) - n
     assert_default_chart_is_exhaustive_lex_first(f)
 
 

@@ -239,8 +239,9 @@ def test_coeff_bound_past_one_draw_is_an_input_error(capsys):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("trials, jobs, size", [(2, 64, 2), (3, 2, 2)])
-def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, capsys, trials, jobs, size):
+def recording_pool(monkeypatch, cpus):
+    """Stand in a Pool that records its size and maps in this process, and
+    report `cpus` CPUs; no worker process starts."""
     import apolar.cli as cli
 
     sizes = []
@@ -259,8 +260,36 @@ def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, capsys, tria
             return [worker(t) for t in tasks]
 
     monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    return sizes
+
+
+# Four CPUs: the last case is bound by them, the others by the trial count.
+@pytest.mark.parametrize("trials, jobs, size", [(2, 64, 2), (3, 2, 2), (6, 64, 4)])
+def test_worker_pool_is_no_larger_than_the_trial_count(monkeypatch, capsys, trials, jobs, size):
+    sizes = recording_pool(monkeypatch, 4)
     args = ["tangent", "--n", "2", "--d", "2", "--trials", str(trials), "--jobs", str(jobs)]
     code, out, err = run_main(args, capsys)
     assert code == 0
     assert sizes == [size]
     assert len(out.splitlines()) == trials
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_one_cpu_runs_the_trials_without_a_pool(monkeypatch, capsys, cpus):
+    # os.cpu_count() is None when the count cannot be determined.
+    sizes = recording_pool(monkeypatch, cpus)
+    args = ["tangent", "--n", "2", "--d", "2", "--trials", "3", "--jobs", "5000"]
+    code, out, err = run_main(args, capsys)
+    assert code == 0
+    assert sizes == []
+    assert len(out.splitlines()) == 3
+
+
+def test_cli_defaults_are_the_run_config_defaults():
+    from apolar.cli import _build_parser, config_from_args
+
+    args = _build_parser().parse_args(["tangent", "--n", "2", "--d", "2"])
+    assert config_from_args(args) == RunConfig("tangent", n=2, d=2)
+    args = _build_parser().parse_args(["identities"])
+    assert config_from_args(args) == RunConfig("identities")

@@ -131,11 +131,13 @@ def test_full_rank_mod_p_needs_no_kernel(paths):
     assert paths == []
 
 
-def test_rank_drop_mod_p_is_certified_by_a_later_prime(paths):
+def test_rank_drop_mod_p_falls_back_when_a_later_prime_disagrees(paths):
     # Mod 2^31 - 1 both rows end in the same residues, so that prime sees
-    # rank 1; the next prime sees rank 2 and certifies an empty left kernel.
-    assert rank([[P, 1], [0, 1]]) == 2
-    assert paths == ["certified"]
+    # rank 1; the next prime sees rank 2, the two disagree on the pivot
+    # columns of the transpose, and Bareiss decides.
+    m = [[P, 1], [0, 1]]
+    assert rank(m) == 2 == sympy_matrix(m).rank()
+    assert paths == ["uncertified", "bareiss"]
 
 
 def test_rank_drop_mod_p_with_unreconstructible_kernel_falls_back(paths):
@@ -155,21 +157,44 @@ def test_kernel_with_shifted_pivots_mod_p_falls_back(paths):
     assert paths == ["uncertified", "bareiss"]
 
 
-def test_kernel_after_rank_drop_mod_p_is_certified(paths):
+def test_kernel_after_rank_drop_mod_p_falls_back(paths):
+    # Mod 2^31 - 1 the rows agree, so that prime sees pivot column 0 alone;
+    # the next prime sees columns 0 and 1, and Bareiss decides.
     m = [[1, 0, 1], [1, P, 1 + P]]
     assert kernel_basis(m).vectors == ((-1, -1, 1),) == sympy_nullspace(m)
-    assert paths == ["certified"]
+    assert paths == ["uncertified", "bareiss"]
 
 
-def test_prime_that_loses_pivots_is_skipped(paths):
-    # Both rows agree mod the second prime, so it sees rank 1 and is left
-    # out of the lift.  The kernel entry -(x + 1), about 2^20, is past what
-    # one prime can reconstruct (about 2^15) and needs the first and third
-    # primes together.
-    q, x = PRIMES[1], 2**20 + 7
-    m = [[1, 1, x], [1, 1 + q, x - q]]
-    assert kernel_basis(m).vectors == ((-(x + 1), 1, 1),) == sympy_nullspace(m)
-    assert paths == ["certified"]
+# Both rows agree mod the second prime, so it sees rank 1 where the first
+# prime, rightly, sees rank 2.  The kernel entry -(X + 1), about 2^20, is past
+# what one prime can reconstruct (about 2^15), so the second prime is reached.
+Q, X = PRIMES[1], 2**20 + 7
+LOSES_PIVOT_MOD_Q = [[1, 1, X], [1, 1 + Q, X - Q]]
+
+
+def test_kernel_falls_back_when_a_later_prime_loses_pivots(paths):
+    m = LOSES_PIVOT_MOD_Q
+    assert kernel_basis(m).vectors == ((-(X + 1), 1, 1),) == sympy_nullspace(m)
+    assert paths == ["uncertified", "bareiss"]
+
+
+def test_rank_falls_back_when_a_later_prime_loses_pivots(paths, monkeypatch):
+    # The transpose of those rows and their sum: rank 2 of 3 on both sides,
+    # and its left kernel is the kernel above.
+    primes = []
+    echelon = linalg._echelon_mod_prime
+
+    def spy_echelon(a, prime, reduced):
+        if reduced:
+            primes.append(prime)
+        return echelon(a, prime, reduced)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
+    m = [list(col) for col in zip(*LOSES_PIVOT_MOD_Q, map(sum, zip(*LOSES_PIVOT_MOD_Q)))]
+    assert rank(m) == 2 == sympy_matrix(m).rank()
+    assert paths == ["uncertified", "bareiss"]
+    # The disagreeing prime ends the modular attempt; the third is not tried.
+    assert primes == [PRIMES[0], Q]
 
 
 def test_socle_kernel_is_too_wide_for_the_primes():

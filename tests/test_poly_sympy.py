@@ -3,7 +3,8 @@
 Every operation that hands the Polynomial constructor raw (monomial,
 coefficient) pairs is checked here on inputs with repeated monomials and
 exact cancellations, by comparing the resulting terms with sympy's
-Poly.as_dict().
+Poly.as_dict().  The GL action act_gl is checked against sympy's own
+matrix inverse and simultaneous substitution.
 """
 from fractions import Fraction
 
@@ -11,7 +12,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolar import Polynomial, apply_polar, monomial_basis, parse_polynomial, substitute
+from apolar import (
+    FormTuple,
+    MatrixQ,
+    Polynomial,
+    act_gl,
+    apply_polar,
+    monomial_basis,
+    parse_polynomial,
+    substitute,
+)
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 nvars_st = st.integers(min_value=1, max_value=3)
@@ -119,6 +129,50 @@ def test_substitute_matches_simultaneous_sympy_subs(data):
     )
     got = substitute(Polynomial(nvars, p_pairs), images)
     assert terms(got) == sympy_terms(expected, out_nvars)
+
+
+def invertible_matrices(n):
+    square = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    return square.filter(lambda g: sympy.Matrix(g).det() != 0)
+
+
+def sympy_linear_change(expr, nvars, g):
+    """expr at x . g^{-T}: x_j -> sum_i (g^{-1})_{ji} x_i, all at once, with
+    sympy's own inverse."""
+    xs, inv = gens(nvars), sympy.Matrix(g).inv()
+    images = {xs[j]: sum(inv[j, i] * xs[i] for i in range(nvars)) for j in range(nvars)}
+    return expr.subs(images, simultaneous=True)
+
+
+@oracle
+@given(st.data())
+def test_act_gl_on_a_form_matches_sympy(data):
+    n = data.draw(st.integers(2, 3))
+    g = data.draw(invertible_matrices(n))
+    pairs = data.draw(pair_lists(n))
+    got = act_gl(MatrixQ.from_rows(g), None, Polynomial(n, pairs))
+    assert terms(got) == sympy_terms(sympy_linear_change(sympy_expr(n, pairs), n, g), n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_act_gl_on_a_tuple_matches_sympy(data):
+    """Each form moves by g1 as a single form does; then form j of the
+    result is sum_i f_i (g2^{-1})_{ij}."""
+    n, d = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    basis = monomial_basis(n, d)
+    coefficient_rows = st.lists(
+        st.lists(coeffs, min_size=len(basis), max_size=len(basis)), min_size=n, max_size=n
+    )
+    rows = data.draw(coefficient_rows.filter(lambda r: sympy.Matrix(r).rank() == n))
+    g1, g2 = data.draw(invertible_matrices(n)), data.draw(invertible_matrices(n))
+    forms = [list(zip(basis, row)) for row in rows]
+    moved = [sympy_linear_change(sympy_expr(n, pairs), n, g1) for pairs in forms]
+    inv2 = sympy.Matrix(g2).inv()
+    expected = [sum(moved[i] * inv2[i, j] for i in range(n)) for j in range(n)]
+    f = FormTuple(n, d, tuple(Polynomial(n, pairs) for pairs in forms))
+    got = act_gl(MatrixQ.from_rows(g1), MatrixQ.from_rows(g2), f)
+    assert [terms(p) for p in got.forms] == [sympy_terms(e, n) for e in expected]
 
 
 def pair_text(pairs):
