@@ -2,9 +2,10 @@
 
 A form F of degree e in y determines, for each contraction degree i, the
 linear map h -> h(d/dy) F from degree-i polynomials in x to degree e-i forms
-in y.  Its matrix in the grlex bases is the catalecticant; ranks of these
-matrices are the apolar Hilbert function, and the kernel in the critical
-degree is the degree-d piece of the annihilator ideal.
+in y.  Its matrix in the grlex bases is the catalecticant; its entry at row
+y^c, column x^a is prod_k (a_k+c_k)!/c_k! times the y^(a+c) coefficient of F.
+Ranks of these matrices are the apolar Hilbert function, and the kernel in
+the critical degree is the degree-d piece of the annihilator ideal.
 
 stratify places a form of degree n(d-1) relative to the nested loci
 
@@ -18,40 +19,31 @@ with Z = U minus U_Res.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .combinat import ci_hilbert, dim_forms
-from .linalg import MatrixQ, SubspaceBasis, block_solve, kernel_basis, rank
-from .poly import (
-    FormTuple,
-    Polynomial,
-    _polar_term,
-    monomial_basis,
-    monomial_index,
-    polynomials_from_vectors,
-)
+from .linalg import MatrixQ, SubspaceBasis, determinant, kernel_basis, matrix_inverse, rank
+from .poly import FormTuple, Polynomial, _polar_term, monomial_basis, polynomials_from_vectors
 
 
 def catalecticant(f: Polynomial, i: int) -> MatrixQ:
     """Catalecticant of a nonzero homogeneous form at contraction degree i:
-    columns run over the degree-i contractors, rows over degree e - i."""
+    columns run over the degree-i contractors x^a, rows over the degree e - i
+    monomials y^c, and entry (c, a) is the coefficient of y^(a+c) in f times
+    prod_k (a_k+c_k)!/c_k!, the factor of x^a acting on y^(a+c)."""
     if f.is_zero:
         raise ValueError("zero input")
     e = f.homogeneous_degree()
     if not 0 <= i <= e:
         raise ValueError(f"contraction degree must lie in 0..{e}")
-    n = f.nvars
-    cols = monomial_basis(n, i)
-    row_index = monomial_index(n, e - i)
-    entries = [[Fraction(0)] * len(cols) for _ in row_index]
-    for b, c in f.terms():
-        for k, a in enumerate(cols):
-            term = _polar_term(a, b)
-            if term:
-                target, factor = term
-                entries[row_index[target]][k] += c * factor
-    return MatrixQ.from_rows(entries)
+    coeffs = dict(f.terms())
+
+    def entry(c, a):
+        b = tuple(ak + ck for ak, ck in zip(a, c))
+        return coeffs[b] * _polar_term(a, b)[1] if b in coeffs else 0
+
+    cols = monomial_basis(f.nvars, i)
+    return MatrixQ.from_rows([[entry(c, a) for a in cols] for c in monomial_basis(f.nvars, e - i)])
 
 
 def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
@@ -67,11 +59,7 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
     e = f.homogeneous_degree()
     if j > e:
         dim = dim_forms(f.nvars, j)
-        one, zero = Fraction(1), Fraction(0)
-        vectors = tuple(
-            tuple(one if t == k else zero for t in range(dim)) for k in range(dim)
-        )
-        return SubspaceBasis(dim, vectors)
+        return SubspaceBasis(dim, MatrixQ.identity(dim).entries)
     return kernel_basis(catalecticant(f, j))
 
 
@@ -112,13 +100,6 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     return ranks
 
 
-def gorenstein_sequence(n: int, d: int) -> tuple[int, ...]:
-    """Target Hilbert function: coefficients of (1 + u + ... + u^{d-1})^n."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
-    return ci_hilbert(n, d)
-
-
 @dataclass(frozen=True)
 class StratumReport:
     """Membership flags for one form, plus the data behind them; reports
@@ -149,7 +130,7 @@ def stratify(f: Polynomial, n: int, d: int) -> StratumReport:
     target_rank = dim_forms(n, d) - n
     in_v = rank_d <= target_rank
     in_u = rank_d == target_rank
-    in_gor = hilbert == gorenstein_sequence(n, d)
+    in_gor = hilbert == ci_hilbert(n, d)
     in_ures = in_u and _ures_generators(f, d) is not None
     report = StratumReport(
         in_V=in_v,
@@ -183,7 +164,9 @@ def canonical_kernel_basis(
     lexicographically first column basis, the pivot columns, and the basis
     is the reduced-echelon kernel basis: each of its vectors is 1 at one
     free column and 0 at the others, which pins it down whatever the chart
-    rows, so it is the basis of the lexicographically first chart.
+    rows, so it is the basis of the lexicographically first chart.  Another
+    chart's basis is B^{-1} K, where B is K restricted to the complementary
+    columns.
     """
     if f.is_zero:
         raise ValueError("zero input")
@@ -205,21 +188,14 @@ def canonical_kernel_basis(
     for picked, size in ((rows, cat.nrows), (cols, k_dim)):
         if len(set(picked)) != r or len(picked) != r or not 0 <= picked[0] <= picked[-1] < size:
             raise ValueError(f"chart must pick {r} distinct rows and columns, each in range")
+    if not determinant([[cat.entry(i, j) for j in cols] for i in rows]):
+        raise ValueError("singular chart minor")
+    # A nonsingular minor makes the chart columns independent, so no kernel
+    # vector vanishes on all the complementary columns and B is invertible.
     comp = [c for c in range(k_dim) if c not in set(cols)]
-    a_block = [[cat.entry(i, j) for j in cols] for i in rows]
-    b_block = [[cat.entry(i, j) for j in comp] for i in rows]
-    try:
-        s = block_solve(a_block, b_block)
-    except ValueError as exc:
-        raise ValueError("singular chart minor") from exc
-    basis = []
-    for j in range(n):
-        v = [Fraction(0)] * k_dim
-        for i, c in enumerate(cols):
-            v[c] = s.entry(i, j)
-        v[comp[j]] = Fraction(1)
-        # The chart rows span the row space, so v lies in the full kernel.
+    b_inv = matrix_inverse([[v[c] for c in comp] for v in kernel.vectors])
+    basis = b_inv.matmul(MatrixQ(kernel.vectors)).entries
+    for v in basis:
         for row in cat.entries:
             assert sum(x * y for x, y in zip(row, v)) == 0
-        basis.append(Polynomial.from_coefficient_vector(n, d, v))
-    return basis
+    return polynomials_from_vectors(n, d, basis)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .apolarity import annihilator_piece, apolar_hilbert, gorenstein_sequence
+from .apolarity import annihilator_piece, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
 from .linalg import (
     SubspaceBasis,
@@ -191,7 +191,7 @@ def verify_inverse_system(f: FormTuple, g: Polynomial) -> bool:
         return False
     if any(not apply_polar(fi, g).is_zero for fi in f.forms):
         return False
-    return apolar_hilbert(g) == gorenstein_sequence(f.var_count, f.degree)
+    return apolar_hilbert(g) == ci_hilbert(f.var_count, f.degree)
 
 
 def roundtrip_span(f: FormTuple) -> bool:

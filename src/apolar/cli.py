@@ -32,6 +32,7 @@ from .identities import (
 from .poly import FormTuple, Polynomial, format_polynomial, parse_polynomial
 from .sampling import SamplingError, SplitMix64, random_ci_tuple
 from .tangent import (
+    RELATION_BAND,
     koszul_kernel_check,
     relation_band,
     relation_space_dim_bruteforce,
@@ -114,10 +115,7 @@ def run_sampled(cfg: RunConfig) -> list[dict]:
     """Every trial's records, in order of trial index regardless of how many
     workers run them."""
     if cfg.command == "relations" and not relation_band(cfg.n, cfg.d):
-        raise ValueError(
-            f"relations needs n >= 3 (d >= 3 when n = 3) and n(d-1) >= 2d; "
-            f"got n={cfg.n} d={cfg.d}"
-        )
+        raise ValueError(f"relations needs {RELATION_BAND}; got n={cfg.n} d={cfg.d}")
     tasks = [(cfg, i, s) for i, s in enumerate(trial_seeds(cfg.seed, cfg.trials))]
     workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -9,7 +9,8 @@ coefficient differential operator: apply_polar(h, F) = h(d/dy1,...,d/dyn) F.
 Variable letters are a printing concern only; the algebra never records them.
 
 The Polynomial constructor is the one place where terms are normalised: it
-adds the coefficients of equal monomials and then drops zero coefficients.
+adds the coefficients of equal monomials, checks each distinct monomial once,
+and then drops zero coefficients.
 Every operation below hands it raw (monomial, coefficient) pairs.
 """
 from __future__ import annotations
@@ -63,13 +64,14 @@ class Polynomial:
         merged: dict[Monomial, Fraction] = {}
         for mono, coeff in items:
             mono = tuple(mono)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            prev = merged.get(mono)
+            merged[mono] = c if prev is None else prev + c
+        for mono in merged:
             if len(mono) != nvars:
                 raise ValueError(f"exponent tuple {mono} does not have {nvars} entries")
             if any(e < 0 for e in mono):
                 raise ValueError("exponents must be nonnegative")
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            prev = merged.get(mono)
-            merged[mono] = c if prev is None else prev + c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", {m: c for m, c in merged.items() if c})
 
@@ -219,16 +221,8 @@ def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
 
 
 def partial(p: Polynomial, i: int) -> Polynomial:
-    """Partial derivative with respect to the 1-based variable i."""
-    if not 1 <= i <= p.nvars:
-        raise ValueError(f"variable index {i} out of range")
-    k = i - 1
-    out = {}
-    for mono, c in p.terms():
-        if mono[k]:
-            lowered = tuple(e - 1 if j == k else e for j, e in enumerate(mono))
-            out[lowered] = c * mono[k]
-    return Polynomial(p.nvars, out)
+    """Partial derivative in the 1-based variable i: its polar action."""
+    return apply_polar(Polynomial.variable(p.nvars, i), p)
 
 
 @dataclass(frozen=True)

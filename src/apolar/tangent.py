@@ -113,9 +113,12 @@ def tangent_dim(f: Polynomial) -> TangentReport:
     )
 
 
+RELATION_BAND = "n >= 3 and n(d-1) >= 2d"
+
+
 def relation_band(n: int, d: int) -> bool:
-    """Where both dim R routes are defined: n >= 3 forms whose socle degree
-    s = n(d-1) reaches 2d, the degree of the products f_i * f_j."""
+    """Where both dim R routes are defined, RELATION_BAND: n >= 3 forms whose
+    socle degree s = n(d-1) reaches 2d, the degree of the products f_i * f_j."""
     return n >= 3 and n * (d - 1) >= 2 * d
 
 
@@ -130,7 +133,7 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
     against the formula."""
     n, d = f.var_count, f.degree
     if not relation_band(n, d):
-        raise ValueError("need n >= 3 and n(d-1) >= 2d")
+        raise ValueError(f"need {RELATION_BAND}")
     if not f.quotient.is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
     pairs = n * (n + 1) // 2
@@ -141,7 +144,7 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
 def relation_space_dim_formula(n: int, d: int) -> int:
     """Closed form for dim R: the m >= 3 band of the alternating sum."""
     if not relation_band(n, d):
-        raise ValueError("need n >= 3 and n(d-1) >= 2d")
+        raise ValueError(f"need {RELATION_BAND}")
     return tangent_band_sum(n, d, 3)
 
 

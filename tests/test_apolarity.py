@@ -1,22 +1,21 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from apolar import (
-    FormTuple,
+    Polynomial,
     SplitMix64,
     SubspaceBasis,
     annihilator_piece,
     annihilator_polynomials,
     apolar_hilbert,
     associated_form,
+    block_solve,
     canonical_kernel_basis,
     catalecticant,
     ci_hilbert,
-    dim_forms,
-    gorenstein_sequence,
     determinant,
+    dim_forms,
     parse_polynomial,
     random_ci_tuple,
     random_form,
@@ -60,8 +59,11 @@ def test_apolar_hilbert_of_generic_quartic_is_full():
 
 
 def test_gorenstein_sequence_is_ci_hilbert():
-    assert gorenstein_sequence(2, 3) == ci_hilbert(2, 3) == (1, 2, 3, 2, 1)
-    assert gorenstein_sequence(3, 3) == (1, 3, 6, 7, 6, 3, 1)
+    # stratify's Gor(T) target is ci_hilbert itself.
+    assert ci_hilbert(2, 3) == (1, 2, 3, 2, 1)
+    assert ci_hilbert(3, 3) == (1, 3, 6, 7, 6, 3, 1)
+    report = stratify(associated_form(random_ci_tuple(2, 3, seed=1)), 2, 3)
+    assert report.in_GorT and report.hilbert == ci_hilbert(2, 3)
 
 
 def test_annihilator_piece_dimensions():
@@ -230,3 +232,74 @@ def test_canonical_kernel_basis_of_four_variable_monomial():
     assert canonical_kernel_basis(f) == [
         parse_polynomial(f"x{i}^3", 4) for i in range(1, 5)
     ]
+
+
+def block_solve_chart_basis(f, chart):
+    """Reference for an explicit chart: solve for -A^{-1}B with block_solve,
+    put it on the chart columns and the identity on the others."""
+    n = f.nvars
+    d = f.homogeneous_degree() // n + 1
+    cat = catalecticant(f, d)
+    rows, cols = sorted(chart[0]), sorted(chart[1])
+    comp = [c for c in range(cat.ncols) if c not in cols]
+    a_block = [[cat.entry(i, j) for j in cols] for i in rows]
+    b_block = [[cat.entry(i, j) for j in comp] for i in rows]
+    try:
+        s = block_solve(a_block, b_block)
+    except ValueError as exc:
+        raise ValueError("singular chart minor") from exc
+    basis = []
+    for j in range(n):
+        v = [0] * cat.ncols
+        for i, c in enumerate(cols):
+            v[c] = s.entry(i, j)
+        v[comp[j]] = 1
+        basis.append(Polynomial.from_coefficient_vector(n, d, v))
+    return basis
+
+
+def outcome(build, f, chart):
+    """The basis, or the text of the ValueError raised instead."""
+    try:
+        return build(f, chart)
+    except ValueError as exc:
+        return str(exc)
+
+
+CHART_REFERENCE_FORMS = [(text, n) for text, n in CHART_FORMS if n == 2] + [("y1*y2*y3", 3)]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [parse_polynomial(text, n) for text, n in CHART_REFERENCE_FORMS]
+    + [associated_form(random_ci_tuple(n, d, seed=1)) for n, d in [(2, 3), (3, 2)]],
+    ids=[text for text, _ in CHART_REFERENCE_FORMS] + ["associated-2x3", "associated-3x2"],
+)
+def test_every_chart_matches_the_block_solve_reference(f):
+    n = f.nvars
+    cat = catalecticant(f, f.homogeneous_degree() // n + 1)
+    r = cat.ncols - n
+    charts = [
+        (rows, cols)
+        for rows in combinations(range(cat.nrows), r)
+        for cols in combinations(range(cat.ncols), r)
+    ]
+    outcomes = [outcome(canonical_kernel_basis, f, chart) for chart in charts]
+    assert outcomes == [outcome(block_solve_chart_basis, f, chart) for chart in charts]
+    assert any(isinstance(o, list) for o in outcomes)
+
+
+def test_chart_with_a_column_basis_and_dependent_rows_is_singular():
+    # The chart columns span the column space, so the kernel restricted to
+    # the other columns is invertible; only the minor shows the rows fail.
+    f = associated_form(random_ci_tuple(3, 3, seed=2))
+    cat = catalecticant(f, 3)
+    r = cat.ncols - 3
+    cols = exhaustive_first_chart(cat, r)[1]
+    rows = (0, 1, 2, 4, 6, 8, 9)
+    assert rank([[row[j] for j in cols] for row in cat.entries]) == r
+    assert rank([cat.entries[i] for i in rows]) < r
+    with pytest.raises(ValueError, match="singular chart minor"):
+        canonical_kernel_basis(f, chart=(rows, cols))
+    with pytest.raises(ValueError, match="singular chart minor"):
+        block_solve_chart_basis(f, (rows, cols))

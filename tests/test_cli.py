@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from apolar import relation_space_dim_formula
 from apolar.cli import (
     RunConfig,
     _summarize,
@@ -78,6 +79,11 @@ def test_relations_out_of_band_is_a_usage_error(capsys):
     )
     assert code == 2
     assert "error:" in err
+    # The CLI and the library state the band with the same condition text.
+    with pytest.raises(ValueError) as library:
+        relation_space_dim_formula(2, 3)
+    condition = str(library.value).removeprefix("need ")
+    assert condition and condition in err
 
 
 def test_stratify_square_form(tmp_path, capsys):

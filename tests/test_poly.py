@@ -85,6 +85,28 @@ def test_partial():
     assert partial(p, 2) == parse_polynomial("2*x1*x2", 2)
 
 
+def test_partial_rejects_a_variable_index_out_of_range():
+    p = parse_polynomial("x1^3 + x1*x2^2", 2)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"^variable index {i} out of range$"):
+            partial(p, i)
+
+
+def test_constructor_rejects_a_monomial_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^exponent tuple \(1, 0, 0\) does not have 2 entries$"):
+        Polynomial(2, [((1, 0), 1), ((1, 0, 0), 2)])
+
+
+def test_constructor_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        Polynomial(2, {(1, -1): 3})
+
+
+def test_constructor_rejects_a_negative_exponent_whose_terms_cancel():
+    with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        Polynomial(2, [((2, 0), 1), ((-1, 3), Fraction(1, 2)), ((-1, 3), Fraction(-1, 2))])
+
+
 def test_jacobian_det_of_power_tuple():
     f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x2^2", 2)))
     assert jacobian_det(f) == parse_polynomial("4*x1*x2", 2)

@@ -3,7 +3,7 @@
 Every operation that hands the Polynomial constructor raw (monomial,
 coefficient) pairs is checked here on inputs with repeated monomials and
 exact cancellations, by comparing the resulting terms with sympy's
-Poly.as_dict().  The GL action act_gl is checked against sympy's own
+Poly.as_dict().  partial is checked against sympy's diff.  The GL action act_gl is checked against sympy's own
 matrix inverse and simultaneous substitution.
 """
 from fractions import Fraction
@@ -20,6 +20,7 @@ from apolar import (
     apply_polar,
     monomial_basis,
     parse_polynomial,
+    partial,
     substitute,
 )
 
@@ -200,3 +201,13 @@ def test_parse_of_cancelling_terms_is_zero():
     assert parse_polynomial("x1 + x1 - 2*x1", 1).is_zero
     assert parse_polynomial("1/2*x1*x2 - x2*x1 + 1/2*x1^1*x2^1", 2).is_zero
     assert parse_polynomial("x1^2 - 3 + x1^2 + 3", 1) == parse_polynomial("2*x1^2", 1)
+
+
+@oracle
+@given(st.data())
+def test_partial_matches_sympy_diff(data):
+    nvars = data.draw(nvars_st)
+    pairs = data.draw(pair_lists(nvars))
+    p = Polynomial(nvars, pairs)
+    for i, x in enumerate(gens(nvars), start=1):
+        assert terms(partial(p, i)) == sympy_terms(sympy.diff(sympy_expr(nvars, pairs), x), nvars)
