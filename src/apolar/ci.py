@@ -13,13 +13,12 @@ the Jacobian determinant, and the associated form
 
 over degree-n(d-1) monomials is a Macaulay inverse system for the ideal.
 
-Dimension engine: by rank semicontinuity, every tuple's quotient dimensions
-are bounded below by the complete intersection values, and reducing mod a
-prime can only shrink the ideal's rank.  So when the mod-p rank reaches the
-complete intersection bound, the exact dimension is certified; otherwise the
-code falls back to full fraction-free elimination.  Construct with
-exact_only=True to force the fallback everywhere (the tests cross-check the
-two paths).
+Dimensions: each ideal rank is linalg._certified_rank of the shifted rows.
+Its lower bound is the rank mod a prime.  Its upper bound is the complete
+intersection value: by rank semicontinuity no tuple's ideal is larger in any
+degree than a generic tuple's, and a generic tuple is a complete
+intersection.  When the two bounds differ, a verified left kernel or Bareiss
+elimination decides.
 """
 from __future__ import annotations
 
@@ -28,13 +27,7 @@ from typing import Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
-from .linalg import (
-    SubspaceBasis,
-    _exact_kernel_basis,
-    _integer_rows,
-    _triangularize,
-    rank_mod_prime,
-)
+from .linalg import SubspaceBasis, _certified_rank, _exact_kernel_basis, _integer_rows
 from .poly import (
     FormTuple,
     Polynomial,
@@ -72,24 +65,18 @@ def _shift_rows(forms: Sequence[Polynomial], k: int) -> list[list[int]]:
 class GradedQuotient:
     """Degreewise data of k[x_1..x_n] modulo the ideal of a form tuple."""
 
-    def __init__(self, f: FormTuple, exact_only: bool = False):
+    def __init__(self, f: FormTuple):
         self.tuple = f
         self.var_count = f.var_count
         self.degree = f.degree
         self.socle_degree = f.socle_degree
-        self.exact_only = exact_only
         self._target = ci_hilbert(f.var_count, f.degree)
         self._ideal_dims: dict[int, int] = {}
         self._socle_functional: tuple[Fraction, ...] | None = None
 
     def ideal_dim(self, j: int) -> int:
-        """Exact dimension of the ideal's degree-j piece.
-
-        Lower bound: the rank mod p of the shifted rows.  Upper bound: the
-        complete intersection value, the generic rank (the column count past
-        degree s).  When the two differ, Bareiss elimination decides (always,
-        with exact_only).
-        """
+        """Exact dimension of the ideal's degree-j piece, certified against
+        the complete intersection value (the column count past degree s)."""
         if j < 0:
             raise ValueError("degree must be nonnegative")
         if j < self.degree:
@@ -97,11 +84,8 @@ class GradedQuotient:
         if j not in self._ideal_dims:
             rows = _shift_rows(self.tuple.forms, j - self.degree)
             width = dim_forms(self.var_count, j)
-            bound = width - (self._target[j] if j <= self.socle_degree else 0)
-            if not self.exact_only and rank_mod_prime(rows) == bound:
-                self._ideal_dims[j] = bound
-            else:
-                self._ideal_dims[j] = len(_triangularize(rows, width))
+            upper = width - (self._target[j] if j <= self.socle_degree else 0)
+            self._ideal_dims[j] = _certified_rank(rows, upper)
         return self._ideal_dims[j]
 
     def quotient_dim(self, j: int) -> int:

@@ -253,6 +253,9 @@ def _summarize(results: list[dict]) -> int:
     return len(failures)
 
 
+_IDENTITY_RANGES = ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apolar",
@@ -276,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, help="parallel workers, at most one per CPU")
 
     sp = sub.add_parser("identities", help="exhaustive combinatorial identity checks")
-    for flag in ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd"):
+    for flag in _IDENTITY_RANGES:
         sp.add_argument(flag, type=int)
     add_output(sp)
 
@@ -325,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.jobs < 1:
             print("error: --jobs must be positive", file=sys.stderr)
             return 2
+    if cfg.command == "identities":
+        for flag in _IDENTITY_RANGES:
+            if getattr(cfg, flag[2:].replace("-", "_")) < 0:
+                print(f"error: {flag} must be nonnegative", file=sys.stderr)
+                return 2
     try:
         results = run_suite(cfg)
         emit_report(results, cfg.out, cfg.csv_path)

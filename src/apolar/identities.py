@@ -2,11 +2,11 @@
 
 Every check returns an IdentityResult carrying both sides as exact integers;
 nothing is proved here, instances are evaluated.  The A3 left-hand side is a
-sum over constrained compositions; it is evaluated through truncated integer
-power series (the composition sum factors as a coefficient of
-A(u)^{l-1} B(u) D(u)), which is the same sum reorganized, and a literal
-recursive enumerator is kept alongside for cross-checking both published
-constraint readings on small parameters.
+sum over constrained compositions; it is evaluated as one coefficient of a
+truncated integer power series (the alternating composition sum is
+-B(u) D(u) / (1 + A(u)), see a3_lhs), which is the same sum reorganized, and
+a literal recursive enumerator is kept alongside for cross-checking both
+published constraint readings on small parameters.
 """
 from __future__ import annotations
 
@@ -60,44 +60,25 @@ def check_a2(p: int, r: int) -> IdentityResult:
     return IdentityResult("A2", (p, r), lhs, binom(p + r - 1, p))
 
 
-def _series_product_coefficient(n: int, m: int, cap: int) -> list[int]:
-    """Coefficients of the l-indexed inner sums of the A3 left side.
-
-    Returns, for l = 1..cap, the coefficient of u^m in A(u)^{l-1} B(u) D(u)
-    where A = sum_{r>=1} C(n+r-1, n-1) u^r, B drops A's linear term, and
-    D = sum_{s>=1} delta(s, n) u^s.  That coefficient is exactly the sum over
-    compositions r_1+..+r_l+s = m with r_i >= 1, r_l >= 2, s >= 1 of
-    prod C(n+r_i-1, n-1) * delta(s, n).
-    """
-    a = [0] + [dim_forms(n, r) for r in range(1, m + 1)]
-    b = list(a)
-    if m >= 1:
-        b[1] = 0
-    dd = [0] + [delta(s, n) for s in range(1, m + 1)]
-
-    def mul(u: list[int], v: list[int]) -> list[int]:
-        out = [0] * (m + 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j in range(min(m - i, m) + 1):
-                    if v[j]:
-                        out[i + j] += ui * v[j]
-        return out
-
-    out = []
-    cur = mul(b, dd)
-    for _ in range(cap):
-        out.append(cur[m])
-        cur = mul(cur, a)
-    return out
-
-
 def a3_lhs(n: int, m: int) -> int:
-    lhs = delta(m - 2, n)
-    if m >= 5:
-        inner = _series_product_coefficient(n, m - 2, m - 4)
-        for ell, coeff in enumerate(inner, start=1):
-            lhs += coeff if ell % 2 == 0 else -coeff
+    """delta(m-2, n) + sum_{l>=1} (-1)^l [u^{m-2}] A^{l-1} B D, that is
+    delta(m-2, n) - [u^{m-2}] B D / (1 + A), where A = sum_{r>=1}
+    C(n+r-1, n-1) u^r, B drops A's linear term and D = sum_{s>=1}
+    delta(s, n) u^s.  [u^{m-2}] A^{l-1} B D sums prod C(n+r_i-1, n-1) *
+    delta(s, n) over compositions r_1+..+r_l+s = m-2 with r_i >= 1,
+    r_l >= 2, s >= 1; it is zero for l > m-4, since B D starts at u^3.
+    """
+    top = m - 2
+    lhs = delta(top, n)
+    a = [0] + [dim_forms(n, r) for r in range(1, top + 1)]
+    dd = [0] + [delta(s, n) for s in range(1, top + 1)]
+    # inv = 1 / (1 + A): inv_i = -sum_{j=1..i} a_j inv_{i-j}.
+    inv = [1]
+    for i in range(1, top + 1):
+        inv.append(-sum(a[j] * inv[i - j] for j in range(1, i + 1)))
+    for t in range(3, top + 1):
+        bd = sum(a[i] * dd[t - i] for i in range(2, t))
+        lhs -= bd * inv[top - t]
     return lhs
 
 

@@ -9,22 +9,17 @@ neither rank nor kernel) and manipulated as gmpy2 integers when the optional
 gmpy2 is installed, as plain ints otherwise; results come back as
 fractions.Fraction.
 
-rank and kernel_basis first try a certified modular shortcut and fall back to
-that core whenever the certificate is missing:
-
-- Lower bound on the rank: the rank mod a word-size prime (specialization can
-  only drop rank).  When it reaches min(rows, cols) it is the rank.
-- Upper bound on the rank: a kernel whose vectors were computed mod primes,
-  lifted by CRT and rational reconstruction, and then verified exactly over
-  the integers.  k verified independent vectors in the right (left) kernel
-  bound the rank by cols - k (rows - k) from above.  The primes must agree:
-  the first prime's pivot columns are the reference, and a later prime with
-  other pivot columns sends the call to the exact core.
-
-The certificate reads nothing but the matrix itself, never a closed formula
-for the answer the caller expects, so a shortcut result is as independent of
-such formulas as the Bareiss one.  Nothing in this module touches floating
-point.
+Every rank goes through _certified_rank, given the integer rows and an upper
+bound the caller has proven (rank passes min(rows, cols)).  The lower bound
+is the rank mod a word-size prime, since specialization can only drop rank;
+when the two bounds meet, that is the rank.  Otherwise a left kernel computed
+mod primes, lifted by CRT and rational reconstruction, and verified exactly
+over the integers bounds the rank from above by rows minus its dimension.
+The primes must agree: the first prime's pivot columns are the reference,
+and a later prime with other pivot columns sends the call to Bareiss.
+kernel_basis certifies its right kernel the same way.  A bound that is not
+met is never reported, so a certified rank is as exact as the Bareiss one.
+Nothing in this module touches floating point.
 """
 from __future__ import annotations
 
@@ -210,26 +205,24 @@ def _entry_rows(m) -> RowSeq:
 
 
 def rank(m) -> int:
-    """Exact rank of a rational matrix.
-
-    Lower bound: rank_mod_prime of the integer rows; when it reaches
-    min(rows, cols) it is the rank.  Upper bound otherwise: the left kernel,
-    certified as in kernel_basis, bounds the rank by rows minus its
-    dimension, and the mod-p rank of the transpose bounds it from below by the
-    same number.  When neither certificate holds, Bareiss elimination decides.
-    """
+    """Exact rank of a rational matrix: _certified_rank of its integer rows,
+    with min(rows, cols) as the upper bound."""
     rows = _entry_rows(m)
     if not rows or not rows[0]:
         return 0
-    ncols = len(rows[0])
-    ints = _integer_rows(rows)
-    low = rank_mod_prime(ints)
-    if low == min(len(ints), ncols):
-        return low
+    return _certified_rank(_integer_rows(rows), min(len(rows), len(rows[0])))
+
+
+def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
+    """Exact rank of nonempty integer rows whose rank is at most `upper`, a
+    bound the caller has proven: the mod-p rank when it meets the bound,
+    else a verified left kernel, else Bareiss elimination."""
+    if rank_mod_prime(ints) == upper:
+        return upper
     left = _modular_kernel(list(zip(*ints)), len(ints))
     if left is not None:
         return len(ints) - len(left)
-    return len(_triangularize(ints, ncols))
+    return len(_triangularize(ints, len(ints[0])))
 
 
 def _rref(rows: RowSeq, ncols: int) -> tuple[list[int], list[list[Fraction]]]:

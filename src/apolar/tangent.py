@@ -168,5 +168,4 @@ def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
                 full[i * block : (i + 1) * block] = vec_j
                 full[j * block : (j + 1) * block] = [-v for v in vec_i]
                 koszul_rows.append(full)
-    koszul_dim = span_dim(koszul_rows) if koszul_rows else 0
-    return kernel_dim == koszul_dim
+    return kernel_dim == span_dim(koszul_rows)

@@ -35,6 +35,7 @@ from apolar import (
 )
 from apolar.ci import GradedQuotient
 from apolar.cli import trial_seeds
+from bareiss_reference import bareiss_quotient_dims
 
 
 def _conclude(name: str, ok: bool) -> None:
@@ -159,8 +160,8 @@ def test_criterion_5_hilbert_function():
                 hf = GradedQuotient(f).hilbert()
                 ok = ok and hf == target
                 if n * (d - 1) <= 4:
-                    exact = GradedQuotient(f, exact_only=True).hilbert()
-                    ok = ok and exact == target
+                    exact = bareiss_quotient_dims(f, n * (d - 1) + 1)
+                    ok = ok and exact == target + (0,)
         return ok
 
     _guarded("HILBERT_FUNCTION", compute)

@@ -24,6 +24,7 @@ from apolar import (
     roundtrip_span,
     verify_inverse_system,
 )
+from bareiss_reference import bareiss_quotient_dims
 
 
 def power_tuple(n, d):
@@ -93,12 +94,12 @@ def test_roundtrip_span():
     assert roundtrip_span(f)
 
 
-def test_exact_only_engine_agrees():
+def test_certified_hilbert_matches_bareiss():
     for seed in range(3):
         f = random_ci_tuple(2, 3, seed=seed)
-        fast = GradedQuotient(f)
-        slow = GradedQuotient(f, exact_only=True)
-        assert fast.hilbert() == slow.hilbert()
+        q = GradedQuotient(f)
+        top = f.socle_degree + 1
+        assert tuple(q.quotient_dim(j) for j in range(top + 1)) == bareiss_quotient_dims(f, top)
 
 
 def test_form_power_products_counts():
@@ -155,14 +156,17 @@ def test_ci_sampler_gives_up_after_its_attempt_cap(monkeypatch, capsys):
 
 
 def assert_verdict_matches_full_hilbert_definition(f):
-    """The one-degree verdict against the definition it replaces, on a fresh
-    exact GradedQuotient: the complete intersection Hilbert function in every
-    degree, and nothing one degree past the socle."""
+    """The one-degree verdict against the definition it replaces, read off
+    Bareiss elimination alone: the complete intersection Hilbert function in
+    every degree, and nothing one degree past the socle.  A fresh
+    GradedQuotient's certified dimensions match Bareiss in each of those
+    degrees."""
     n, d, s = f.var_count, f.degree, f.socle_degree
-    oracle = GradedQuotient(f, exact_only=True)
-    expected = oracle.hilbert() == ci_hilbert(n, d) and oracle.quotient_dim(s + 1) == 0
+    oracle = bareiss_quotient_dims(f, s + 1)
+    expected = oracle == ci_hilbert(n, d) + (0,)
     assert is_complete_intersection(f) == expected
-    assert GradedQuotient(f, exact_only=True).is_complete_intersection() == expected
+    fresh = GradedQuotient(f)
+    assert tuple(fresh.quotient_dim(j) for j in range(s + 2)) == oracle
     return expected
 
 
@@ -202,18 +206,18 @@ def test_one_degree_verdict_on_the_sampler_rejected_draws(n, d):
 
 @pytest.fixture
 def ci_passes(monkeypatch):
-    """Counts the mod-p ranks the complete intersection checks take, one per
-    GradedQuotient pass (the degree s + 1 ideal piece)."""
+    """Counts the certified ranks the complete intersection checks take, one
+    per GradedQuotient pass (the degree s + 1 ideal piece)."""
     import apolar.ci as ci
 
     calls = []
-    rank_mod_prime = ci.rank_mod_prime
+    certified_rank = ci._certified_rank
 
-    def counted(rows):
+    def counted(rows, upper):
         calls.append(len(rows))
-        return rank_mod_prime(rows)
+        return certified_rank(rows, upper)
 
-    monkeypatch.setattr(ci, "rank_mod_prime", counted)
+    monkeypatch.setattr(ci, "_certified_rank", counted)
     return calls
 
 

@@ -39,6 +39,20 @@ def test_identities_small_run_exits_zero(capsys):
     assert "failed: 0" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-p", "--max-r", "--max-n", "--max-m", "--max-nd"])
+def test_negative_identity_range_is_a_usage_error(capsys, flag):
+    ranges = {"--max-p": 3, "--max-r": 3, "--max-n": 6, "--max-m": 4, "--max-nd": 3}
+
+    def args(value):
+        return ["identities"] + [str(x) for item in {**ranges, flag: value}.items() for x in item]
+
+    code, out, err = run_main(args(-3), capsys)
+    assert (code, out, err) == (2, "", f"error: {flag} must be nonnegative\n")
+    # Zero is an empty range, not an error.
+    code, out, err = run_main(args(0), capsys)
+    assert code == 0 and "failed: 0" in err
+
+
 def test_tangent_output_is_reproducible(tmp_path, capsys):
     args = ["tangent", "--n", "2", "--d", "2", "--trials", "3", "--seed", "7"]
     first = tmp_path / "a.jsonl"

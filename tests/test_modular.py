@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apolar.linalg as linalg
-from apolar import SplitMix64, kernel_basis, random_ci_tuple, rank
+from apolar import FormTuple, SplitMix64, kernel_basis, parse_polynomial, random_ci_tuple, rank
 from apolar.ci import _shift_rows
 from apolar.linalg import (
     PRIMES,
+    _certified_rank,
     _exact_kernel_basis,
     _integer_rows,
     _modular_kernel,
@@ -105,6 +106,18 @@ def test_unlucky_prime_entries_match_bareiss_and_sympy(m):
     check_against_oracles(m)
 
 
+@given(st.one_of(matrices(small_int), low_rank_matrices(), matrices(unlucky_int, max_side=5)))
+@example([[P, 1], [0, 1]])
+@settings(deadline=None)
+def test_certified_rank_matches_sympy_under_loose_and_tight_bounds(m):
+    # The loosest bound rank passes, min(rows, cols), and the tightest, the
+    # rank itself; shapes run wide and tall.
+    exact = sympy_matrix(m).rank()
+    ints = _integer_rows(m)
+    assert _certified_rank(ints, min(len(m), len(m[0]))) == exact
+    assert _certified_rank(ints, exact) == exact
+
+
 @pytest.fixture
 def paths(monkeypatch):
     """Records, in order, each modular kernel attempt (certified or not) and
@@ -163,6 +176,23 @@ def test_kernel_after_rank_drop_mod_p_falls_back(paths):
     m = [[1, 0, 1], [1, P, 1 + P]]
     assert kernel_basis(m).vectors == ((-1, -1, 1),) == sympy_nullspace(m)
     assert paths == ["uncertified", "bareiss"]
+
+
+def test_tight_bound_is_not_reported_after_a_rank_drop_mod_p(paths):
+    # Mod 2^31 - 1 the rank is 1, short of the true rank 2 that the bound
+    # states, so the bound is not met and the exact route answers.
+    m = [[P, 1], [0, 1]]
+    assert _certified_rank(m, 2) == 2 == sympy_matrix(m).rank()
+    assert paths == ["uncertified", "bareiss"]
+
+
+def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
+    # (x1^2, x1 x2) shares the factor x1: its degree-3 ideal misses x2^3, so
+    # the mod-p rank 3 falls short of the column count, and the left kernel
+    # (the repeated row x1^2 x2) proves the rank without Bareiss.
+    f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
+    assert f.quotient.ideal_dim(3) == 3
+    assert paths == ["certified"]
 
 
 # Both rows agree mod the second prime, so it sees rank 1 where the first
