@@ -31,8 +31,6 @@ def catalecticant(f: Polynomial, i: int) -> MatrixQ:
     columns run over the degree-i contractors x^a, rows over the degree e - i
     monomials y^c, and entry (c, a) is the coefficient of y^(a+c) in f times
     prod_k (a_k+c_k)!/c_k!, the factor of x^a acting on y^(a+c)."""
-    if f.is_zero:
-        raise ValueError("zero input")
     e = f.homogeneous_degree()
     if not 0 <= i <= e:
         raise ValueError(f"contraction degree must lie in 0..{e}")
@@ -52,8 +50,6 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
     Everything of degree above deg f annihilates it, so those pieces are the
     full space.
     """
-    if f.is_zero:
-        raise ValueError("zero input")
     if j < 0:
         raise ValueError("degree must be nonnegative")
     e = f.homogeneous_degree()
@@ -66,6 +62,14 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
 def annihilator_polynomials(f: Polynomial, j: int) -> list[Polynomial]:
     """The annihilator piece as polynomials in the contraction variables."""
     return polynomials_from_vectors(f.nvars, j, annihilator_piece(f, j).vectors)
+
+
+def _socle_shape(f: Polynomial) -> tuple[int, int]:
+    """(n, d) for a form of degree n(d-1) in n >= 2 variables, d >= 2."""
+    n, e = f.nvars, f.homogeneous_degree()
+    if n < 2 or e < n or e % n:
+        raise ValueError(f"need degree n(d-1), n >= 2 variables, d >= 2; got degree {e}, n={n}")
+    return n, e // n + 1
 
 
 def _ures_generators(f: Polynomial, d: int) -> list[Polynomial] | None:
@@ -91,8 +95,6 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     This is the Hilbert function of the apolar algebra; it is symmetric, and
     that symmetry is asserted on every call.
     """
-    if f.is_zero:
-        raise ValueError("zero input")
     e = f.homogeneous_degree()
     ranks = tuple(rank(catalecticant(f, i)) for i in range(e + 1))
     assert ranks == ranks[::-1], "apolar Hilbert function must be symmetric"
@@ -116,15 +118,8 @@ class StratumReport:
 
 def stratify(f: Polynomial, n: int, d: int) -> StratumReport:
     """Locate a degree-n(d-1) form in the catalecticant stratification."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
-    if f.nvars != n:
-        raise ValueError("mismatched variable counts")
-    if f.is_zero:
-        raise ValueError("zero input")
-    socle = n * (d - 1)
-    if f.homogeneous_degree() != socle:
-        raise ValueError(f"form must be homogeneous of degree {socle}")
+    if _socle_shape(f) != (n, d):
+        raise ValueError(f"need degree n(d-1), n >= 2 variables, d >= 2 for n={n} d={d}")
     hilbert = apolar_hilbert(f)
     rank_d = hilbert[d]
     target_rank = dim_forms(n, d) - n
@@ -168,13 +163,7 @@ def canonical_kernel_basis(
     chart's basis is B^{-1} K, where B is K restricted to the complementary
     columns.
     """
-    if f.is_zero:
-        raise ValueError("zero input")
-    n = f.nvars
-    e = f.homogeneous_degree()
-    if e % n:
-        raise ValueError("form degree is not a multiple of the variable count")
-    d = e // n + 1
+    n, d = _socle_shape(f)
     cat = catalecticant(f, d)
     kernel = kernel_basis(cat)
     if kernel.dimension != n:

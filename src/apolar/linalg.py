@@ -4,8 +4,9 @@ One elimination core, _triangularize, runs fraction-free Bareiss elimination
 with first-nonzero partial pivoting, so identical inputs take identical pivot
 paths.  The determinant is read off its last pivot, and solve, inverse and
 the exact kernel off the reduced row echelon form built from its echelon
-rows.  Entries are cleared to integers row by row (row scaling changes
-neither rank nor kernel) and manipulated as gmpy2 integers when the optional
+rows.  The public functions clear entries to integers row by row, once (row
+scaling changes neither rank nor kernel); the private cores take integer rows
+as they are.  Integers are manipulated as gmpy2 integers when the optional
 gmpy2 is installed, as plain ints otherwise; results come back as
 fractions.Fraction.
 
@@ -118,28 +119,22 @@ class SubspaceBasis:
         representative: unit pivots, pivot columns cleared, rows ordered by
         pivot column.
         """
-        rows = [[_as_fraction(x) for x in v] for v in vectors]
-        for row in rows:
-            if len(row) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        _, reduced = _rref(rows, ambient_dim)
+        ints = _integer_rows(vectors)
+        if any(len(row) != ambient_dim for row in ints):
+            raise ValueError("vector length does not match ambient dimension")
+        _, reduced = _rref(ints, ambient_dim)
         return cls(ambient_dim, tuple(tuple(r) for r in reduced))
 
     def contains(self, vector: Sequence[Scalar]) -> bool:
         if len(vector) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        if not self.vectors:
-            return all(_as_fraction(x) == 0 for x in vector)
-        stacked = list(self.vectors) + [tuple(_as_fraction(x) for x in vector)]
-        return span_dim(stacked) == self.dimension
+        return span_dim([*self.vectors, vector]) == self.dimension
 
     def same_span(self, other: "SubspaceBasis") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         if self.dimension != other.dimension:
             return False
-        if self.dimension == 0:
-            return True
         return span_dim(list(self.vectors) + list(other.vectors)) == self.dimension
 
 
@@ -225,9 +220,9 @@ def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
     return len(_triangularize(ints, len(ints[0])))
 
 
-def _rref(rows: RowSeq, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Pivot columns and reduced row echelon form over Fraction, zero rows
-    dropped.
+def _rref(ints: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Pivot columns and reduced row echelon form over Fraction of integer
+    rows, zero rows dropped.
 
     The pivot columns of the reduced form are unit vectors, so the back
     substitution runs over the free columns only.  The reduced rows are
@@ -235,7 +230,7 @@ def _rref(rows: RowSeq, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
     determinant is the last pivot `den`; so den times each reduced entry is
     an integer and the back substitution divides exactly.
     """
-    pivots = _triangularize(_integer_rows(rows), ncols)
+    pivots = _triangularize(ints, ncols)
     pivot_cols = [c for _, c, _ in pivots]
     free = sorted(set(range(ncols)) - set(pivot_cols))
     den = pivots[-1][2][0] if pivots else 1
@@ -270,23 +265,20 @@ def kernel_basis(m) -> SubspaceBasis:
     certified basis is the one the reduced row echelon form gives.  Without a
     certificate the basis is read off the exact reduced row echelon form.
     """
-    rows = _entry_rows(m)
-    ncols = len(rows[0]) if rows else 0
-    vectors = _modular_kernel(_integer_rows(rows), ncols) if ncols else ()
+    ints = _integer_rows(_entry_rows(m))
+    ncols = len(ints[0]) if ints else 0
+    vectors = _modular_kernel(ints, ncols) if ncols else ()
     if vectors is None:
-        return _exact_kernel_basis(rows)
+        return _exact_kernel_basis(ints)
     return SubspaceBasis(ncols, tuple(vectors))
 
 
-def _exact_kernel_basis(m) -> SubspaceBasis:
-    """kernel_basis read off the exact reduced row echelon form, with no
-    modular attempt: for kernels whose entries are known to be too wide to
-    reconstruct from three word-size primes."""
-    rows = _entry_rows(m)
-    ncols = len(rows[0]) if rows else 0
-    if ncols == 0:
-        return SubspaceBasis(0, ())
-    pivot_cols, reduced = _rref(rows, ncols)
+def _exact_kernel_basis(ints: Sequence[Sequence[int]]) -> SubspaceBasis:
+    """kernel_basis of integer rows, read off the exact reduced row echelon
+    form with no modular attempt: for kernels whose entries are known to be
+    too wide to reconstruct from three word-size primes."""
+    ncols = len(ints[0]) if ints else 0
+    pivot_cols, reduced = _rref(ints, ncols)
     vectors = []
     for fc in sorted(set(range(ncols)) - set(pivot_cols)):
         v = [Fraction(0)] * ncols
@@ -300,8 +292,6 @@ def _exact_kernel_basis(m) -> SubspaceBasis:
 def span_dim(vectors: Iterable[Sequence[Scalar]]) -> int:
     """Dimension of the span of coordinate vectors (0 for an empty family)."""
     vecs = list(vectors)
-    if not vecs:
-        return 0
     width = {len(v) for v in vecs}
     if len(width) > 1:
         raise ValueError("vectors have mismatched lengths")
@@ -319,7 +309,7 @@ def block_solve(a, b) -> MatrixQ:
     if len(b_rows) != n:
         raise ValueError("right block has wrong row count")
     width = len(b_rows[0]) if n else 0
-    aug = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
+    aug = _integer_rows([[*ar, *br] for ar, br in zip(a_rows, b_rows)])
     pivot_cols, reduced = _rref(aug, n + width)
     # A is invertible exactly when its columns are the first n pivots.
     if pivot_cols[:n] != list(range(n)):
@@ -506,8 +496,8 @@ def _verify_kernel(
         support = [j for j, x in enumerate(v) if x]
         if v[f] != 1 or any(j != f and (j not in pivot_set or j > f) for j in support):
             return False
-        scale = lcm(*(v[j].denominator for j in support))
-        w = [(j, int(v[j] * scale)) for j in support]
+        ints = _primitive_row(v)[0]
+        w = [(j, ints[j]) for j in support]
         if any(sum(row[j] * x for j, x in w) for row in rows):
             return False
     return True

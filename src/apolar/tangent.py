@@ -15,21 +15,21 @@ products of a tuple's forms; its dimension admits both a brute-force kernel
 computation and a closed alternating-sum formula, and the two are compared as
 independent routes.
 
-The tangent and relation counts take their product ranks from linalg.rank:
-the mod-p rank is its lower bound, and when that falls short of full rank an
-exactly verified left kernel is its upper bound, with Bareiss elimination as
-the fallback.  That certificate reads only the matrix, never
-relation_space_dim_formula or N, so the routes stay independent.
+The tangent and relation counts take their product ranks from
+linalg._certified_rank: the mod-p rank is its lower bound, and when that falls
+short of full rank an exactly verified left kernel is its upper bound, with
+Bareiss elimination as the fallback.  That certificate reads only the matrix,
+never relation_space_dim_formula or N, so the routes stay independent.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .apolarity import _ures_generators
+from .apolarity import _socle_shape, _ures_generators
 from .ci import DegenerateTupleError, _shift_rows
 from .combinat import dim_forms, tangent_band_sum
-from .linalg import rank, span_dim
+from .linalg import _certified_rank, span_dim
 from .poly import FormTuple, Polynomial
 
 
@@ -77,7 +77,8 @@ def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     """Exact rank of the rows m * g_i * g_j, i <= j, over the forms g and
     every degree-`shift` monomial m."""
     products = [g * h for i, g in enumerate(forms) for h in forms[i:]]
-    return rank(_shift_rows(products, shift))
+    rows = _shift_rows(products, shift)
+    return _certified_rank(rows, min(len(rows), len(rows[0])))
 
 
 def tangent_dim(f: Polynomial) -> TangentReport:
@@ -89,15 +90,8 @@ def tangent_dim(f: Polynomial) -> TangentReport:
     intersection check), so dim(I_d * I_{s-d}) is the rank of the shifted
     products m * g_i * g_j, and 0 when s < 2d.
     """
-    n = f.nvars
-    if f.is_zero:
-        raise ValueError("zero input")
-    s = f.homogeneous_degree()
-    if s % n:
-        raise ValueError("form degree is not a multiple of the variable count")
-    d = s // n + 1
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and degree at least n")
+    n, d = _socle_shape(f)
+    s = n * (d - 1)
     gens = _ures_generators(f, d)
     if gens is None:
         raise DegenerateTupleError("form does not lie in the complete intersection locus")
@@ -126,9 +120,9 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
     """Kernel dimension of (a_ij) -> sum a_ij f_i f_j: the number of
     coefficients minus the rank of the products m * f_i * f_j.
 
-    That rank is linalg.rank, bounded below by its mod-p rank and above by
-    the rows minus an exactly verified left kernel, with Bareiss when the two
-    do not meet.  The certificate reads only the product matrix, never
+    That rank is linalg._certified_rank, bounded below by its mod-p rank and
+    above by the rows minus an exactly verified left kernel, with Bareiss when
+    the two do not meet.  The certificate reads only the product matrix, never
     relation_space_dim_formula or N, so this stays the independent route
     against the formula."""
     n, d = f.var_count, f.degree
@@ -168,4 +162,5 @@ def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
                 full[i * block : (i + 1) * block] = vec_j
                 full[j * block : (j + 1) * block] = [-v for v in vec_i]
                 koszul_rows.append(full)
-    return kernel_dim == span_dim(koszul_rows)
+    upper = min(len(koszul_rows), len(koszul_rows[0]))
+    return kernel_dim == _certified_rank(koszul_rows, upper)

@@ -111,6 +111,20 @@ def test_stratify_square_form(tmp_path, capsys):
     assert record["hilbert"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2 2\ny1^3\n", "1 3\ny1^2\n", "2 2\n0\n", "2 2\n5\n"],
+    ids=["wrong-degree", "one-variable", "zero-form", "constant"],
+)
+def test_stratify_bad_form_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "form.txt"
+    path.write_text(text)
+    code, out, err = run_main(["stratify", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_assoc_power_tuple(tmp_path, capsys):
     path = tmp_path / "tuple.txt"
     path.write_text("2 2\nx1^2\nx2^2\n")

@@ -82,6 +82,25 @@ def test_subspace_contains():
     assert not basis.contains([1, 0, 0])
 
 
+def test_zero_dimensional_subspace():
+    empty = SubspaceBasis.from_spanning([], 3)
+    assert empty.dimension == 0
+    assert empty.contains([0, 0, 0])
+    assert not empty.contains([0, Fraction(1, 2), 0])
+    assert SubspaceBasis(0, ()).contains([])
+    assert empty.same_span(SubspaceBasis.from_spanning([[0, 0, 0]], 3))
+    assert not empty.same_span(SubspaceBasis.from_spanning([[1, 0, 0]], 3))
+
+
+def test_span_dim_of_no_vectors_is_zero():
+    assert span_dim([]) == 0
+
+
+def test_from_spanning_rejects_a_short_row():
+    with pytest.raises(ValueError, match="ambient dimension"):
+        SubspaceBasis.from_spanning([[1, 0, 0], [0, 1]], 3)
+
+
 small_int = st.integers(-7, 7)
 
 

@@ -69,7 +69,7 @@ def bareiss_rank(rows) -> int:
 def check_against_oracles(m):
     assert rank(m) == bareiss_rank(m) == sympy_matrix(m).rank()
     vectors = kernel_basis(m).vectors
-    assert vectors == _exact_kernel_basis(m).vectors == sympy_nullspace(m)
+    assert vectors == _exact_kernel_basis(_integer_rows(m)).vectors == sympy_nullspace(m)
 
 
 @given(matrices(small_int))

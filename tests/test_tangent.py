@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import apolar.linalg as linalg
 from apolar import (
     DegenerateTupleError,
     FormTuple,
@@ -9,6 +10,7 @@ from apolar import (
     SplitMix64,
     annihilator_polynomials,
     associated_form,
+    canonical_kernel_basis,
     dim_forms,
     expected_N,
     koszul_kernel_check,
@@ -23,6 +25,7 @@ from apolar import (
     tangent_dim,
 )
 from apolar.ci import _shift_rows
+from apolar.cli import RunConfig, _sampled_trial
 from apolar.linalg import _triangularize
 
 
@@ -93,6 +96,41 @@ def test_tangent_dim_smallest_case():
     assert report.dim_ambient == 3
     assert report.tangent_dim == report.dim_ambient - report.dim_product
     assert report.tangent_dim == report.expected_N == 3
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("y1^3", 1), ("5", 2), ("y1^2*y2", 2), ("y1^2 + y2", 2), ("0", 2)],
+)
+def test_socle_shape_errors_agree(text, n):
+    # Neither entry point reads (n, d) off a form whose degree is not n(d-1)
+    # with n, d >= 2; both reject it with the same text.
+    f = parse_polynomial(text, n)
+    with pytest.raises(ValueError) as tangent:
+        tangent_dim(f)
+    with pytest.raises(ValueError) as kernel:
+        canonical_kernel_basis(f)
+    assert type(tangent.value) is type(kernel.value) is ValueError
+    assert str(tangent.value) == str(kernel.value)
+
+
+@pytest.mark.parametrize("command, n, d", [("tangent", 3, 5), ("koszul", 3, 4), ("relations", 4, 2)])
+def test_integer_rows_are_not_scaled_again(monkeypatch, command, n, d):
+    # Product, Koszul and socle rows are built as integers; only rational
+    # matrices (the catalecticants) should pass through the scaling step.
+    integer_shapes = []
+    scale = linalg._integer_rows
+
+    def spy(rows):
+        rows = list(rows)
+        if rows and all(isinstance(x, int) for row in rows for x in row):
+            integer_shapes.append((len(rows), len(rows[0])))
+        return scale(rows)
+
+    monkeypatch.setattr(linalg, "_integer_rows", spy)
+    records = _sampled_trial((RunConfig(command, n=n, d=d, coeff_bound=2), 0, 3))
+    assert records and all(r["pass"] for r in records)
+    assert integer_shapes == []
 
 
 def test_tangent_dim_rejects_bad_inputs():
