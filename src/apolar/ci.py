@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
-from .linalg import SubspaceBasis, _certified_rank, _exact_kernel_basis, _integer_rows
+from .linalg import SubspaceBasis, _certified_rank, _exact_kernel_basis, _integer_rows, span_dim
 from .poly import (
     FormTuple,
     Polynomial,
@@ -118,7 +118,8 @@ class GradedQuotient:
             # Exact route: this kernel vector's entries run to hundreds of
             # bits, past what three word-size primes can reconstruct.
             lam = _exact_kernel_basis(
-                _shift_rows(self.tuple.forms, self.socle_degree - self.degree)
+                _shift_rows(self.tuple.forms, self.socle_degree - self.degree),
+                dim_forms(self.var_count, self.socle_degree),
             )
             assert lam.dimension == 1, "complete intersection socle must be a line"
             vec = lam.vectors[0]
@@ -180,13 +181,10 @@ def verify_inverse_system(f: FormTuple, g: Polynomial) -> bool:
 
 def roundtrip_span(f: FormTuple) -> bool:
     """Whether the degree-d annihilator of the associated form is exactly the
-    span of the tuple."""
-    g = associated_form(f)
-    ann = annihilator_piece(g, f.degree)
-    span_f = SubspaceBasis.from_spanning(
-        f.coefficient_rows(), dim_forms(f.var_count, f.degree)
-    )
-    return ann.dimension == f.var_count and ann.same_span(span_f)
+    span of the tuple: both have dimension n, and so does their sum."""
+    ann = annihilator_piece(associated_form(f), f.degree)
+    rows = f.coefficient_rows()
+    return ann.dimension == f.var_count == span_dim(rows) == span_dim([*ann.vectors, *rows])
 
 
 def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:

@@ -198,9 +198,7 @@ def run_assoc(cfg: RunConfig) -> list[dict]:
 
 _RUNNERS = {
     "identities": run_identities,
-    "tangent": run_sampled,
-    "relations": run_sampled,
-    "koszul": run_sampled,
+    **dict.fromkeys(_SAMPLED_SUITES, run_sampled),
     "stratify": run_stratify,
     "assoc": run_assoc,
 }

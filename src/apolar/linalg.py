@@ -2,9 +2,10 @@
 
 One elimination core, _triangularize, runs fraction-free Bareiss elimination
 with first-nonzero partial pivoting, so identical inputs take identical pivot
-paths.  The determinant is read off its last pivot, and solve, inverse and
-the exact kernel off the reduced row echelon form built from its echelon
-rows.  The public functions clear entries to integers row by row, once (row
+paths.  The determinant is read off its last pivot; _exact_kernel_basis
+back-substitutes its echelon rows straight into the reduced-echelon kernel
+basis, the one form built from them.  The public functions check once that
+rows share one width and clear entries to integers row by row, once (row
 scaling changes neither rank nor kernel); the private cores take integer rows
 as they are.  Integers are manipulated as gmpy2 integers when the optional
 gmpy2 is installed, as plain ints otherwise; results come back as
@@ -18,8 +19,10 @@ mod primes, lifted by CRT and rational reconstruction, and verified exactly
 over the integers bounds the rank from above by rows minus its dimension.
 The primes must agree: the first prime's pivot columns are the reference,
 and a later prime with other pivot columns sends the call to Bareiss.
-kernel_basis certifies its right kernel the same way.  A bound that is not
-met is never reported, so a certified rank is as exact as the Bareiss one.
+Subspace bases (kernel_basis, SubspaceBasis.from_spanning) are certified the
+same way by _kernel before the exact reader answers; determinant, solve,
+inverse and the socle functional are exact.  A bound that is not met is
+never reported, so a certified answer is as exact as the Bareiss one.
 Nothing in this module touches floating point.
 """
 from __future__ import annotations
@@ -56,9 +59,7 @@ class MatrixQ:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
-            raise ValueError("rows have mismatched lengths")
+        _entry_rows(self.entries)
 
     @classmethod
     def from_rows(cls, rows: RowSeq) -> "MatrixQ":
@@ -122,8 +123,13 @@ class SubspaceBasis:
         ints = _integer_rows(vectors)
         if any(len(row) != ambient_dim for row in ints):
             raise ValueError("vector length does not match ambient dimension")
-        _, reduced = _rref(ints, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(r) for r in reduced))
+        # Kernel vector v_f ends at its free column f; reduced row p is 1 at
+        # the pivot column p and -v_f[p] at each free column f.
+        kernel = _kernel(ints, ambient_dim).vectors
+        free = [max(j for j, x in enumerate(v) if x) for v in kernel]
+        pivots = sorted(set(range(ambient_dim)) - set(free))
+        rows = (_unit_vector(ambient_dim, p, free, [-v[p] for v in kernel]) for p in pivots)
+        return cls(ambient_dim, tuple(rows))
 
     def contains(self, vector: Sequence[Scalar]) -> bool:
         if len(vector) != self.ambient_dim:
@@ -194,8 +200,11 @@ def _triangularize(rows: RowSeq, ncols: int) -> list[tuple[int, int, list]]:
 
 
 def _entry_rows(m) -> RowSeq:
+    """The rows of a MatrixQ or of a row sequence, which must share one width."""
     if isinstance(m, MatrixQ):
         return m.entries
+    if len({len(row) for row in m}) > 1:
+        raise ValueError("rows have mismatched lengths")
     return m
 
 
@@ -220,20 +229,39 @@ def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
     return len(_triangularize(ints, len(ints[0])))
 
 
-def _rref(ints: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Pivot columns and reduced row echelon form over Fraction of integer
-    rows, zero rows dropped.
+def kernel_basis(m) -> SubspaceBasis:
+    """Reduced-echelon basis of the right kernel: one vector per free column
+    in ascending order, 1 there and 0 at the other free columns.  _kernel
+    reads it mod primes when it can certify it, else exactly by Bareiss."""
+    ints = _integer_rows(_entry_rows(m))
+    return _kernel(ints, len(ints[0]) if ints else 0)
 
-    The pivot columns of the reduced form are unit vectors, so the back
-    substitution runs over the free columns only.  The reduced rows are
-    P^{-1} times the pivot rows, where P is the pivot block, whose
-    determinant is the last pivot `den`; so den times each reduced entry is
-    an integer and the back substitution divides exactly.
+
+def _kernel(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
+    """The reduced-echelon kernel basis of integer rows, by the certified
+    reader, _modular_kernel, when it gives a certificate, else by the exact
+    reader, _exact_kernel_basis.  The certificate (see _verify_kernel) pins
+    the pivot columns, so both readers give the same basis."""
+    vectors = _modular_kernel(ints, ncols) if ints and ncols else None
+    if vectors is None:
+        return _exact_kernel_basis(ints, ncols)
+    return SubspaceBasis(ncols, tuple(vectors))
+
+
+def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
+    """The reduced-echelon kernel basis of integer rows, by Bareiss
+    elimination and exact back substitution, with no modular attempt.
+
+    The vector of free column f is 1 at f and, at each pivot column, minus
+    the entry at f of that column's reduced row.  The reduced rows are P^{-1}
+    times the pivot rows, where P is the pivot block, whose determinant is
+    the last pivot `den`; so den times each reduced entry is an integer and
+    the back substitution, run over the free columns only, divides exactly.
     """
     pivots = _triangularize(ints, ncols)
     pivot_cols = [c for _, c, _ in pivots]
     free = sorted(set(range(ncols)) - set(pivot_cols))
-    den = pivots[-1][2][0] if pivots else 1
+    den = int(pivots[-1][2][0]) if pivots else 1
     # scaled[k]: den times the free-column entries of reduced row k.
     scaled: list[list] = [[]] * len(pivots)
     for k in reversed(range(len(pivots))):
@@ -244,63 +272,32 @@ def _rref(ints: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], list[li
             if t:
                 acc = [a - t * b for a, b in zip(acc, below)]
         scaled[k] = [a // tail[0] for a in acc]
-    reduced = []
-    for c, values in zip(pivot_cols, scaled):
-        row = [Fraction(0)] * ncols
-        row[c] = Fraction(1)
-        for f, v in zip(free, values):
-            row[f] = Fraction(int(v), int(den))
-        reduced.append(row)
-    return pivot_cols, reduced
-
-
-def kernel_basis(m) -> SubspaceBasis:
-    """Reduced-echelon basis of the right kernel.
-
-    One vector per free column in ascending order, each carrying a unit in
-    its own free position and zeros in the other free positions.  It is
-    first sought mod primes and certified by _verify_kernel: the mod-p rank
-    bounds the kernel dimension from above, the verified vectors bound it
-    from below, and their supports pin down the pivot columns, so the
-    certified basis is the one the reduced row echelon form gives.  Without a
-    certificate the basis is read off the exact reduced row echelon form.
-    """
-    ints = _integer_rows(_entry_rows(m))
-    ncols = len(ints[0]) if ints else 0
-    vectors = _modular_kernel(ints, ncols) if ncols else ()
-    if vectors is None:
-        return _exact_kernel_basis(ints)
+    vectors = (
+        _unit_vector(ncols, f, pivot_cols, [Fraction(-int(row[i]), den) for row in scaled])
+        for i, f in enumerate(free)
+    )
     return SubspaceBasis(ncols, tuple(vectors))
 
 
-def _exact_kernel_basis(ints: Sequence[Sequence[int]]) -> SubspaceBasis:
-    """kernel_basis of integer rows, read off the exact reduced row echelon
-    form with no modular attempt: for kernels whose entries are known to be
-    too wide to reconstruct from three word-size primes."""
-    ncols = len(ints[0]) if ints else 0
-    pivot_cols, reduced = _rref(ints, ncols)
-    vectors = []
-    for fc in sorted(set(range(ncols)) - set(pivot_cols)):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in zip(pivot_cols, reduced):
-            v[pc] = -row[fc]
-        vectors.append(tuple(v))
-    return SubspaceBasis(ncols, tuple(vectors))
+def _unit_vector(ncols: int, unit: int, cols: Sequence[int], entries) -> tuple[Fraction, ...]:
+    """The vector with 1 at column `unit`, entries[t] at column cols[t] and
+    zeros elsewhere."""
+    v = [Fraction(0)] * ncols
+    v[unit] = Fraction(1)
+    for c, x in zip(cols, entries):
+        v[c] = x
+    return tuple(v)
 
 
 def span_dim(vectors: Iterable[Sequence[Scalar]]) -> int:
     """Dimension of the span of coordinate vectors (0 for an empty family)."""
-    vecs = list(vectors)
-    width = {len(v) for v in vecs}
-    if len(width) > 1:
-        raise ValueError("vectors have mismatched lengths")
-    return rank(vecs)
+    return rank(list(vectors))
 
 
 def block_solve(a, b) -> MatrixQ:
-    """Return -A^{-1} B for invertible A: the right block of the reduced
-    row echelon form of [A | B], negated."""
+    """Return -A^{-1} B for invertible A, read off the exact kernel of
+    [A | B]: column j of -A^{-1} B is the first n entries of the kernel
+    vector of free column n + j."""
     a_rows = _entry_rows(a)
     b_rows = _entry_rows(b)
     n = len(a_rows)
@@ -310,11 +307,12 @@ def block_solve(a, b) -> MatrixQ:
         raise ValueError("right block has wrong row count")
     width = len(b_rows[0]) if n else 0
     aug = _integer_rows([[*ar, *br] for ar, br in zip(a_rows, b_rows)])
-    pivot_cols, reduced = _rref(aug, n + width)
-    # A is invertible exactly when its columns are the first n pivots.
-    if pivot_cols[:n] != list(range(n)):
+    kernel = _exact_kernel_basis(aug, n + width).vectors
+    # A is invertible exactly when the free columns are n .. n + width - 1,
+    # and the kernel vector of free column f ends at f.
+    if [max(j for j, x in enumerate(v) if x) for v in kernel] != list(range(n, n + width)):
         raise ValueError("singular matrix")
-    return MatrixQ.from_rows([[-x for x in row[n:]] for row in reduced])
+    return MatrixQ(tuple(tuple(v[i] for v in kernel) for i in range(n)))
 
 
 def matrix_inverse(a) -> MatrixQ:
@@ -441,15 +439,10 @@ def _reconstruct_kernel(
     bound = isqrt(modulus // 2)
     vectors = []
     for f, column in zip(free, lifted):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for pc, u in zip(pivots, column):
-            if u:
-                x = _rational_reconstruction(u, modulus, bound)
-                if x is None:
-                    return None
-                v[pc] = x
-        vectors.append(tuple(v))
+        entries = [_rational_reconstruction(u, modulus, bound) for u in column]
+        if None in entries:
+            return None
+        vectors.append(_unit_vector(ncols, f, pivots, entries))
     return vectors
 
 

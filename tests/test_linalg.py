@@ -101,6 +101,22 @@ def test_from_spanning_rejects_a_short_row():
         SubspaceBasis.from_spanning([[1, 0, 0], [0, 1]], 3)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (rank, ([[1, 2], [3]],)),
+        (rank, ([[], [1]],)),
+        (kernel_basis, ([[1, 2], [3]],)),
+        (span_dim, ([[1, 2], [3]],)),
+        (block_solve, ([[1, 0], [0, 1]], [[1, 2], [3]])),
+        (matrix_inverse, ([[1, 0], [0]],)),
+    ],
+)
+def test_ragged_rows_are_rejected_where_they_enter(call, args):
+    with pytest.raises(ValueError, match="rows have mismatched lengths"):
+        call(*args)
+
+
 small_int = st.integers(-7, 7)
 
 

@@ -1,6 +1,7 @@
-"""The certified modular route of linalg.rank and linalg.kernel_basis,
-checked against the Bareiss core and against sympy, including the cases
-where the certificate must fail and the exact fallback must answer."""
+"""The certified modular route of linalg.rank, linalg.kernel_basis and
+SubspaceBasis.from_spanning, checked against the Bareiss core and against
+sympy, including the cases where the certificate must fail and the exact
+fallback must answer, and the exact route that solves keep."""
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apolar.linalg as linalg
-from apolar import FormTuple, SplitMix64, kernel_basis, parse_polynomial, random_ci_tuple, rank
+from apolar import (
+    FormTuple,
+    SplitMix64,
+    SubspaceBasis,
+    block_solve,
+    kernel_basis,
+    matrix_inverse,
+    parse_polynomial,
+    random_ci_tuple,
+    rank,
+)
 from apolar.ci import _shift_rows
 from apolar.linalg import (
     PRIMES,
@@ -62,14 +73,24 @@ def sympy_nullspace(rows) -> tuple:
     )
 
 
+def sympy_rref_rows(rows) -> tuple:
+    """The nonzero rows of sympy's reduced row echelon form."""
+    reduced, pivots = sympy_matrix(rows).rref()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(len(pivots))
+    )
+
+
 def bareiss_rank(rows) -> int:
     return len(_triangularize(_integer_rows(rows), len(rows[0])))
 
 
 def check_against_oracles(m):
     assert rank(m) == bareiss_rank(m) == sympy_matrix(m).rank()
+    ncols = len(m[0])
     vectors = kernel_basis(m).vectors
-    assert vectors == _exact_kernel_basis(_integer_rows(m)).vectors == sympy_nullspace(m)
+    assert vectors == _exact_kernel_basis(_integer_rows(m), ncols).vectors == sympy_nullspace(m)
+    assert SubspaceBasis.from_spanning(m, ncols).vectors == sympy_rref_rows(m)
 
 
 @given(matrices(small_int))
@@ -195,6 +216,42 @@ def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
     assert paths == ["certified"]
 
 
+def test_from_spanning_takes_the_certified_route(paths):
+    m = [[2, 4, 0, 1], [1, 2, 1, 3], [3, 6, 1, 4]]
+    assert SubspaceBasis.from_spanning(m, 4).vectors == sympy_rref_rows(m)
+    assert paths == ["certified"]
+
+
+def test_from_spanning_with_shifted_pivots_mod_p_falls_back(paths):
+    # The kernel case above, read as a spanning set: mod 2^31 - 1 the pivot
+    # columns are 0 and 2, over the rationals 0 and 1.
+    m = [[1, 1, 0], [0, P, 1]]
+    assert SubspaceBasis.from_spanning(m, 3).vectors == sympy_rref_rows(m)
+    assert paths == ["uncertified", "bareiss"]
+
+
+def test_ideal_piece_takes_the_certified_route(paths):
+    f = random_ci_tuple(3, 3, SplitMix64(5).next_u64())
+    paths.clear()
+    piece = f.quotient.ideal_piece(5)
+    assert piece.vectors == sympy_rref_rows(_shift_rows(f.forms, 5 - f.degree))
+    assert paths == ["certified"]
+
+
+def test_solves_and_the_socle_functional_stay_exact(paths):
+    # The certified try costs more than Bareiss on these inputs: small
+    # solves, and a socle kernel too wide for the primes.
+    assert block_solve([[2, 1], [1, 1]], [[1], [2]]).entries == ((1,), (-3,))
+    assert paths == ["bareiss"]
+    paths.clear()
+    assert matrix_inverse([[2, 1], [1, 1]]).entries == ((1, -1), (-1, 2))
+    assert paths == ["bareiss"]
+    f = random_ci_tuple(2, 3, SplitMix64(5).next_u64())
+    paths.clear()
+    f.quotient.socle_functional()
+    assert paths == ["bareiss"]
+
+
 # Both rows agree mod the second prime, so it sees rank 1 where the first
 # prime, rightly, sees rank 2.  The kernel entry -(X + 1), about 2^20, is past
 # what one prime can reconstruct (about 2^15), so the second prime is reached.
@@ -232,7 +289,7 @@ def test_socle_kernel_is_too_wide_for_the_primes():
     f = random_ci_tuple(3, 5, SplitMix64(11).next_u64())
     rows = _shift_rows(f.forms, f.socle_degree - f.degree)
     assert _modular_kernel(rows, len(rows[0])) is None
-    exact = _exact_kernel_basis(rows)
+    exact = _exact_kernel_basis(rows, len(rows[0]))
     assert exact.dimension == 1
     assert max(abs(x.numerator).bit_length() for x in exact.vectors[0]) > 100
     assert kernel_basis(rows).vectors == exact.vectors
