@@ -23,15 +23,18 @@ elimination decides.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from operator import add
+from typing import Mapping, Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
-from .linalg import SubspaceBasis, _certified_rank, _exact_kernel_basis, _integer_rows, span_dim
+from .linalg import SubspaceBasis, _certified_rank, _kernel_line, span_dim
 from .poly import (
     FormTuple,
+    Monomial,
     Polynomial,
     _power_products,
+    _primitive_terms,
     apply_polar,
     jacobian_det,
     monomial_basis,
@@ -44,20 +47,25 @@ class DegenerateTupleError(ValueError):
 
 
 def _shift_rows(forms: Sequence[Polynomial], k: int) -> list[list[int]]:
-    """Integer rows m * g for every g in forms (all of one degree e) and
-    every degree-k monomial m, g outermost, m in grlex order; columns are the
-    degree-(e + k) monomials.  Each g is scaled to coprime integers first,
+    """The _term_rows of the forms, each scaled to coprime integers first,
     which changes no span."""
-    n = forms[0].nvars
-    col = monomial_index(n, forms[0].homogeneous_degree() + k)
-    shifts = monomial_basis(n, k)
+    return _term_rows([_primitive_terms(g)[0] for g in forms], k)
+
+
+def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int) -> list[list[int]]:
+    """Integer rows m * g for every g in forms (integer polynomials as
+    monomial -> coefficient dicts, all of one degree e) and every degree-k
+    monomial m, g outermost, m in grlex order; columns are the degree-(e + k)
+    monomials."""
+    first = next(iter(forms[0]))
+    col = monomial_index(len(first), sum(first) + k)
+    shifts = monomial_basis(len(first), k)
     rows = []
-    for g, coeffs in zip(forms, _integer_rows([[c for _, c in g.terms()] for g in forms])):
-        terms = [(b, c) for (b, _), c in zip(g.terms(), coeffs)]
+    for g in forms:
         for m in shifts:
             row = [0] * len(col)
-            for b, c in terms:
-                row[col[tuple(x + y for x, y in zip(m, b))]] = c
+            for b, c in g.items():
+                row[col[tuple(map(add, m, b))]] = c
             rows.append(row)
     return rows
 
@@ -115,9 +123,10 @@ class GradedQuotient:
         if self._socle_functional is None:
             if not self.is_complete_intersection():
                 raise DegenerateTupleError("tuple is not a complete intersection")
-            # Exact route: this kernel vector's entries run to hundreds of
-            # bits, past what three word-size primes can reconstruct.
-            lam = _exact_kernel_basis(
+            # The socle is a line, so the shift matrix has corank one: its
+            # kernel is lifted p-adically and verified exactly, with Bareiss
+            # as the fallback; the entries run to hundreds of bits.
+            lam = _kernel_line(
                 _shift_rows(self.tuple.forms, self.socle_degree - self.degree),
                 dim_forms(self.var_count, self.socle_degree),
             )

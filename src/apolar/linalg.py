@@ -20,15 +20,19 @@ over the integers bounds the rank from above by rows minus its dimension.
 The primes must agree: the first prime's pivot columns are the reference,
 and a later prime with other pivot columns sends the call to Bareiss.
 Subspace bases (kernel_basis, SubspaceBasis.from_spanning) are certified the
-same way by _kernel before the exact reader answers; determinant, solve,
-inverse and the socle functional are exact.  A bound that is not met is
-never reported, so a certified answer is as exact as the Bareiss one.
-Nothing in this module touches floating point.
+same way by _kernel before the exact reader answers; determinant, solve and
+inverse are exact.  A kernel that should be a line, such as the socle
+functional's, whose entries run past what the three primes reconstruct, is
+lifted p-adically by _kernel_line (Dixon 1982): the mod-p rank ncols - 1
+bounds its dimension by 1, and one nonzero vector verified exactly spans it.
+A bound that is not met is never reported, so a certified answer is as exact
+as the Bareiss one.  Nothing in this module touches floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -41,6 +45,11 @@ except ImportError:  # gmpy2 is optional; plain ints give the same answers
 # products of two residues stay under 2^62, so the modular elimination fits
 # in int64 without overflow.
 PRIMES = (2147483647, 2147483629, 2147483587)
+
+# The largest prime below 2^26: p-adic lifting multiplies residues by
+# residues in int64, so a row of r of them sums to r (p - 1)^2 < 2^63 for
+# every r up to 2047.
+LIFT_PRIME = 67108859
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -277,6 +286,81 @@ def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBa
         for i, f in enumerate(free)
     )
     return SubspaceBasis(ncols, tuple(vectors))
+
+
+def _kernel_line(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
+    """The reduced-echelon kernel basis of integer rows whose kernel should
+    be a line, by p-adic lifting (Dixon 1982), else by _exact_kernel_basis.
+
+    Mod LIFT_PRIME, the lex-first row and column rank profiles give r =
+    ncols - 1 rows and pivot columns whose r x r block B is invertible; the
+    one other column f is free.  The solution y of B y = -(column f) is
+    lifted one p-adic digit per pair of int64 matrix-vector products and
+    reconstructed over one running common denominator.  Certificate: the
+    mod-p rank r bounds the kernel dimension by 1, so the nonzero vector 1
+    at f and y at the pivots, once _verify_kernel checks it exactly, spans
+    the kernel and is bit for bit the Bareiss vector.  Bareiss answers when
+    the mod-p rank is not r, when an entry is too wide for the int64 bounds
+    below, or when the lift reaches the Hadamard bound unverified.
+    """
+    import numpy as np
+
+    p, r = LIFT_PRIME, ncols - 1
+    top = max(map(abs, chain.from_iterable(ints)), default=0)
+    # Each digit is (B^-1 mod p)(res mod p), at most r (p-1)^2; the residual
+    # res stays within r top, and res - B digit within r top p.
+    if not ints or r * (p - 1) ** 2 >= 2**63 or top * r * p >= 2**62:
+        return _exact_kernel_basis(ints, ncols)
+    a = np.array(ints, dtype=np.int64)
+    rows = _echelon_mod_prime((a % p).T.copy(), p, reduced=False)
+    if len(rows) != r:
+        return _exact_kernel_basis(ints, ncols)
+    # [A_R | I] in reduced echelon form mod p is [E | U] with U A_R = E, so
+    # U B = I at the pivot columns: U is B^-1 mod p.
+    block = a[rows]
+    reduced = np.hstack([block % p, np.eye(r, dtype=np.int64)])
+    pivots = _echelon_mod_prime(reduced, p, reduced=True)
+    inverse = reduced[:, ncols:]
+    free = min(set(range(ncols)) - set(pivots))
+    b, residual = block[:, pivots], -block[:, free]
+    # Cramer and Hadamard: y's entries are ratios of r x r minors of [B | c],
+    # c the residual's start, each minor at most the product H of the column
+    # norms, and a column of k nonzero entries of size at most t has norm at
+    # most t sqrt(k).  So H^2 < 2^bits, and since p >= 2^(p.bit_length() - 1),
+    # `cap` digits give p^cap > 2 H^2, which makes the reconstruction unique.
+    bc = np.hstack([b, residual[:, None]])
+    sizes = np.abs(bc).max(axis=0, initial=0).tolist()
+    counts = np.count_nonzero(bc, axis=0).tolist()
+    bits = sum(2 * t.bit_length() + k.bit_length() for t, k in zip(sizes, counts))
+    cap = -(-(bits + 1) // (p.bit_length() - 1))
+    lifted, modulus = [0] * r, 1
+    for _ in range(cap):
+        digit = inverse @ (residual % p) % p
+        residual = (residual - b @ digit) // p
+        lifted = [u + modulus * x for u, x in zip(lifted, digit.tolist())]
+        modulus *= p
+        entries = _reconstruct_line(lifted, modulus)
+        if entries is not None:
+            v = _unit_vector(ncols, free, pivots, entries)
+            if _verify_kernel(ints, ncols, pivots, [v]):
+                return SubspaceBasis(ncols, (v,))
+    return _exact_kernel_basis(ints, ncols)
+
+
+def _reconstruct_line(lifted: list[int], modulus: int) -> list[Fraction] | None:
+    """Fractions with the residues `lifted` mod `modulus`, reconstructed over
+    one running common denominator: each residue is scaled by the product of
+    the denominators found so far, so once that product is the common one the
+    rest are integers, read off at once.  None when some residue has no
+    fraction small enough for `modulus`."""
+    bound, den, entries = isqrt(modulus // 2), 1, []
+    for u in lifted:
+        q = _rational_reconstruction(den * u % modulus, modulus, bound)
+        if q is None:
+            return None
+        entries.append(q / den)
+        den *= q.denominator
+    return entries
 
 
 def _unit_vector(ncols: int, unit: int, cols: Sequence[int], entries) -> tuple[Fraction, ...]:

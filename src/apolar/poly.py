@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import perm
+from math import perm, prod
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .linalg import MatrixQ, matrix_inverse
+from .linalg import MatrixQ, _primitive_row, matrix_inverse
 
 if TYPE_CHECKING:
     from .ci import GradedQuotient
@@ -263,40 +264,64 @@ class FormTuple:
 
 
 def jacobian_det(f: FormTuple) -> Polynomial:
-    """Determinant of the Jacobian matrix (df_i/dx_j), degree n(d-1)."""
+    """Determinant of the Jacobian matrix (df_i/dx_j), degree n(d-1).
+
+    Each form is scaled once to its primitive integer polynomial c_i f_i, the
+    determinant is taken over the integers, and the result is divided by the
+    product of the c_i."""
     n = f.var_count
-    mat = [[partial(fi, j + 1) for j in range(n)] for fi in f.forms]
-    return _poly_det(mat, n)
+    scaled = [_primitive_terms(fi) for fi in f.forms]
+    # Entry (i, j) is d(c_i f_i)/dx_j: each term c x^m adds c m_j x^(m - e_j).
+    mat: list[list[dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for row, (g, _) in zip(mat, scaled):
+        for m, c in g.items():
+            for j, e in enumerate(m):
+                if e:
+                    row[j][m[:j] + (e - 1,) + m[j + 1 :]] = c * e
+    scale = prod(c for _, c in scaled)
+    return Polynomial(n, [(m, c / scale) for m, c in _integer_det(mat, n).items()])
 
 
-def _poly_det(mat: list[list[Polynomial]], nvars: int) -> Polynomial:
-    """Determinant of a square polynomial matrix by column-subset expansion.
+def _primitive_terms(p: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
+    """p's terms scaled to coprime integer coefficients, and the factor they
+    were scaled by."""
+    ints, factor = _primitive_row(list(p._terms.values()))
+    return dict(zip(p._terms, ints)), factor
+
+
+def _add_product(
+    acc: dict[Monomial, int], p: Mapping[Monomial, int], q: Mapping[Monomial, int], sign: int = 1
+) -> dict[Monomial, int]:
+    """Add sign * p * q into acc and return it; integer polynomials are
+    monomial -> coefficient dicts, and cancelled terms stay as zeros."""
+    for m1, c1 in p.items():
+        c1 *= sign
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return acc
+
+
+def _integer_det(mat: list[list[dict[Monomial, int]]], nvars: int) -> dict[Monomial, int]:
+    """Determinant of a square matrix of integer polynomials by column-subset
+    expansion.
 
     Minors over the first r rows are memoized per column bitmask, so the work
     is O(2^n) polynomial multiplies instead of n! for the permanent-style sum.
     """
     n = len(mat)
-    states = {0: Polynomial.constant(nvars, 1)}
+    states = {0: {(0,) * nvars: 1}}
     for r in range(n):
-        nxt: dict[int, Polynomial] = {}
+        nxt: dict[int, dict[Monomial, int]] = {}
         for mask, minor in states.items():
             for j in range(n):
                 bit = 1 << j
-                if mask & bit:
+                if mask & bit or not mat[r][j]:
                     continue
-                entry = mat[r][j]
-                if entry.is_zero:
-                    continue
-                below = bin(mask & (bit - 1)).count("1")
-                signed = minor * entry
-                if (r + below) % 2:
-                    signed = -signed
-                key = mask | bit
-                nxt[key] = nxt[key] + signed if key in nxt else signed
+                sign = -1 if (r + bin(mask & (bit - 1)).count("1")) % 2 else 1
+                _add_product(nxt.setdefault(mask | bit, {}), minor, mat[r][j], sign)
         states = nxt
-        if not states:
-            return Polynomial.zero(nvars)
-    return states.get((1 << n) - 1, Polynomial.zero(nvars))
+    return states.get((1 << n) - 1, {})
 
 
 def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .apolarity import _socle_shape, _ures_generators
-from .ci import DegenerateTupleError, _shift_rows
+from .ci import DegenerateTupleError, _shift_rows, _term_rows
 from .combinat import dim_forms, tangent_band_sum
 from .linalg import _certified_rank, span_dim
-from .poly import FormTuple, Polynomial
+from .poly import FormTuple, Polynomial, _add_product, _primitive_terms
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,12 @@ def product_space_dim(us: Sequence[Polynomial], vs: Sequence[Polynomial]) -> int
 
 def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     """Exact rank of the rows m * g_i * g_j, i <= j, over the forms g and
-    every degree-`shift` monomial m."""
-    products = [g * h for i, g in enumerate(forms) for h in forms[i:]]
-    rows = _shift_rows(products, shift)
+    every degree-`shift` monomial m.  The products are formed from each
+    form's primitive integer coefficients, since scaling a form changes no
+    span."""
+    ints = [_primitive_terms(g)[0] for g in forms]
+    products = [_add_product({}, g, h) for i, g in enumerate(ints) for h in ints[i:]]
+    rows = _term_rows(products, shift)
     return _certified_rank(rows, min(len(rows), len(rows[0])))
 
 

@@ -1,14 +1,18 @@
 """The certified modular route of linalg.rank, linalg.kernel_basis and
-SubspaceBasis.from_spanning, checked against the Bareiss core and against
-sympy, including the cases where the certificate must fail and the exact
-fallback must answer, and the exact route that solves keep."""
+SubspaceBasis.from_spanning, and the p-adic lift of the socle line,
+checked against the Bareiss core and against sympy, including the cases where
+the certificate must fail and the exact fallback must answer, and the exact
+route that solves keep."""
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DM
 
+import apolar.ci as ci
 import apolar.linalg as linalg
 from apolar import (
     FormTuple,
@@ -23,16 +27,19 @@ from apolar import (
 )
 from apolar.ci import _shift_rows
 from apolar.linalg import (
+    LIFT_PRIME,
     PRIMES,
     _certified_rank,
     _exact_kernel_basis,
     _integer_rows,
+    _kernel_line,
     _modular_kernel,
     _triangularize,
     _verify_kernel,
 )
+from bareiss_reference import bareiss_socle_kernel
 
-P = PRIMES[0]
+P, L = PRIMES[0], LIFT_PRIME
 
 small_int = st.integers(-7, 7)
 # Entries that vanish or coincide mod 2^31 - 1 make the first prime unlucky.
@@ -141,21 +148,29 @@ def test_certified_rank_matches_sympy_under_loose_and_tight_bounds(m):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Records, in order, each modular kernel attempt (certified or not) and
-    each Bareiss elimination made through the linalg module."""
+    """Records, in order, each modular kernel attempt (certified or not),
+    each p-adic line lift as it starts (from linalg or from ci's socle
+    functional), and each Bareiss elimination made through the linalg module;
+    a lift that falls back is "p-adic" followed by "bareiss"."""
     seen = []
-    modular, bareiss = linalg._modular_kernel, linalg._triangularize
+    modular, line, bareiss = linalg._modular_kernel, linalg._kernel_line, linalg._triangularize
 
     def spy_modular(*args):
         vectors = modular(*args)
         seen.append("certified" if vectors is not None else "uncertified")
         return vectors
 
+    def spy_line(*args):
+        seen.append("p-adic")
+        return line(*args)
+
     def spy_bareiss(*args):
         seen.append("bareiss")
         return bareiss(*args)
 
     monkeypatch.setattr(linalg, "_modular_kernel", spy_modular)
+    monkeypatch.setattr(linalg, "_kernel_line", spy_line)
+    monkeypatch.setattr(ci, "_kernel_line", spy_line)
     monkeypatch.setattr(linalg, "_triangularize", spy_bareiss)
     return seen
 
@@ -239,8 +254,9 @@ def test_ideal_piece_takes_the_certified_route(paths):
 
 
 def test_solves_and_the_socle_functional_stay_exact(paths):
-    # The certified try costs more than Bareiss on these inputs: small
-    # solves, and a socle kernel too wide for the primes.
+    # Small solves skip the certified try, which costs more than Bareiss on
+    # them.  The socle kernel is too wide for the primes; it is lifted
+    # p-adically and verified exactly, with no Bareiss.
     assert block_solve([[2, 1], [1, 1]], [[1], [2]]).entries == ((1,), (-3,))
     assert paths == ["bareiss"]
     paths.clear()
@@ -249,7 +265,7 @@ def test_solves_and_the_socle_functional_stay_exact(paths):
     f = random_ci_tuple(2, 3, SplitMix64(5).next_u64())
     paths.clear()
     f.quotient.socle_functional()
-    assert paths == ["bareiss"]
+    assert paths == ["p-adic"]
 
 
 # Both rows agree mod the second prime, so it sees rank 1 where the first
@@ -315,3 +331,116 @@ def test_verify_kernel_rejects_a_vector_outside_the_kernel():
 
 def test_verify_kernel_rejects_a_wrong_count():
     assert not _verify_kernel([[1, 2, 0]], 3, [0], [(-2, 1, 0)])
+
+
+def lift_rank(rows) -> int:
+    """sympy's rank of the rows mod LIFT_PRIME."""
+    return DM(rows, sympy.GF(L)).rank()
+
+
+def guard_edge(ncols: int) -> int:
+    """The largest entry size the int64 bounds of the lift allow."""
+    return (2**62 - 1) // ((ncols - 1) * L)
+
+
+@st.composite
+def corank_one_matrices(draw, at_guard_edge=False, max_side=6):
+    """ncols - 1 rows of ncols entries, which for almost every draw are
+    independent, so the kernel is a line, then negated copies of some of
+    them, all in random order.  At the guard's edge the entries run up to
+    the largest size the lift takes."""
+    ncols = draw(st.integers(2, max_side))
+    if at_guard_edge:
+        edge = guard_edge(ncols)
+        entries = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, edge - 1]))
+    else:
+        entries = small_int
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=ncols - 1, max_size=ncols - 1))
+    copies = draw(st.lists(st.sampled_from(base), max_size=2))
+    return draw(st.permutations(base + [[-x for x in r] for r in copies]))
+
+
+@given(corank_one_matrices())
+@settings(deadline=None)
+def test_kernel_line_matches_bareiss_and_sympy(m):
+    vectors = _kernel_line(m, len(m[0])).vectors
+    assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
+
+
+@given(corank_one_matrices(at_guard_edge=True))
+@settings(deadline=None, max_examples=50)
+def test_kernel_line_at_the_guard_edge_matches_bareiss_and_sympy(m):
+    # Entries as wide as the int64 bounds allow: an overflow anywhere in the
+    # lift would fail the exact check and show as a Bareiss call.
+    with mock.patch.object(linalg, "_triangularize", wraps=linalg._triangularize) as bareiss:
+        vectors = _kernel_line(m, len(m[0])).vectors
+    if lift_rank(m) == len(m[0]) - 1:
+        assert not bareiss.called
+    assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (4, 3)])
+def test_kernel_line_lifts_the_socle_kernel(paths, n, d):
+    f = random_ci_tuple(n, d, SplitMix64(5).next_u64())
+    rows = _shift_rows(f.forms, f.socle_degree - f.degree)
+    paths.clear()
+    vectors = linalg._kernel_line(rows, len(rows[0])).vectors
+    assert paths == ["p-adic"]
+    assert vectors == bareiss_socle_kernel(f) == sympy_nullspace(rows)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The number of mod-p eliminations made, in a one-element list."""
+    count = [0]
+    echelon = linalg._echelon_mod_prime
+
+    def spy_echelon(*args, **kwargs):
+        count[0] += 1
+        return echelon(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
+    return count
+
+
+def test_kernel_line_falls_back_when_the_mod_p_rank_is_short(paths, eliminations):
+    # Mod LIFT_PRIME the second row vanishes: rank 1, short of the 2 a line
+    # needs, so after the row profile the lift stops and Bareiss answers.
+    m = [[1, 0, 0], [0, L, L]]
+    assert linalg._kernel_line(m, 3).vectors == ((0, -1, 1),) == sympy_nullspace(m)
+    assert paths == ["p-adic", "bareiss"]
+    assert eliminations == [1]
+
+
+def test_kernel_line_falls_back_past_the_int64_guard(paths, eliminations):
+    # At the guard's edge the lift answers alone; one past it, Bareiss does,
+    # before any elimination mod p.
+    edge = guard_edge(3)
+    m = [[edge, -edge, 1], [1, edge, -edge]]
+    assert lift_rank(m) == 2
+    assert linalg._kernel_line(m, 3).vectors == sympy_nullspace(m)
+    assert paths == ["p-adic"] and eliminations == [2]
+    paths.clear()
+    m[0][0] += 1
+    assert linalg._kernel_line(m, 3).vectors == sympy_nullspace(m)
+    assert paths == ["p-adic", "bareiss"] and eliminations == [2]
+
+
+def test_kernel_line_falls_back_at_the_step_cap(paths, monkeypatch):
+    # Mod LIFT_PRIME the last row is twice the second less the first, so the
+    # rank is 2, as for a line; over the rationals the matrix is invertible.
+    # Every lifted candidate fails the exact check until the Hadamard bound
+    # ends the lift, and Bareiss finds no kernel.
+    verdicts = []
+    verify = linalg._verify_kernel
+
+    def spy_verify(*args):
+        verdicts.append(verify(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "_verify_kernel", spy_verify)
+    m = [[1, 2, 3], [4, 5, 6], [7, 8, 9 + L]]
+    assert linalg._kernel_line(m, 3).vectors == () == sympy_nullspace(m)
+    assert paths == ["p-adic", "bareiss"]
+    assert verdicts and not any(verdicts)

@@ -4,7 +4,8 @@ Every operation that hands the Polynomial constructor raw (monomial,
 coefficient) pairs is checked here on inputs with repeated monomials and
 exact cancellations, by comparing the resulting terms with sympy's
 Poly.as_dict().  partial is checked against sympy's diff.  The GL action act_gl is checked against sympy's own
-matrix inverse and simultaneous substitution.
+matrix inverse and simultaneous substitution, and jacobian_det against
+sympy's Jacobian determinant on tuples that act_gl has moved.
 """
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from apolar import (
     Polynomial,
     act_gl,
     apply_polar,
+    jacobian_det,
     monomial_basis,
     parse_polynomial,
     partial,
@@ -174,6 +176,27 @@ def test_act_gl_on_a_tuple_matches_sympy(data):
     f = FormTuple(n, d, tuple(Polynomial(n, pairs) for pairs in forms))
     got = act_gl(MatrixQ.from_rows(g1), MatrixQ.from_rows(g2), f)
     assert [terms(p) for p in got.forms] == [sympy_terms(e, n) for e in expected]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_jacobian_det_of_a_moved_tuple_matches_sympy(data):
+    """The integer route scales each form to primitive integers and divides
+    the determinant back; act_gl leaves rational coefficients with unequal
+    denominators, so the division must be exact."""
+    n, d = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    basis = monomial_basis(n, d)
+    coefficient_rows = st.lists(
+        st.lists(coeffs, min_size=len(basis), max_size=len(basis)), min_size=n, max_size=n
+    )
+    # Independent rows keep every form nonzero after the mixing by g2.
+    rows = data.draw(coefficient_rows.filter(lambda r: sympy.Matrix(r).rank() == n))
+    g1, g2 = data.draw(invertible_matrices(n)), data.draw(invertible_matrices(n))
+    f = FormTuple(n, d, tuple(Polynomial(n, zip(basis, row)) for row in rows))
+    moved = act_gl(MatrixQ.from_rows(g1), MatrixQ.from_rows(g2), f)
+    forms = sympy.Matrix([sympy_expr(n, list(p.terms())) for p in moved.forms])
+    expected = forms.jacobian(gens(n)).det()
+    assert terms(jacobian_det(moved)) == sympy_terms(expected, n)
 
 
 def pair_text(pairs):
