@@ -23,6 +23,7 @@ elimination decides.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Mapping, Sequence
 
@@ -58,16 +59,26 @@ def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int) -> list[list[int
     monomial m, g outermost, m in grlex order; columns are the degree-(e + k)
     monomials."""
     first = next(iter(forms[0]))
-    col = monomial_index(len(first), sum(first) + k)
-    shifts = monomial_basis(len(first), k)
+    n, e = len(first), sum(first)
+    columns = _shift_columns(n, e, k)
+    width, shifts = dim_forms(n, e + k), dim_forms(n, k)
     rows = []
     for g in forms:
-        for m in shifts:
-            row = [0] * len(col)
-            for b, c in g.items():
-                row[col[tuple(map(add, m, b))]] = c
-            rows.append(row)
+        block = [[0] * width for _ in range(shifts)]
+        for b, c in g.items():
+            for row, j in zip(block, columns[b]):
+                row[j] = c
+        rows.extend(block)
     return rows
+
+
+@lru_cache(maxsize=None)
+def _shift_columns(n: int, e: int, k: int) -> Mapping[Monomial, tuple[int, ...]]:
+    """For each degree-e monomial b, the column of m * b among the
+    degree-(e + k) monomials, for every degree-k monomial m in grlex order."""
+    col = monomial_index(n, e + k)
+    shifts = monomial_basis(n, k)
+    return {b: tuple(col[tuple(map(add, m, b))] for m in shifts) for b in monomial_basis(n, e)}
 
 
 class GradedQuotient:

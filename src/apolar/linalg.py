@@ -22,9 +22,11 @@ and a later prime with other pivot columns sends the call to Bareiss.
 Subspace bases (kernel_basis, SubspaceBasis.from_spanning) are certified the
 same way by _kernel before the exact reader answers; determinant, solve and
 inverse are exact.  A kernel that should be a line, such as the socle
-functional's, whose entries run past what the three primes reconstruct, is
+functional's, whose entries run past what the four primes reconstruct, is
 lifted p-adically by _kernel_line (Dixon 1982): the mod-p rank ncols - 1
 bounds its dimension by 1, and one nonzero vector verified exactly spans it.
+Every mod-p step runs one elimination loop, _echelon_mod_prime, with delayed
+reduction, over residues below 2^25.
 A bound that is not met is never reported, so a certified answer is as exact
 as the Bareiss one.  Nothing in this module touches floating point.
 """
@@ -41,15 +43,14 @@ try:
 except ImportError:  # gmpy2 is optional; plain ints give the same answers
     mpz = int
 
-# The three largest primes below 2^31, the Mersenne prime 2^31 - 1 first:
-# products of two residues stay under 2^62, so the modular elimination fits
-# in int64 without overflow.
-PRIMES = (2147483647, 2147483629, 2147483587)
+# The four largest primes below 2^25, about 100 bits of CRT room together.
+# With residues below 2^25, the lazy elimination (_echelon_mod_prime) may
+# leave 8192 rank-one updates unreduced in int64 before it must reduce.
+PRIMES = (33554393, 33554383, 33554371, 33554347)
 
-# The largest prime below 2^26: p-adic lifting multiplies residues by
-# residues in int64, so a row of r of them sums to r (p - 1)^2 < 2^63 for
-# every r up to 2047.
-LIFT_PRIME = 67108859
+# p-adic lifting multiplies residues by residues in int64, so a row of r of
+# them sums to r (p - 1)^2 < 2^63 for every r up to 8192.
+LIFT_PRIME = PRIMES[0]
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -294,14 +295,19 @@ def _kernel_line(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
 
     Mod LIFT_PRIME, the lex-first row and column rank profiles give r =
     ncols - 1 rows and pivot columns whose r x r block B is invertible; the
-    one other column f is free.  The solution y of B y = -(column f) is
-    lifted one p-adic digit per pair of int64 matrix-vector products and
-    reconstructed over one running common denominator.  Certificate: the
-    mod-p rank r bounds the kernel dimension by 1, so the nonzero vector 1
-    at f and y at the pivots, once _verify_kernel checks it exactly, spans
-    the kernel and is bit for bit the Bareiss vector.  Bareiss answers when
-    the mod-p rank is not r, when an entry is too wide for the int64 bounds
-    below, or when the lift reaches the Hadamard bound unverified.
+    one other column f is free.  They take two eliminations: the echelon
+    form of the transpose gives the rows R, and the reduced form of the
+    r x (ncols + r) matrix [A_R | I] gives the pivot columns and B^-1.  One
+    pass over [A | I] with every row would give both, but it eliminates a
+    block as wide as A is tall, which costs more than the two passes.  The
+    solution y of B y = -(column f) is lifted one p-adic digit per pair of
+    int64 matrix-vector products and reconstructed over one running common
+    denominator.  Certificate: the mod-p rank r bounds the kernel dimension
+    by 1, so the nonzero vector 1 at f and y at the pivots, once
+    _verify_kernel checks it exactly, spans the kernel and is bit for bit
+    the Bareiss vector.  Bareiss answers when the mod-p rank is not r, when
+    an entry is too wide for the int64 bounds below, or when the lift
+    reaches the Hadamard bound unverified.
     """
     import numpy as np
 
@@ -428,13 +434,21 @@ def rank_mod_prime(rows: Sequence[Sequence[int]]) -> int:
 
     Always a lower bound for the rational rank (specialization can only drop
     rank).  Entries must be integers; clear denominators first.  Integer-only
-    numpy arithmetic, word-size residues.
+    numpy arithmetic, word-size residues.  The rows are sorted by their
+    first nonzero column, which changes no rank: on a sparse shift matrix
+    each column's nonzeros then start in a short band of rows, and the
+    elimination updates only the rows from the first to the last of them.
     """
+    import numpy as np
+
     if not rows or not len(rows[0]):
         return 0
     a = _residues(rows, PRIMES[0])
     if a.shape[0] < a.shape[1]:
-        a = a.T.copy()
+        a = a.T
+    nonzero = a != 0
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), a.shape[1])
+    a = a[np.argsort(lead, kind="stable")]
     return len(_echelon_mod_prime(a, PRIMES[0], reduced=False))
 
 
@@ -450,31 +464,55 @@ def _residues(rows: Sequence[Sequence[int]], prime: int):
 
 
 def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
-    """Pivot columns of the int64 residue matrix `a`, which is brought in
-    place to row echelon form mod `prime` with unit pivots in rows
-    0..rank-1; with `reduced`, each pivot column is also cleared above its
-    pivot, giving the reduced row echelon form."""
+    """Pivot columns of the int64 residue matrix `a`, entries in [0, prime),
+    which is brought in place to row echelon form mod `prime` with unit
+    pivots in rows 0..rank-1 and every entry in [0, prime); with `reduced`,
+    each pivot column is also cleared above its pivot, giving the reduced
+    row echelon form.
+
+    Reduction is delayed (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008):
+    the rank-one updates are left unreduced, and only the pivot column and
+    the pivot row are reduced, as they are read.  An update subtracts at most
+    (prime - 1)^2, so the rows still to be updated are reduced once every
+    `budget` pivots, the most that int64 holds, and the whole matrix once at
+    the end.  ValueError when the prime leaves no room for one update.
+    """
     import numpy as np
 
+    budget = (2**63 - prime) // (prime - 1) ** 2
+    if budget < 1:
+        raise ValueError(f"residues mod {prime} are too wide for an int64 update")
     nrows, ncols = a.shape
     pivots: list[int] = []
+    pending = 0
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        first = 0 if reduced else r
+        column = a[first:, c]
+        column %= prime
+        nz = column[r - first :].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, prime)) % prime
-        first = 0 if reduced else r + 1
-        hits = first + np.flatnonzero(a[first:, c])
-        hits = hits[hits != r]
-        if hits.size:
-            a[hits, c:] = (a[hits, c:] - np.outer(a[hits, c], a[r, c:])) % prime
+        if pending == budget:
+            a[first:, c + 1 :] %= prime
+            pending = 0
+        row = a[r, c:] % prime * pow(int(a[r, c]), -1, prime) % prime
+        # Only the rows from the first to the last nonzero of the pivot
+        # column, and the columns up to the pivot row's last nonzero, change;
+        # the pivot row clears itself too, and is written back reduced.
+        hits = column.nonzero()[0]
+        end = c + 1 + int(row.nonzero()[0][-1])
+        block = a[first + int(hits[0]) : first + int(hits[-1]) + 1, c:end]
+        block -= block[:, :1] * row[: end - c]
+        a[r, c:] = row
+        pending += 1
         pivots.append(c)
+    a %= prime
     return pivots
 
 

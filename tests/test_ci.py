@@ -24,6 +24,8 @@ from apolar import (
     roundtrip_span,
     verify_inverse_system,
 )
+from apolar.ci import _term_rows
+from apolar.poly import monomial_basis
 from bareiss_reference import bareiss_quotient_dims
 
 
@@ -253,3 +255,28 @@ def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
     # nothing carries over from one trial to the next.
     assert _sampled_trial(task) == [record]
     assert len(ci_passes) == 4 * per_pass
+
+
+@st.composite
+def integer_forms(draw):
+    """n, e and one to three nonzero integer forms of degree e in n variables,
+    as monomial -> coefficient dicts."""
+    n, e = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    terms = st.dictionaries(
+        st.sampled_from(monomial_basis(n, e)), st.integers(-5, 5).filter(bool), min_size=1
+    )
+    return n, e, draw(st.lists(terms, min_size=1, max_size=3))
+
+
+@given(integer_forms(), st.integers(0, 3))
+@settings(deadline=None)
+def test_term_rows_are_the_coefficients_of_every_shifted_form(forms, k):
+    # The rows read their columns from a cached table; the oracle multiplies
+    # each form by each shift monomial and reads the product's coordinates.
+    n, e, gs = forms
+    want = [
+        list((Polynomial(n, {m: 1}) * Polynomial(n, g)).coefficient_vector(e + k))
+        for g in gs
+        for m in monomial_basis(n, k)
+    ]
+    assert _term_rows(gs, k) == want

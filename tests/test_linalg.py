@@ -15,7 +15,7 @@ from apolar import (
     rank,
     span_dim,
 )
-from apolar.linalg import rank_mod_prime
+from apolar.linalg import PRIMES, rank_mod_prime
 
 
 def test_kernel_of_single_row():
@@ -187,7 +187,7 @@ def test_modular_rank_never_exceeds_exact_rank(m):
 
 
 def test_modular_rank_sees_characteristic_drop():
-    p = 2147483647
+    p = PRIMES[0]
     assert rank_mod_prime([[p]]) == 0
     assert rank([[p]]) == 1
 

@@ -6,6 +6,7 @@ route that solves keep."""
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -24,8 +25,10 @@ from apolar import (
     parse_polynomial,
     random_ci_tuple,
     rank,
+    relation_space_dim_bruteforce,
 )
 from apolar.ci import _shift_rows
+from apolar.cli import trial_seeds
 from apolar.linalg import (
     LIFT_PRIME,
     PRIMES,
@@ -36,13 +39,14 @@ from apolar.linalg import (
     _modular_kernel,
     _triangularize,
     _verify_kernel,
+    rank_mod_prime,
 )
-from bareiss_reference import bareiss_socle_kernel
+from bareiss_reference import bareiss_socle_kernel, eager_echelon_mod_prime
 
 P, L = PRIMES[0], LIFT_PRIME
 
 small_int = st.integers(-7, 7)
-# Entries that vanish or coincide mod 2^31 - 1 make the first prime unlucky.
+# Entries that vanish or coincide mod PRIMES[0] make the first prime unlucky.
 unlucky_int = st.one_of(small_int, st.sampled_from([P, -P, 2 * P, P + 1, P - 1]))
 small_fraction = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
 
@@ -123,7 +127,7 @@ def test_rank_deficient_matrices_match_bareiss_and_sympy(m):
 @given(low_rank_matrices(max_side=5, max_entry=2**24))
 @settings(deadline=None, max_examples=50)
 def test_wide_entries_match_bareiss_and_sympy(m):
-    # Kernel entries of up to about a hundred bits: some need two or three
+    # Kernel entries of up to about a hundred bits: some need two to four
     # primes, some are out of reach and fall back.
     check_against_oracles(m)
 
@@ -181,7 +185,7 @@ def test_full_rank_mod_p_needs_no_kernel(paths):
 
 
 def test_rank_drop_mod_p_falls_back_when_a_later_prime_disagrees(paths):
-    # Mod 2^31 - 1 both rows end in the same residues, so that prime sees
+    # Mod PRIMES[0] both rows end in the same residues, so that prime sees
     # rank 1; the next prime sees rank 2, the two disagree on the pivot
     # columns of the transpose, and Bareiss decides.
     m = [[P, 1], [0, 1]]
@@ -198,8 +202,8 @@ def test_rank_drop_mod_p_with_unreconstructible_kernel_falls_back(paths):
 
 
 def test_kernel_with_shifted_pivots_mod_p_falls_back(paths):
-    # Mod 2^31 - 1 the pivot columns are 0 and 2; over the rationals they are
-    # 0 and 1, and the kernel vector carries 1/(2^31 - 1).
+    # Mod PRIMES[0] the pivot columns are 0 and 2; over the rationals they are
+    # 0 and 1, and the kernel vector carries 1/PRIMES[0].
     m = [[1, 1, 0], [0, P, 1]]
     vectors = kernel_basis(m).vectors
     assert vectors == ((Fraction(1, P), Fraction(-1, P), Fraction(1)),) == sympy_nullspace(m)
@@ -207,7 +211,7 @@ def test_kernel_with_shifted_pivots_mod_p_falls_back(paths):
 
 
 def test_kernel_after_rank_drop_mod_p_falls_back(paths):
-    # Mod 2^31 - 1 the rows agree, so that prime sees pivot column 0 alone;
+    # Mod PRIMES[0] the rows agree, so that prime sees pivot column 0 alone;
     # the next prime sees columns 0 and 1, and Bareiss decides.
     m = [[1, 0, 1], [1, P, 1 + P]]
     assert kernel_basis(m).vectors == ((-1, -1, 1),) == sympy_nullspace(m)
@@ -215,7 +219,7 @@ def test_kernel_after_rank_drop_mod_p_falls_back(paths):
 
 
 def test_tight_bound_is_not_reported_after_a_rank_drop_mod_p(paths):
-    # Mod 2^31 - 1 the rank is 1, short of the true rank 2 that the bound
+    # Mod PRIMES[0] the rank is 1, short of the true rank 2 that the bound
     # states, so the bound is not met and the exact route answers.
     m = [[P, 1], [0, 1]]
     assert _certified_rank(m, 2) == 2 == sympy_matrix(m).rank()
@@ -231,6 +235,17 @@ def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
     assert paths == ["certified"]
 
 
+@pytest.mark.parametrize("n, d, want", [(4, 4, 20), (6, 2, 70)])
+def test_relation_rank_is_certified_by_its_left_kernel(paths, n, d, want):
+    # Acceptance criterion 2's first seed at each shape with a nonzero
+    # relation space: the product rank falls short of the row count, and a
+    # left kernel verified exactly proves it, with no Bareiss.
+    f = random_ci_tuple(n, d, trial_seeds(200 + 10 * n + d, 3)[0], coeff_bound=2)
+    paths.clear()
+    assert relation_space_dim_bruteforce(f) == want
+    assert paths == ["certified"]
+
+
 def test_from_spanning_takes_the_certified_route(paths):
     m = [[2, 4, 0, 1], [1, 2, 1, 3], [3, 6, 1, 4]]
     assert SubspaceBasis.from_spanning(m, 4).vectors == sympy_rref_rows(m)
@@ -238,7 +253,7 @@ def test_from_spanning_takes_the_certified_route(paths):
 
 
 def test_from_spanning_with_shifted_pivots_mod_p_falls_back(paths):
-    # The kernel case above, read as a spanning set: mod 2^31 - 1 the pivot
+    # The kernel case above, read as a spanning set: mod PRIMES[0] the pivot
     # columns are 0 and 2, over the rationals 0 and 1.
     m = [[1, 1, 0], [0, P, 1]]
     assert SubspaceBasis.from_spanning(m, 3).vectors == sympy_rref_rows(m)
@@ -270,7 +285,7 @@ def test_solves_and_the_socle_functional_stay_exact(paths):
 
 # Both rows agree mod the second prime, so it sees rank 1 where the first
 # prime, rightly, sees rank 2.  The kernel entry -(X + 1), about 2^20, is past
-# what one prime can reconstruct (about 2^15), so the second prime is reached.
+# what one prime can reconstruct (about 2^12), so the second prime is reached.
 Q, X = PRIMES[1], 2**20 + 7
 LOSES_PIVOT_MOD_Q = [[1, 1, X], [1, 1 + Q, X - Q]]
 
@@ -444,3 +459,65 @@ def test_kernel_line_falls_back_at_the_step_cap(paths, monkeypatch):
     assert linalg._kernel_line(m, 3).vectors == () == sympy_nullspace(m)
     assert paths == ["p-adic", "bareiss"]
     assert verdicts and not any(verdicts)
+
+
+# The lazy loop leaves up to (2^63 - p) // (p - 1)^2 rank-one updates
+# unreduced: 8192 mod PRIMES[0], and 2 mod 2^31 - 1, where the periodic
+# reduction of the rows still to be updated then runs on small inputs.
+ECHELON_PRIMES = (P, 2**31 - 1)
+
+
+@st.composite
+def residue_matrices(draw, max_side=8):
+    """A prime from ECHELON_PRIMES and a wide, tall or square matrix of
+    residues mod it, either drawn entry by entry or a product B C mod p of
+    lower rank.  Entries run to p - 1, whose products drive the unreduced
+    entries furthest below zero after an update."""
+    p = draw(st.sampled_from(ECHELON_PRIMES))
+    entry = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1, p - 2, p - 1]))
+    nrows, ncols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+
+    def block(h, w):
+        return draw(st.lists(st.lists(entry, min_size=w, max_size=w), min_size=h, max_size=h))
+
+    if min(nrows, ncols) > 1 and draw(st.booleans()):
+        inner = draw(st.integers(1, min(nrows, ncols) - 1))
+        b, c = block(nrows, inner), block(inner, ncols)
+        m = [[sum(x * y for x, y in zip(r, col)) % p for col in zip(*c)] for r in b]
+    else:
+        m = block(nrows, ncols)
+    return p, m
+
+
+# p - 1 for p = 2^31 - 1: a full-rank example mostly of such entries runs
+# four pivots, so the reduction due every two pivots runs before the third.
+M = 2**31 - 2
+
+
+@given(residue_matrices(), st.booleans())
+@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]), True)
+@example((P, [[P - 1] * 3] * 2), False)
+@settings(deadline=None, max_examples=200)
+def test_lazy_echelon_matches_the_eager_reference(pm, reduced):
+    p, m = pm
+    lazy, eager = np.array(m, dtype=np.int64), np.array(m, dtype=np.int64)
+    pivots = linalg._echelon_mod_prime(lazy, p, reduced)
+    assert pivots == eager_echelon_mod_prime(eager, p, reduced)
+    assert lazy.tolist() == eager.tolist()
+
+
+@given(st.one_of(matrices(unlucky_int), low_rank_matrices()))
+@example([[0, 0, 1], [P, 0, 0], [0, 1, 0], [1, 0, 0]])
+@settings(deadline=None)
+def test_rank_mod_prime_matches_sympy_over_gf_p(m):
+    # rank_mod_prime sorts the rows by their first nonzero column, zero rows
+    # last, before it eliminates; the rank mod p must not change.
+    assert rank_mod_prime(m) == DM(m, sympy.GF(P)).rank()
+
+
+def test_echelon_rejects_a_prime_with_no_room_for_an_update():
+    # Mod the largest prime below 2^32 one product of residues, (p - 1)^2,
+    # already passes 2^63.
+    a = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        linalg._echelon_mod_prime(a, 2**32 - 5, reduced=False)
