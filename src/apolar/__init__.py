@@ -2,9 +2,10 @@
 of complete intersections, tangent space counts, and the combinatorial
 identities behind the closed-form dimension counts.
 
-All linear algebra is exact (fraction-free elimination over the integers,
-Fraction at the API surface); randomized suites are deterministic in their
-seeds.
+All linear algebra is exact, with Fraction at the API surface: ranks and
+kernels are lifted p-adically mod a word-size prime and verified over the
+integers, with fraction-free elimination as the fallback and for solves;
+randomized suites are deterministic in their seeds.
 """
 from .apolarity import (
     StratumReport,

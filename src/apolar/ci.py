@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
-from .linalg import SubspaceBasis, _certified_rank, _kernel_line, span_dim
+from .linalg import SubspaceBasis, _certified_rank, _kernel, span_dim
 from .poly import (
     FormTuple,
     Monomial,
@@ -137,7 +137,7 @@ class GradedQuotient:
             # The socle is a line, so the shift matrix has corank one: its
             # kernel is lifted p-adically and verified exactly, with Bareiss
             # as the fallback; the entries run to hundreds of bits.
-            lam = _kernel_line(
+            lam = _kernel(
                 _shift_rows(self.tuple.forms, self.socle_degree - self.degree),
                 dim_forms(self.var_count, self.socle_degree),
             )

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -211,25 +212,29 @@ def run_suite(cfg: RunConfig) -> list[dict]:
 def emit_report(
     results: list[dict], out_path: str | None = None, csv_path: str | None = None
 ) -> None:
-    """JSON lines to out_path or stdout; optional per-suite CSV summary."""
+    """JSON lines to out_path or stdout; optional per-suite CSV summary.
+    Both files are opened, the CSV first, before anything is written, so an
+    unwritable path stops the call before any record is written."""
     payload = "".join(json.dumps(record) + "\n" for record in results)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
-    if csv_path:
+    with ExitStack() as files:
+        out = sys.stdout
+        if csv_path:
+            table = files.enter_context(open(csv_path, "w", encoding="utf-8", newline=""))
+        if out_path:
+            out = files.enter_context(open(out_path, "w", encoding="utf-8"))
+        out.write(payload)
+        if not csv_path:
+            return
         totals: dict[str, list[int]] = {}
         for record in results:
             row = totals.setdefault(record["suite"], [0, 0, 0])
             row[0] += 1
             if "pass" in record:
                 row[1 if record["pass"] else 2] += 1
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["suite", "records", "passed", "failed"])
-            for suite in sorted(totals):
-                writer.writerow([suite, *totals[suite]])
+        writer = csv.writer(table)
+        writer.writerow(["suite", "records", "passed", "failed"])
+        for suite in sorted(totals):
+            writer.writerow([suite, *totals[suite]])
 
 
 def _summarize(results: list[dict]) -> int:

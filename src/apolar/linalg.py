@@ -13,28 +13,22 @@ fractions.Fraction.
 
 Every rank goes through _certified_rank, given the integer rows and an upper
 bound the caller has proven (rank passes min(rows, cols)).  The lower bound
-is the rank mod a word-size prime, since specialization can only drop rank;
-when the two bounds meet, that is the rank.  Otherwise a left kernel computed
-mod primes, lifted by CRT and rational reconstruction, and verified exactly
-over the integers bounds the rank from above by rows minus its dimension.
-The primes must agree: the first prime's pivot columns are the reference,
-and a later prime with other pivot columns sends the call to Bareiss.
-Subspace bases (kernel_basis, SubspaceBasis.from_spanning) are certified the
-same way by _kernel before the exact reader answers; determinant, solve and
-inverse are exact.  A kernel that should be a line, such as the socle
-functional's, whose entries run past what the four primes reconstruct, is
-lifted p-adically by _kernel_line (Dixon 1982): the mod-p rank ncols - 1
-bounds its dimension by 1, and one nonzero vector verified exactly spans it.
-Every mod-p step runs one elimination loop, _echelon_mod_prime, with delayed
-reduction, over residues below 2^25.
-A bound that is not met is never reported, so a certified answer is as exact
-as the Bareiss one.  Nothing in this module touches floating point.
+is the rank mod the word-size prime PRIME, since specialization can only drop
+rank; when the two bounds meet, that is the rank.  Otherwise a verified left
+kernel bounds the rank from above by rows minus its dimension.  Every kernel
+(left kernels, kernel_basis, SubspaceBasis.from_spanning, the socle
+functional) is read by one certified reader, _padic_kernel, which lifts it
+p-adically mod PRIME (Dixon 1982) and checks it exactly with _verify_kernel;
+Bareiss answers what it does not certify, and determinant, solve and inverse
+are exact.  Every mod-p step runs one elimination loop, _echelon_mod_prime,
+with delayed reduction, over residues below 2^25.  A bound that is not met is
+never reported, so a certified answer is as exact as the Bareiss one.
+Nothing in this module touches floating point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
@@ -43,14 +37,11 @@ try:
 except ImportError:  # gmpy2 is optional; plain ints give the same answers
     mpz = int
 
-# The four largest primes below 2^25, about 100 bits of CRT room together.
-# With residues below 2^25, the lazy elimination (_echelon_mod_prime) may
-# leave 8192 rank-one updates unreduced in int64 before it must reduce.
-PRIMES = (33554393, 33554383, 33554371, 33554347)
-
-# p-adic lifting multiplies residues by residues in int64, so a row of r of
-# them sums to r (p - 1)^2 < 2^63 for every r up to 8192.
-LIFT_PRIME = PRIMES[0]
+# The largest prime below 2^25.  Residues below it leave room in int64 for
+# (2^63 - p) // (p - 1)^2 = 8192 unreduced rank-one updates in the lazy
+# elimination (_echelon_mod_prime), and for the p-adic lift's sums of r
+# products of residues, r (p - 1)^2 < 2^63, for every r up to 8192.
+PRIME = 33554393
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -230,10 +221,12 @@ def rank(m) -> int:
 def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
     """Exact rank of nonempty integer rows whose rank is at most `upper`, a
     bound the caller has proven: the mod-p rank when it meets the bound,
-    else a verified left kernel, else Bareiss elimination."""
-    if rank_mod_prime(ints) == upper:
+    else a verified left kernel, lifted from the same column profile (the
+    transpose's row profile), else Bareiss elimination."""
+    profile = _column_profile(_integer_array(ints))
+    if len(profile) == upper:
         return upper
-    left = _modular_kernel(list(zip(*ints)), len(ints))
+    left = _padic_kernel(list(zip(*ints)), len(ints), profile)
     if left is not None:
         return len(ints) - len(left)
     return len(_triangularize(ints, len(ints[0])))
@@ -242,17 +235,17 @@ def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
 def kernel_basis(m) -> SubspaceBasis:
     """Reduced-echelon basis of the right kernel: one vector per free column
     in ascending order, 1 there and 0 at the other free columns.  _kernel
-    reads it mod primes when it can certify it, else exactly by Bareiss."""
+    lifts it p-adically when it can certify it, else reads it by Bareiss."""
     ints = _integer_rows(_entry_rows(m))
     return _kernel(ints, len(ints[0]) if ints else 0)
 
 
 def _kernel(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
     """The reduced-echelon kernel basis of integer rows, by the certified
-    reader, _modular_kernel, when it gives a certificate, else by the exact
+    reader, _padic_kernel, when it gives a certificate, else by the exact
     reader, _exact_kernel_basis.  The certificate (see _verify_kernel) pins
     the pivot columns, so both readers give the same basis."""
-    vectors = _modular_kernel(ints, ncols) if ints and ncols else None
+    vectors = _padic_kernel(ints, ncols) if ints and ncols else None
     if vectors is None:
         return _exact_kernel_basis(ints, ncols)
     return SubspaceBasis(ncols, tuple(vectors))
@@ -289,84 +282,92 @@ def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBa
     return SubspaceBasis(ncols, tuple(vectors))
 
 
-def _kernel_line(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
-    """The reduced-echelon kernel basis of integer rows whose kernel should
-    be a line, by p-adic lifting (Dixon 1982), else by _exact_kernel_basis.
+def _padic_kernel(
+    ints: Sequence[Sequence[int]], ncols: int, profile: Sequence[int] | None = None
+) -> list[tuple[Fraction, ...]] | None:
+    """The reduced-echelon kernel basis of integer rows, lifted p-adically
+    (Dixon 1982) and certified by _verify_kernel, or None.
 
-    Mod LIFT_PRIME, the lex-first row and column rank profiles give r =
-    ncols - 1 rows and pivot columns whose r x r block B is invertible; the
-    one other column f is free.  They take two eliminations: the echelon
-    form of the transpose gives the rows R, and the reduced form of the
-    r x (ncols + r) matrix [A_R | I] gives the pivot columns and B^-1.  One
-    pass over [A | I] with every row would give both, but it eliminates a
-    block as wide as A is tall, which costs more than the two passes.  The
-    solution y of B y = -(column f) is lifted one p-adic digit per pair of
-    int64 matrix-vector products and reconstructed over one running common
-    denominator.  Certificate: the mod-p rank r bounds the kernel dimension
-    by 1, so the nonzero vector 1 at f and y at the pivots, once
-    _verify_kernel checks it exactly, spans the kernel and is bit for bit
-    the Bareiss vector.  Bareiss answers when the mod-p rank is not r, when
-    an entry is too wide for the int64 bounds below, or when the lift
-    reaches the Hadamard bound unverified.
+    Mod PRIME, the lex-first row profile R (the column profile of the
+    transpose; a caller that has it passes it as `profile`) and the reduced
+    form of [A_R | I] give r pivot columns and the inverse of their r x r
+    block B.  One pass over [A | I] with every row would give both, but it
+    eliminates a block as wide as A is tall, which costs more than the two.
+    The k = ncols - r solutions Y of B Y = -(A_R at the free columns) are
+    lifted together, one p-adic digit per pair of matrix products.
+    Certificate: the mod-p rank r bounds the kernel dimension by k, so the k
+    vectors, 1 at a free column and a column of Y at the pivots, once
+    _verify_kernel checks them exactly, are bit for bit the Bareiss basis.
+    The rows and the residual are int64 within the bounds below, Python ints
+    past them.  None when r passes 8192, or when the lift reaches the
+    Hadamard bound unverified, as after a rank drop mod p.
     """
     import numpy as np
 
-    p, r = LIFT_PRIME, ncols - 1
-    top = max(map(abs, chain.from_iterable(ints)), default=0)
+    p = PRIME
+    a = _integer_array(ints)
+    if profile is None:
+        profile = _column_profile(a.T)
+    r, k = len(profile), ncols - len(profile)
+    if k == 0:
+        # Full column rank mod p, so over the rationals too: no kernel.
+        return []
     # Each digit is (B^-1 mod p)(res mod p), at most r (p-1)^2; the residual
     # res stays within r top, and res - B digit within r top p.
-    if not ints or r * (p - 1) ** 2 >= 2**63 or top * r * p >= 2**62:
-        return _exact_kernel_basis(ints, ncols)
-    a = np.array(ints, dtype=np.int64)
-    rows = _echelon_mod_prime((a % p).T.copy(), p, reduced=False)
-    if len(rows) != r:
-        return _exact_kernel_basis(ints, ncols)
+    if r * (p - 1) ** 2 >= 2**63:
+        return None
+    top = max(int(a.max()), -int(a.min()))
+    if top * r * p >= 2**62:
+        a = a.astype(object)
     # [A_R | I] in reduced echelon form mod p is [E | U] with U A_R = E, so
     # U B = I at the pivot columns: U is B^-1 mod p.
-    block = a[rows]
-    reduced = np.hstack([block % p, np.eye(r, dtype=np.int64)])
+    block = a[profile]
+    reduced = np.hstack([(block % p).astype(np.int64), np.eye(r, dtype=np.int64)])
     pivots = _echelon_mod_prime(reduced, p, reduced=True)
     inverse = reduced[:, ncols:]
-    free = min(set(range(ncols)) - set(pivots))
+    free = sorted(set(range(ncols)) - set(pivots))
     b, residual = block[:, pivots], -block[:, free]
-    # Cramer and Hadamard: y's entries are ratios of r x r minors of [B | c],
-    # c the residual's start, each minor at most the product H of the column
-    # norms, and a column of k nonzero entries of size at most t has norm at
-    # most t sqrt(k).  So H^2 < 2^bits, and since p >= 2^(p.bit_length() - 1),
-    # `cap` digits give p^cap > 2 H^2, which makes the reconstruction unique.
-    bc = np.hstack([b, residual[:, None]])
-    sizes = np.abs(bc).max(axis=0, initial=0).tolist()
-    counts = np.count_nonzero(bc, axis=0).tolist()
-    bits = sum(2 * t.bit_length() + k.bit_length() for t, k in zip(sizes, counts))
+    # Cramer and Hadamard: Y's entries are ratios of r x r minors of [B | c],
+    # c a column of the residual's start, each minor at most the product H of
+    # B's column norms and the largest of c's, and a column of k nonzero
+    # entries of size at most t has norm at most t sqrt(k).  So H^2 < 2^bits,
+    # and since p >= 2^(p.bit_length() - 1), `cap` digits give p^cap > 2 H^2,
+    # which makes the reconstruction unique.
+    sizes = np.abs(block).max(axis=0, initial=0).tolist()
+    counts = np.count_nonzero(block, axis=0).tolist()
+    norms = [2 * t.bit_length() + nz.bit_length() for t, nz in zip(sizes, counts)]
+    bits = sum(norms[c] for c in pivots) + max(norms[f] for f in free)
     cap = -(-(bits + 1) // (p.bit_length() - 1))
-    lifted, modulus = [0] * r, 1
+    lifted, modulus = np.zeros((r, k), dtype=object), 1
     for _ in range(cap):
-        digit = inverse @ (residual % p) % p
+        digit = inverse @ (residual % p).astype(np.int64, copy=False) % p
         residual = (residual - b @ digit) // p
-        lifted = [u + modulus * x for u, x in zip(lifted, digit.tolist())]
+        lifted += digit.astype(object) * modulus
         modulus *= p
-        entries = _reconstruct_line(lifted, modulus)
-        if entries is not None:
-            v = _unit_vector(ncols, free, pivots, entries)
-            if _verify_kernel(ints, ncols, pivots, [v]):
-                return SubspaceBasis(ncols, (v,))
-    return _exact_kernel_basis(ints, ncols)
+        vectors = _reconstruct_vectors(lifted.T.tolist(), modulus, pivots, free, ncols)
+        if vectors is not None and _verify_kernel(ints, ncols, pivots, vectors):
+            return vectors
+    return None
 
 
-def _reconstruct_line(lifted: list[int], modulus: int) -> list[Fraction] | None:
-    """Fractions with the residues `lifted` mod `modulus`, reconstructed over
-    one running common denominator: each residue is scaled by the product of
-    the denominators found so far, so once that product is the common one the
-    rest are integers, read off at once.  None when some residue has no
-    fraction small enough for `modulus`."""
-    bound, den, entries = isqrt(modulus // 2), 1, []
-    for u in lifted:
-        q = _rational_reconstruction(den * u % modulus, modulus, bound)
-        if q is None:
-            return None
-        entries.append(q / den)
-        den *= q.denominator
-    return entries
+def _reconstruct_vectors(
+    lifted: list[list[int]], modulus: int, pivots: list[int], free: list[int], ncols: int
+) -> list[tuple[Fraction, ...]] | None:
+    """Kernel vectors, 1 at each free column and, at the pivots, the
+    fractions with the residues `lifted` mod `modulus`, or None when some
+    residue has none small enough.  Each column runs one common denominator:
+    scaled by the denominators found so far, its later entries are integers."""
+    bound, vectors = isqrt(modulus // 2), []
+    for f, column in zip(free, lifted):
+        den, entries = 1, []
+        for u in column:
+            q = _rational_reconstruction(den * u % modulus, modulus, bound)
+            if q is None:
+                return None
+            entries.append(q / den if den > 1 else q)
+            den *= q.denominator
+        vectors.append(_unit_vector(ncols, f, pivots, entries))
+    return vectors
 
 
 def _unit_vector(ncols: int, unit: int, cols: Sequence[int], entries) -> tuple[Fraction, ...]:
@@ -430,37 +431,41 @@ def determinant(a) -> Fraction:
 
 
 def rank_mod_prime(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix reduced mod PRIMES[0].
+    """Rank of an integer matrix reduced mod PRIME: the length of its column
+    profile.
 
     Always a lower bound for the rational rank (specialization can only drop
     rank).  Entries must be integers; clear denominators first.  Integer-only
-    numpy arithmetic, word-size residues.  The rows are sorted by their
-    first nonzero column, which changes no rank: on a sparse shift matrix
-    each column's nonzeros then start in a short band of rows, and the
-    elimination updates only the rows from the first to the last of them.
+    numpy arithmetic, word-size residues.
     """
-    import numpy as np
-
     if not rows or not len(rows[0]):
         return 0
-    a = _residues(rows, PRIMES[0])
-    if a.shape[0] < a.shape[1]:
-        a = a.T
-    nonzero = a != 0
-    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), a.shape[1])
-    a = a[np.argsort(lead, kind="stable")]
-    return len(_echelon_mod_prime(a, PRIMES[0], reduced=False))
+    return len(_column_profile(_integer_array(rows)))
 
 
-def _residues(rows: Sequence[Sequence[int]], prime: int):
-    """The rows mod `prime` as an int64 array; entries that fit in int64
-    are converted in one numpy call, wider ones are reduced in Python."""
+def _integer_array(rows: Sequence[Sequence[int]]):
+    """The rows as an int64 array, or as an array of Python ints (dtype
+    object) when some entry does not fit in int64."""
     import numpy as np
 
     try:
-        return np.array(rows, dtype=np.int64) % prime
+        return np.array(rows, dtype=np.int64)
     except OverflowError:
-        return np.array([[int(x) % prime for x in row] for row in rows], dtype=np.int64)
+        return np.array(rows, dtype=object)
+
+
+def _column_profile(a) -> list[int]:
+    """The pivot columns mod PRIME of the integer array `a`, the lex-first
+    columns independent mod PRIME.  The rows are sorted by their first
+    nonzero column first, which changes no column profile: on a sparse shift
+    matrix each column's nonzeros then start in a short band of rows, and
+    the elimination updates only the rows from the first to the last."""
+    import numpy as np
+
+    residues = (a % PRIME).astype(np.int64, copy=False)
+    nonzero = residues != 0
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), residues.shape[1])
+    return _echelon_mod_prime(residues[np.argsort(lead, kind="stable")], PRIME, reduced=False)
 
 
 def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
@@ -514,58 +519,6 @@ def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
         pivots.append(c)
     a %= prime
     return pivots
-
-
-def _modular_kernel(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> list[tuple[Fraction, ...]] | None:
-    """The reduced-echelon kernel basis of integer rows, found mod PRIMES and
-    certified by _verify_kernel, or None when no prime gives a certificate.
-
-    Each prime gives the reduced row echelon form mod p, whose entries at the
-    free columns are, negated, the kernel vectors mod p.  The first prime's
-    pivot columns are the reference.  A later prime with other pivot columns
-    shows that one of the two lost pivots to reduction, and the call returns
-    None, leaving the matrix to Bareiss.  After each prime the residues are
-    joined by CRT and rationally reconstructed (Wang), and the candidate is
-    verified exactly.
-    """
-    for prime in PRIMES:
-        a = _residues(rows, prime)
-        pivots = _echelon_mod_prime(a, prime, reduced=True)
-        if prime == PRIMES[0]:
-            reference, modulus, pivot_set = pivots, 1, set(pivots)
-            free = [c for c in range(ncols) if c not in pivot_set]
-            lifted = [[0] * len(pivots) for _ in free]
-        elif pivots != reference:
-            return None
-        # images[k][t]: kernel vector of free column free[k] at pivots[t].
-        images = ((-a[: len(pivots)][:, free]) % prime).T.tolist()
-        inv = pow(modulus, -1, prime)
-        lifted = [
-            [u + modulus * ((w - u) * inv % prime) for u, w in zip(us, ws)]
-            for us, ws in zip(lifted, images)
-        ]
-        modulus *= prime
-        vectors = _reconstruct_kernel(lifted, modulus, pivots, free, ncols)
-        if vectors is not None and _verify_kernel(rows, ncols, pivots, vectors):
-            return vectors
-    return None
-
-
-def _reconstruct_kernel(
-    lifted: list[list[int]], modulus: int, pivots: list[int], free: list[int], ncols: int
-) -> list[tuple[Fraction, ...]] | None:
-    """Kernel vectors with unit free entries and reconstructed pivot entries,
-    or None when some residue has no fraction small enough for `modulus`."""
-    bound = isqrt(modulus // 2)
-    vectors = []
-    for f, column in zip(free, lifted):
-        entries = [_rational_reconstruction(u, modulus, bound) for u in column]
-        if None in entries:
-            return None
-        vectors.append(_unit_vector(ncols, f, pivots, entries))
-    return vectors
 
 
 def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:

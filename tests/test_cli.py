@@ -252,14 +252,23 @@ def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
 def test_unwritable_report_path_is_an_input_error(tmp_path, capsys, flag):
+    # Every destination is opened before any is written, so no record
+    # reaches stdout, and an unwritable --csv leaves no --out file behind.
     target = tmp_path / "missing" / "report"
-    code, out, err = run_main(
-        ["tangent", "--n", "2", "--d", "2", "--trials", "1", flag, str(target)], capsys
-    )
+    args = ["tangent", "--n", "2", "--d", "2", "--trials", "1", flag, str(target)]
+    code, out, err = run_main(args, capsys)
     assert code == 2
+    assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert not target.exists()
+    if flag == "--csv":
+        report = tmp_path / "rep.jsonl"
+        code, out, err = run_main(args + ["--out", str(report)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not report.exists()
 
 
 def test_coeff_bound_past_one_draw_is_an_input_error(capsys):

@@ -1,9 +1,10 @@
-"""The certified modular route of linalg.rank, linalg.kernel_basis and
-SubspaceBasis.from_spanning, and the p-adic lift of the socle line,
-checked against the Bareiss core and against sympy, including the cases where
-the certificate must fail and the exact fallback must answer, and the exact
-route that solves keep."""
+"""The one certified modular kernel reader, the p-adic lift behind
+linalg.rank's left kernels, linalg.kernel_basis, SubspaceBasis.from_spanning
+and the socle line, checked against the Bareiss core and against sympy,
+including the cases where the certificate must fail and the exact fallback
+must answer, and the exact route that solves keep."""
 from fractions import Fraction
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -13,13 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DM
 
-import apolar.ci as ci
 import apolar.linalg as linalg
 from apolar import (
     FormTuple,
     SplitMix64,
     SubspaceBasis,
+    associated_form,
     block_solve,
+    catalecticant,
     kernel_basis,
     matrix_inverse,
     parse_polynomial,
@@ -30,23 +32,21 @@ from apolar import (
 from apolar.ci import _shift_rows
 from apolar.cli import trial_seeds
 from apolar.linalg import (
-    LIFT_PRIME,
-    PRIMES,
+    PRIME,
     _certified_rank,
     _exact_kernel_basis,
     _integer_rows,
-    _kernel_line,
-    _modular_kernel,
+    _kernel,
     _triangularize,
     _verify_kernel,
     rank_mod_prime,
 )
 from bareiss_reference import bareiss_socle_kernel, eager_echelon_mod_prime
 
-P, L = PRIMES[0], LIFT_PRIME
+P = PRIME
 
 small_int = st.integers(-7, 7)
-# Entries that vanish or coincide mod PRIMES[0] make the first prime unlucky.
+# Entries that vanish or coincide mod PRIME make the prime unlucky.
 unlucky_int = st.one_of(small_int, st.sampled_from([P, -P, 2 * P, P + 1, P - 1]))
 small_fraction = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
 
@@ -62,7 +62,7 @@ def matrices(draw, entries, max_side=6):
 @st.composite
 def low_rank_matrices(draw, max_side=7, max_entry=7):
     """B * C with an inner dimension below both sides, so the kernels on
-    both sides are nonzero and the modular kernel route is exercised."""
+    both sides are nonzero and the p-adic lift is exercised."""
     nrows = draw(st.integers(2, max_side))
     ncols = draw(st.integers(2, max_side))
     inner = draw(st.integers(1, min(nrows, ncols) - 1))
@@ -127,8 +127,8 @@ def test_rank_deficient_matrices_match_bareiss_and_sympy(m):
 @given(low_rank_matrices(max_side=5, max_entry=2**24))
 @settings(deadline=None, max_examples=50)
 def test_wide_entries_match_bareiss_and_sympy(m):
-    # Kernel entries of up to about a hundred bits: some need two to four
-    # primes, some are out of reach and fall back.
+    # Kernel entries of up to about a hundred bits, lifted through several
+    # p-adic digits.
     check_against_oracles(m)
 
 
@@ -152,29 +152,21 @@ def test_certified_rank_matches_sympy_under_loose_and_tight_bounds(m):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Records, in order, each modular kernel attempt (certified or not),
-    each p-adic line lift as it starts (from linalg or from ci's socle
-    functional), and each Bareiss elimination made through the linalg module;
-    a lift that falls back is "p-adic" followed by "bareiss"."""
+    """Records, in order, each p-adic lift as it starts and each Bareiss
+    elimination made through the linalg module; a lift that falls back is
+    "p-adic" followed by "bareiss"."""
     seen = []
-    modular, line, bareiss = linalg._modular_kernel, linalg._kernel_line, linalg._triangularize
+    lift, bareiss = linalg._padic_kernel, linalg._triangularize
 
-    def spy_modular(*args):
-        vectors = modular(*args)
-        seen.append("certified" if vectors is not None else "uncertified")
-        return vectors
-
-    def spy_line(*args):
+    def spy_lift(*args):
         seen.append("p-adic")
-        return line(*args)
+        return lift(*args)
 
     def spy_bareiss(*args):
         seen.append("bareiss")
         return bareiss(*args)
 
-    monkeypatch.setattr(linalg, "_modular_kernel", spy_modular)
-    monkeypatch.setattr(linalg, "_kernel_line", spy_line)
-    monkeypatch.setattr(ci, "_kernel_line", spy_line)
+    monkeypatch.setattr(linalg, "_padic_kernel", spy_lift)
     monkeypatch.setattr(linalg, "_triangularize", spy_bareiss)
     return seen
 
@@ -184,46 +176,46 @@ def test_full_rank_mod_p_needs_no_kernel(paths):
     assert paths == []
 
 
-def test_rank_drop_mod_p_falls_back_when_a_later_prime_disagrees(paths):
-    # Mod PRIMES[0] both rows end in the same residues, so that prime sees
-    # rank 1; the next prime sees rank 2, the two disagree on the pivot
-    # columns of the transpose, and Bareiss decides.
+def test_rank_drop_mod_p_falls_back_to_bareiss(paths):
+    # Mod PRIME both rows end in the same residues, so the rank mod p is 1;
+    # the left kernel lifted from it fails the exact check up to the step
+    # cap, and Bareiss decides.
     m = [[P, 1], [0, 1]]
     assert rank(m) == 2 == sympy_matrix(m).rank()
-    assert paths == ["uncertified", "bareiss"]
+    assert paths == ["p-adic", "bareiss"]
 
 
 def test_rank_drop_mod_p_with_unreconstructible_kernel_falls_back(paths):
-    # The left kernel is spanned by (1/p, -1/p, 1): a denominator past what
-    # every prime and the product of the last two can reconstruct.
+    # The left kernel is spanned by (1/p, -1/p, 1): a denominator p, which
+    # no lift mod p reconstructs.
     m = [[1, 0, 0], [1, P, 0], [0, 1, 0]]
     assert rank(m) == 2 == sympy_matrix(m).rank()
-    assert paths == ["uncertified", "bareiss"]
+    assert paths == ["p-adic", "bareiss"]
 
 
 def test_kernel_with_shifted_pivots_mod_p_falls_back(paths):
-    # Mod PRIMES[0] the pivot columns are 0 and 2; over the rationals they are
-    # 0 and 1, and the kernel vector carries 1/PRIMES[0].
+    # Mod PRIME the pivot columns are 0 and 2; over the rationals they are
+    # 0 and 1, and the kernel vector carries 1/PRIME.
     m = [[1, 1, 0], [0, P, 1]]
     vectors = kernel_basis(m).vectors
     assert vectors == ((Fraction(1, P), Fraction(-1, P), Fraction(1)),) == sympy_nullspace(m)
-    assert paths == ["uncertified", "bareiss"]
+    assert paths == ["p-adic", "bareiss"]
 
 
 def test_kernel_after_rank_drop_mod_p_falls_back(paths):
-    # Mod PRIMES[0] the rows agree, so that prime sees pivot column 0 alone;
-    # the next prime sees columns 0 and 1, and Bareiss decides.
+    # Mod PRIME the rows agree, so the lift sees pivot column 0 alone; its
+    # two vectors fail the exact check, and Bareiss decides.
     m = [[1, 0, 1], [1, P, 1 + P]]
     assert kernel_basis(m).vectors == ((-1, -1, 1),) == sympy_nullspace(m)
-    assert paths == ["uncertified", "bareiss"]
+    assert paths == ["p-adic", "bareiss"]
 
 
 def test_tight_bound_is_not_reported_after_a_rank_drop_mod_p(paths):
-    # Mod PRIMES[0] the rank is 1, short of the true rank 2 that the bound
+    # Mod PRIME the rank is 1, short of the true rank 2 that the bound
     # states, so the bound is not met and the exact route answers.
     m = [[P, 1], [0, 1]]
     assert _certified_rank(m, 2) == 2 == sympy_matrix(m).rank()
-    assert paths == ["uncertified", "bareiss"]
+    assert paths == ["p-adic", "bareiss"]
 
 
 def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
@@ -232,7 +224,17 @@ def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
     # (the repeated row x1^2 x2) proves the rank without Bareiss.
     f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
     assert f.quotient.ideal_dim(3) == 3
-    assert paths == ["certified"]
+    assert paths == ["p-adic"]
+
+
+def test_left_kernel_certificate_costs_one_elimination_beyond_the_rank(paths, eliminations):
+    # The degenerate tuple above: the column profile that gives the mod-p
+    # rank is the left kernel's row profile, so the lift adds only the
+    # reduced [A_R | I].
+    f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
+    assert _certified_rank(_shift_rows(f.forms, 1), 4) == 3
+    assert paths == ["p-adic"]
+    assert eliminations == [2]
 
 
 @pytest.mark.parametrize("n, d, want", [(4, 4, 20), (6, 2, 70)])
@@ -243,21 +245,21 @@ def test_relation_rank_is_certified_by_its_left_kernel(paths, n, d, want):
     f = random_ci_tuple(n, d, trial_seeds(200 + 10 * n + d, 3)[0], coeff_bound=2)
     paths.clear()
     assert relation_space_dim_bruteforce(f) == want
-    assert paths == ["certified"]
+    assert paths == ["p-adic"]
 
 
 def test_from_spanning_takes_the_certified_route(paths):
     m = [[2, 4, 0, 1], [1, 2, 1, 3], [3, 6, 1, 4]]
     assert SubspaceBasis.from_spanning(m, 4).vectors == sympy_rref_rows(m)
-    assert paths == ["certified"]
+    assert paths == ["p-adic"]
 
 
 def test_from_spanning_with_shifted_pivots_mod_p_falls_back(paths):
-    # The kernel case above, read as a spanning set: mod PRIMES[0] the pivot
+    # The kernel case above, read as a spanning set: mod PRIME the pivot
     # columns are 0 and 2, over the rationals 0 and 1.
     m = [[1, 1, 0], [0, P, 1]]
     assert SubspaceBasis.from_spanning(m, 3).vectors == sympy_rref_rows(m)
-    assert paths == ["uncertified", "bareiss"]
+    assert paths == ["p-adic", "bareiss"]
 
 
 def test_ideal_piece_takes_the_certified_route(paths):
@@ -265,12 +267,12 @@ def test_ideal_piece_takes_the_certified_route(paths):
     paths.clear()
     piece = f.quotient.ideal_piece(5)
     assert piece.vectors == sympy_rref_rows(_shift_rows(f.forms, 5 - f.degree))
-    assert paths == ["certified"]
+    assert paths == ["p-adic"]
 
 
 def test_solves_and_the_socle_functional_stay_exact(paths):
     # Small solves skip the certified try, which costs more than Bareiss on
-    # them.  The socle kernel is too wide for the primes; it is lifted
+    # them.  The socle kernel, entries of hundreds of bits, is lifted
     # p-adically and verified exactly, with no Bareiss.
     assert block_solve([[2, 1], [1, 1]], [[1], [2]]).entries == ((1,), (-3,))
     assert paths == ["bareiss"]
@@ -281,49 +283,6 @@ def test_solves_and_the_socle_functional_stay_exact(paths):
     paths.clear()
     f.quotient.socle_functional()
     assert paths == ["p-adic"]
-
-
-# Both rows agree mod the second prime, so it sees rank 1 where the first
-# prime, rightly, sees rank 2.  The kernel entry -(X + 1), about 2^20, is past
-# what one prime can reconstruct (about 2^12), so the second prime is reached.
-Q, X = PRIMES[1], 2**20 + 7
-LOSES_PIVOT_MOD_Q = [[1, 1, X], [1, 1 + Q, X - Q]]
-
-
-def test_kernel_falls_back_when_a_later_prime_loses_pivots(paths):
-    m = LOSES_PIVOT_MOD_Q
-    assert kernel_basis(m).vectors == ((-(X + 1), 1, 1),) == sympy_nullspace(m)
-    assert paths == ["uncertified", "bareiss"]
-
-
-def test_rank_falls_back_when_a_later_prime_loses_pivots(paths, monkeypatch):
-    # The transpose of those rows and their sum: rank 2 of 3 on both sides,
-    # and its left kernel is the kernel above.
-    primes = []
-    echelon = linalg._echelon_mod_prime
-
-    def spy_echelon(a, prime, reduced):
-        if reduced:
-            primes.append(prime)
-        return echelon(a, prime, reduced)
-
-    monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
-    m = [list(col) for col in zip(*LOSES_PIVOT_MOD_Q, map(sum, zip(*LOSES_PIVOT_MOD_Q)))]
-    assert rank(m) == 2 == sympy_matrix(m).rank()
-    assert paths == ["uncertified", "bareiss"]
-    # The disagreeing prime ends the modular attempt; the third is not tried.
-    assert primes == [PRIMES[0], Q]
-
-
-def test_socle_kernel_is_too_wide_for_the_primes():
-    # The (3,5) socle functional: about two hundred bits per entry.
-    f = random_ci_tuple(3, 5, SplitMix64(11).next_u64())
-    rows = _shift_rows(f.forms, f.socle_degree - f.degree)
-    assert _modular_kernel(rows, len(rows[0])) is None
-    exact = _exact_kernel_basis(rows, len(rows[0]))
-    assert exact.dimension == 1
-    assert max(abs(x.numerator).bit_length() for x in exact.vectors[0]) > 100
-    assert kernel_basis(rows).vectors == exact.vectors
 
 
 def test_verify_kernel_accepts_the_reduced_echelon_basis():
@@ -349,13 +308,14 @@ def test_verify_kernel_rejects_a_wrong_count():
 
 
 def lift_rank(rows) -> int:
-    """sympy's rank of the rows mod LIFT_PRIME."""
-    return DM(rows, sympy.GF(L)).rank()
+    """sympy's rank of the rows mod PRIME."""
+    return DM(rows, sympy.GF(P)).rank()
 
 
 def guard_edge(ncols: int) -> int:
-    """The largest entry size the int64 bounds of the lift allow."""
-    return (2**62 - 1) // ((ncols - 1) * L)
+    """The largest entry size the int64 bounds of a lift of ncols - 1 rows
+    allow; past it the lift runs on Python ints."""
+    return (2**62 - 1) // ((ncols - 1) * P)
 
 
 @st.composite
@@ -379,7 +339,7 @@ def corank_one_matrices(draw, at_guard_edge=False, max_side=6):
 @given(corank_one_matrices())
 @settings(deadline=None)
 def test_kernel_line_matches_bareiss_and_sympy(m):
-    vectors = _kernel_line(m, len(m[0])).vectors
+    vectors = _kernel(m, len(m[0])).vectors
     assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
 
 
@@ -389,7 +349,7 @@ def test_kernel_line_at_the_guard_edge_matches_bareiss_and_sympy(m):
     # Entries as wide as the int64 bounds allow: an overflow anywhere in the
     # lift would fail the exact check and show as a Bareiss call.
     with mock.patch.object(linalg, "_triangularize", wraps=linalg._triangularize) as bareiss:
-        vectors = _kernel_line(m, len(m[0])).vectors
+        vectors = _kernel(m, len(m[0])).vectors
     if lift_rank(m) == len(m[0]) - 1:
         assert not bareiss.called
     assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
@@ -400,9 +360,25 @@ def test_kernel_line_lifts_the_socle_kernel(paths, n, d):
     f = random_ci_tuple(n, d, SplitMix64(5).next_u64())
     rows = _shift_rows(f.forms, f.socle_degree - f.degree)
     paths.clear()
-    vectors = linalg._kernel_line(rows, len(rows[0])).vectors
+    vectors = _kernel(rows, len(rows[0])).vectors
     assert paths == ["p-adic"]
     assert vectors == bareiss_socle_kernel(f) == sympy_nullspace(rows)
+
+
+def test_catalecticant_kernel_of_an_associated_form_is_lifted(paths):
+    # The degree-5 catalecticant of a (3,5) associated form: 36 x 21, entries
+    # of about two hundred bits, past the int64 bounds, and a kernel of
+    # dimension 3 spanned by the tuple.  The lift answers it on Python ints.
+    f = random_ci_tuple(3, 5, SplitMix64(11).next_u64())
+    cat = catalecticant(associated_form(f), 5)
+    assert (cat.nrows, cat.ncols) == (36, 21)
+    assert max(abs(x).bit_length() for x in chain.from_iterable(_integer_rows(cat.entries))) > 150
+    paths.clear()
+    basis = kernel_basis(cat)
+    assert paths == ["p-adic"]
+    assert basis.dimension == 3
+    assert basis.same_span(SubspaceBasis.from_spanning(f.coefficient_rows(), 21))
+    assert basis.vectors == sympy_nullspace(cat.entries)
 
 
 @pytest.fixture
@@ -420,30 +396,30 @@ def eliminations(monkeypatch):
 
 
 def test_kernel_line_falls_back_when_the_mod_p_rank_is_short(paths, eliminations):
-    # Mod LIFT_PRIME the second row vanishes: rank 1, short of the 2 a line
-    # needs, so after the row profile the lift stops and Bareiss answers.
-    m = [[1, 0, 0], [0, L, L]]
-    assert linalg._kernel_line(m, 3).vectors == ((0, -1, 1),) == sympy_nullspace(m)
+    # Mod PRIME the second row vanishes: rank 1, short of the rational 2, so
+    # the lift's two vectors fail the exact check and Bareiss answers.
+    m = [[1, 0, 0], [0, P, P]]
+    assert _kernel(m, 3).vectors == ((0, -1, 1),) == sympy_nullspace(m)
     assert paths == ["p-adic", "bareiss"]
-    assert eliminations == [1]
+    assert eliminations == [2]
 
 
-def test_kernel_line_falls_back_past_the_int64_guard(paths, eliminations):
-    # At the guard's edge the lift answers alone; one past it, Bareiss does,
-    # before any elimination mod p.
+def test_kernel_line_past_the_int64_guard_stays_on_the_lift(paths, eliminations):
+    # At the guard's edge the lift runs in int64; one past it, where int64
+    # products of 2^45 by a digit would overflow, and past int64 itself, it
+    # runs on Python ints.  Each answers alone, in two eliminations.
     edge = guard_edge(3)
-    m = [[edge, -edge, 1], [1, edge, -edge]]
-    assert lift_rank(m) == 2
-    assert linalg._kernel_line(m, 3).vectors == sympy_nullspace(m)
-    assert paths == ["p-adic"] and eliminations == [2]
-    paths.clear()
-    m[0][0] += 1
-    assert linalg._kernel_line(m, 3).vectors == sympy_nullspace(m)
-    assert paths == ["p-adic", "bareiss"] and eliminations == [2]
+    for top in (edge, edge + 1, 2**45 + 1, 2**200 + 1):
+        m = [[top, -edge, 1], [1, edge, -edge]]
+        assert lift_rank(m) == 2
+        assert _kernel(m, 3).vectors == sympy_nullspace(m)
+        assert paths == ["p-adic"] and eliminations == [2]
+        paths.clear()
+        eliminations[0] = 0
 
 
 def test_kernel_line_falls_back_at_the_step_cap(paths, monkeypatch):
-    # Mod LIFT_PRIME the last row is twice the second less the first, so the
+    # Mod PRIME the last row is twice the second less the first, so the
     # rank is 2, as for a line; over the rationals the matrix is invertible.
     # Every lifted candidate fails the exact check until the Hadamard bound
     # ends the lift, and Bareiss finds no kernel.
@@ -455,14 +431,14 @@ def test_kernel_line_falls_back_at_the_step_cap(paths, monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(linalg, "_verify_kernel", spy_verify)
-    m = [[1, 2, 3], [4, 5, 6], [7, 8, 9 + L]]
-    assert linalg._kernel_line(m, 3).vectors == () == sympy_nullspace(m)
+    m = [[1, 2, 3], [4, 5, 6], [7, 8, 9 + P]]
+    assert _kernel(m, 3).vectors == () == sympy_nullspace(m)
     assert paths == ["p-adic", "bareiss"]
     assert verdicts and not any(verdicts)
 
 
 # The lazy loop leaves up to (2^63 - p) // (p - 1)^2 rank-one updates
-# unreduced: 8192 mod PRIMES[0], and 2 mod 2^31 - 1, where the periodic
+# unreduced: 8192 mod PRIME, and 2 mod 2^31 - 1, where the periodic
 # reduction of the rows still to be updated then runs on small inputs.
 ECHELON_PRIMES = (P, 2**31 - 1)
 
