@@ -2,10 +2,16 @@
 
 A form F of degree e in y determines, for each contraction degree i, the
 linear map h -> h(d/dy) F from degree-i polynomials in x to degree e-i forms
-in y.  Its matrix in the grlex bases is the catalecticant; its entry at row
-y^c, column x^a is prod_k (a_k+c_k)!/c_k! times the y^(a+c) coefficient of F.
-Ranks of these matrices are the apolar Hilbert function, and the kernel in
-the critical degree is the degree-d piece of the annihilator ideal.
+in y.  Its matrix in the grlex bases is the catalecticant Cat_i(F); its entry
+at row y^c, column x^a is F_{a+c} (a+c)!/c!, with b! = prod_k b_k!.  So
+Cat_i(F) = diag(1/c!) H_i, where H_i[c, a] = phi_{a+c} is the moment (Hankel)
+matrix of the divided-power coefficients phi_b = b! F_b (Iarrobino-Kanev,
+Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999).  A nonzero
+scaling of the rows changes neither rank nor right kernel, so every rank and
+kernel below is read off H_i, built from one vector phi scaled once to
+primitive integers and indexed by the shift table of poly.  Ranks of these
+matrices are the apolar Hilbert function, and the kernel in the critical
+degree is the degree-d piece of the annihilator ideal.
 
 stratify places a form of degree n(d-1) relative to the nested loci
 
@@ -19,29 +25,69 @@ with Z = U minus U_Res.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial, prod
 from typing import Sequence
 
 from .combinat import ci_hilbert, dim_forms
-from .linalg import MatrixQ, SubspaceBasis, determinant, kernel_basis, matrix_inverse, rank
-from .poly import FormTuple, Polynomial, _polar_term, monomial_basis, polynomials_from_vectors
+from .linalg import (
+    MatrixQ,
+    SubspaceBasis,
+    _certified_rank,
+    _kernel,
+    _primitive_row,
+    determinant,
+    matrix_inverse,
+)
+from .poly import (
+    FormTuple,
+    Polynomial,
+    _primitive_terms,
+    _shift_columns,
+    monomial_basis,
+    monomial_index,
+    polynomials_from_vectors,
+)
+
+
+@lru_cache(maxsize=None)
+def _factorials(n: int, e: int) -> tuple[int, ...]:
+    """b! = prod_k b_k! for every degree-e monomial b in n variables, in
+    grlex order."""
+    return tuple(prod(map(factorial, b)) for b in monomial_basis(n, e))
+
+
+def _moment_rows(f: Polynomial, i: int) -> tuple[list[list[int]], Fraction]:
+    """The moment matrix H_i of a nonzero homogeneous form f of degree e,
+    scaled to integers, and the factor it was scaled by.
+
+    phi_b = b! f_b over the degree-e monomials is scaled once to coprime
+    integers; row y^c, c of degree e - i, holds phi at the monomials x^a y^c
+    for every degree-i contractor x^a, read off the shift table.
+    """
+    e = f.homogeneous_degree()
+    if not 0 <= i <= e:
+        raise ValueError(f"contraction degree must lie in 0..{e}")
+    n = f.nvars
+    ints, factor = _primitive_terms(f)
+    index, weights = monomial_index(n, e), _factorials(n, e)
+    scaled = [0] * len(index)
+    for b, c in ints.items():
+        scaled[index[b]] = c * weights[index[b]]
+    phi, content = _primitive_row(scaled)
+    rows = [[phi[j] for j in cols] for cols in _shift_columns(n, e - i, i).values()]
+    return rows, factor * content
 
 
 def catalecticant(f: Polynomial, i: int) -> MatrixQ:
     """Catalecticant of a nonzero homogeneous form at contraction degree i:
     columns run over the degree-i contractors x^a, rows over the degree e - i
-    monomials y^c, and entry (c, a) is the coefficient of y^(a+c) in f times
-    prod_k (a_k+c_k)!/c_k!, the factor of x^a acting on y^(a+c)."""
-    e = f.homogeneous_degree()
-    if not 0 <= i <= e:
-        raise ValueError(f"contraction degree must lie in 0..{e}")
-    coeffs = dict(f.terms())
-
-    def entry(c, a):
-        b = tuple(ak + ck for ak, ck in zip(a, c))
-        return coeffs[b] * _polar_term(a, b)[1] if b in coeffs else 0
-
-    cols = monomial_basis(f.nvars, i)
-    return MatrixQ.from_rows([[entry(c, a) for a in cols] for c in monomial_basis(f.nvars, e - i)])
+    monomials y^c, and entry (c, a) is phi_{a+c}/c!, the coefficient of
+    y^(a+c) in f times prod_k (a_k+c_k)!/c_k!: the moment rows scaled."""
+    rows, factor = _moment_rows(f, i)
+    weights = (factor * w for w in _factorials(f.nvars, f.homogeneous_degree() - i))
+    return MatrixQ.from_rows([[x / w for x in row] for row, w in zip(rows, weights)])
 
 
 def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
@@ -56,7 +102,7 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
     if j > e:
         dim = dim_forms(f.nvars, j)
         return SubspaceBasis(dim, MatrixQ.identity(dim).entries)
-    return kernel_basis(catalecticant(f, j))
+    return _kernel(_moment_rows(f, j)[0], dim_forms(f.nvars, j))
 
 
 def annihilator_polynomials(f: Polynomial, j: int) -> list[Polynomial]:
@@ -95,8 +141,8 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     This is the Hilbert function of the apolar algebra; it is symmetric, and
     that symmetry is asserted on every call.
     """
-    e = f.homogeneous_degree()
-    ranks = tuple(rank(catalecticant(f, i)) for i in range(e + 1))
+    moments = (_moment_rows(f, i)[0] for i in range(f.homogeneous_degree() + 1))
+    ranks = tuple(_certified_rank(rows, min(len(rows), len(rows[0]))) for rows in moments)
     assert ranks == ranks[::-1], "apolar Hilbert function must be symmetric"
     assert ranks[0] == 1
     return ranks
@@ -164,20 +210,21 @@ def canonical_kernel_basis(
     columns.
     """
     n, d = _socle_shape(f)
-    cat = catalecticant(f, d)
-    kernel = kernel_basis(cat)
+    moments = _moment_rows(f, d)[0]
+    k_dim = dim_forms(n, d)
+    kernel = _kernel(moments, k_dim)
     if kernel.dimension != n:
         raise ValueError("form is not in the expected rank locus")
     if chart is None:
         return polynomials_from_vectors(n, d, kernel.vectors)
-    k_dim = cat.ncols
     r = k_dim - n
     rows, cols = chart
     rows, cols = sorted(rows), sorted(cols)
-    for picked, size in ((rows, cat.nrows), (cols, k_dim)):
+    for picked, size in ((rows, len(moments)), (cols, k_dim)):
         if len(set(picked)) != r or len(picked) != r or not 0 <= picked[0] <= picked[-1] < size:
             raise ValueError(f"chart must pick {r} distinct rows and columns, each in range")
-    if not determinant([[cat.entry(i, j) for j in cols] for i in rows]):
+    # The catalecticant minor is the moment minor with its rows scaled.
+    if not determinant([[moments[i][j] for j in cols] for i in rows]):
         raise ValueError("singular chart minor")
     # A nonsingular minor makes the chart columns independent, so no kernel
     # vector vanishes on all the complementary columns and B is invertible.
@@ -185,6 +232,6 @@ def canonical_kernel_basis(
     b_inv = matrix_inverse([[v[c] for c in comp] for v in kernel.vectors])
     basis = b_inv.matmul(MatrixQ(kernel.vectors)).entries
     for v in basis:
-        for row in cat.entries:
+        for row in moments:
             assert sum(x * y for x, y in zip(row, v)) == 0
     return polynomials_from_vectors(n, d, basis)

@@ -23,8 +23,6 @@ elimination decides.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
 from typing import Mapping, Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert
@@ -34,12 +32,13 @@ from .poly import (
     FormTuple,
     Monomial,
     Polynomial,
-    _power_products,
+    _divided,
     _primitive_terms,
+    _shift_columns,
+    _substituted,
     apply_polar,
     jacobian_det,
     monomial_basis,
-    monomial_index,
 )
 
 
@@ -70,15 +69,6 @@ def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int) -> list[list[int
                 row[j] = c
         rows.extend(block)
     return rows
-
-
-@lru_cache(maxsize=None)
-def _shift_columns(n: int, e: int, k: int) -> Mapping[Monomial, tuple[int, ...]]:
-    """For each degree-e monomial b, the column of m * b among the
-    degree-(e + k) monomials, for every degree-k monomial m in grlex order."""
-    col = monomial_index(n, e + k)
-    shifts = monomial_basis(n, k)
-    return {b: tuple(col[tuple(map(add, m, b))] for m in shifts) for b in monomial_basis(n, e)}
 
 
 class GradedQuotient:
@@ -208,7 +198,10 @@ def roundtrip_span(f: FormTuple) -> bool:
 
 
 def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
-    """All degree-ell monomials in the forms, in grlex order on exponents."""
+    """All degree-ell monomials in the forms, in grlex order on exponents:
+    the monomials x^e substituted at the forms, over the integers."""
     if ell < 0:
         raise ValueError("exponent must be nonnegative")
-    return _power_products(f.forms, monomial_basis(f.var_count, ell))
+    n = f.var_count
+    monomials = [Polynomial(n, {e: 1}) for e in monomial_basis(n, ell)]
+    return [_divided(n, *t) for t in _substituted(monomials, f.forms)]

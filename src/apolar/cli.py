@@ -214,14 +214,26 @@ def emit_report(
 ) -> None:
     """JSON lines to out_path or stdout; optional per-suite CSV summary.
     Both files are opened, the CSV first, before anything is written, so an
-    unwritable path stops the call before any record is written."""
+    unwritable path stops the call before any record is written.  The CSV is
+    opened without truncating it and emptied once both are open; when
+    out_path cannot be opened, a CSV file the call created is removed, and
+    one that was there already is left as it was."""
     payload = "".join(json.dumps(record) + "\n" for record in results)
     with ExitStack() as files:
         out = sys.stdout
         if csv_path:
-            table = files.enter_context(open(csv_path, "w", encoding="utf-8", newline=""))
+            created = not os.path.exists(csv_path)
+            table = files.enter_context(open(csv_path, "a", encoding="utf-8", newline=""))
         if out_path:
-            out = files.enter_context(open(out_path, "w", encoding="utf-8"))
+            try:
+                out = files.enter_context(open(out_path, "w", encoding="utf-8"))
+            except OSError:
+                files.close()
+                if csv_path and created:
+                    os.remove(csv_path)
+                raise
+        if csv_path:
+            table.truncate(0)
         out.write(payload)
         if not csv_path:
             return

@@ -338,32 +338,40 @@ def _padic_kernel(
     norms = [2 * t.bit_length() + nz.bit_length() for t, nz in zip(sizes, counts)]
     bits = sum(norms[c] for c in pivots) + max(norms[f] for f in free)
     cap = -(-(bits + 1) // (p.bit_length() - 1))
-    lifted, modulus = np.zeros((r, k), dtype=object), 1
+    # Columns reconstructed at one digit are kept for the next: a digit
+    # resumes at the first column not yet reconstructed, and the kept
+    # columns are dropped only when _verify_kernel rejects a full set.
+    lifted, modulus, vectors = np.zeros((r, k), dtype=object), 1, []
     for _ in range(cap):
         digit = inverse @ (residual % p).astype(np.int64, copy=False) % p
         residual = (residual - b @ digit) // p
         lifted += digit.astype(object) * modulus
         modulus *= p
-        vectors = _reconstruct_vectors(lifted.T.tolist(), modulus, pivots, free, ncols)
-        if vectors is not None and _verify_kernel(ints, ncols, pivots, vectors):
-            return vectors
+        done = len(vectors)
+        columns = lifted[:, done:].T.tolist()
+        vectors += _reconstruct_vectors(columns, modulus, pivots, free[done:], ncols)
+        if len(vectors) == k:
+            if _verify_kernel(ints, ncols, pivots, vectors):
+                return vectors
+            vectors = []
     return None
 
 
 def _reconstruct_vectors(
     lifted: list[list[int]], modulus: int, pivots: list[int], free: list[int], ncols: int
-) -> list[tuple[Fraction, ...]] | None:
+) -> list[tuple[Fraction, ...]]:
     """Kernel vectors, 1 at each free column and, at the pivots, the
-    fractions with the residues `lifted` mod `modulus`, or None when some
-    residue has none small enough.  Each column runs one common denominator:
-    scaled by the denominators found so far, its later entries are integers."""
+    fractions with the residues `lifted` mod `modulus`, up to the first
+    column with a residue that has none small enough.  Each column runs one
+    common denominator: scaled by the denominators found so far, its later
+    entries are integers."""
     bound, vectors = isqrt(modulus // 2), []
     for f, column in zip(free, lifted):
         den, entries = 1, []
         for u in column:
             q = _rational_reconstruction(den * u % modulus, modulus, bound)
             if q is None:
-                return None
+                return vectors
             entries.append(q / den if den > 1 else q)
             den *= q.denominator
         vectors.append(_unit_vector(ncols, f, pivots, entries))

@@ -53,6 +53,16 @@ def monomial_index(nvars: int, degree: int) -> Mapping[Monomial, int]:
     return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
 
 
+@lru_cache(maxsize=None)
+def _shift_columns(n: int, e: int, k: int) -> Mapping[Monomial, tuple[int, ...]]:
+    """For each degree-e monomial b, in grlex order, the column of m * b
+    among the degree-(e + k) monomials, for every degree-k monomial m in
+    grlex order."""
+    col = monomial_index(n, e + k)
+    shifts = monomial_basis(n, k)
+    return {b: tuple(col[tuple(map(add, m, b))] for m in shifts) for b in monomial_basis(n, e)}
+
+
 class Polynomial:
     """Immutable sparse polynomial with Fraction coefficients."""
 
@@ -207,18 +217,21 @@ def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
 
     Term by term, x^a acting on y^b gives prod_i b_i!/(b_i-a_i)! * y^{b-a}
     when b >= a componentwise and zero otherwise.  Lowers degree by deg h;
-    anything of higher degree than f dies.
+    anything of higher degree than f dies.  h and f are scaled once to
+    primitive integer terms, the products are summed over the integers, and
+    the sum is divided once by the two scaling factors.
     """
     if h.nvars != f.nvars:
         raise ValueError("mismatched variable counts")
-    pairs = []
-    for a, ca in h.terms():
-        for b, cb in f.terms():
+    (h_ints, h_scale), (f_ints, f_scale) = _primitive_terms(h), _primitive_terms(f)
+    acc: dict[Monomial, int] = {}
+    for a, ca in h_ints.items():
+        for b, cb in f_ints.items():
             term = _polar_term(a, b)
             if term:
                 mono, factor = term
-                pairs.append((mono, ca * cb * factor))
-    return Polynomial(f.nvars, pairs)
+                acc[mono] = acc.get(mono, 0) + ca * cb * factor
+    return _divided(f.nvars, acc, h_scale * f_scale)
 
 
 def partial(p: Polynomial, i: int) -> Polynomial:
@@ -278,8 +291,7 @@ def jacobian_det(f: FormTuple) -> Polynomial:
             for j, e in enumerate(m):
                 if e:
                     row[j][m[:j] + (e - 1,) + m[j + 1 :]] = c * e
-    scale = prod(c for _, c in scaled)
-    return Polynomial(n, [(m, c / scale) for m, c in _integer_det(mat, n).items()])
+    return _divided(n, _integer_det(mat, n), prod(c for _, c in scaled))
 
 
 def _primitive_terms(p: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
@@ -287,6 +299,13 @@ def _primitive_terms(p: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
     were scaled by."""
     ints, factor = _primitive_row(list(p._terms.values()))
     return dict(zip(p._terms, ints)), factor
+
+
+def _divided(nvars: int, terms: Mapping[Monomial, int], scale: Fraction) -> Polynomial:
+    """The polynomial with the integer terms divided by the nonzero `scale`:
+    the one division on the way out of an integer computation."""
+    num, den = scale.numerator, scale.denominator
+    return Polynomial(nvars, [(m, Fraction(c * den, num)) for m, c in terms.items() if c])
 
 
 def _add_product(
@@ -334,29 +353,56 @@ def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     for g in images:
         if g.nvars != out_nvars:
             raise ValueError("mismatched variable counts among images")
-    products = _power_products(images, [mono for mono, _ in p.terms()])
-    pairs = [
-        (mono, c * v) for (_, c), term in zip(p.terms(), products) for mono, v in term.terms()
-    ]
-    return Polynomial(out_nvars, pairs)
+    return _divided(out_nvars, *_substituted([p], images)[0])
 
 
-def _power_products(
-    bases: Sequence[Polynomial], exponents: Iterable[Monomial]
-) -> list[Polynomial]:
-    """prod_i bases[i]^e_i for each exponent tuple e, each power computed
-    once."""
-    one = Polynomial.constant(bases[0].nvars, 1)
+def _substituted(
+    ps: Sequence[Polynomial], images: Sequence[Polynomial]
+) -> list[tuple[dict[Monomial, int], Fraction]]:
+    """Each p in ps evaluated at the images, over the integers: an integer
+    sum, and the denominator that divides it into the value.
+
+    Image i is scaled once to primitive integer terms G_i, so that it is G_i
+    times den_i / num_i, and each power of G_i is formed once for all of ps.
+    With p scaled the same way and t_i its largest exponent of variable i,
+    each term c x^e of p adds c prod_i den_i^e_i num_i^(t_i - e_i) G^e to
+    the sum, whose denominator is p's factor times prod_i num_i^t_i.
+    """
+    nvars = images[0].nvars
+    scaled = [_primitive_terms(g) for g in images]
+    terms = [_primitive_terms(p) for p in ps]
+    exponents = list(dict.fromkeys(e for ints, _ in terms for e in ints))
+    bases = [g for g, _ in scaled]
+    products = dict(zip(exponents, _integer_power_products(bases, exponents, nvars)))
+    out = []
+    for ints, factor in terms:
+        top = [max((e[i] for e in ints), default=0) for i in range(len(images))]
+        acc: dict[Monomial, int] = {}
+        for e, c in ints.items():
+            for (_, s), k, t in zip(scaled, e, top):
+                c *= s.denominator**k * s.numerator ** (t - k)
+            for m, v in products[e].items():
+                acc[m] = acc.get(m, 0) + c * v
+        out.append((acc, factor * prod(s.numerator**t for (_, s), t in zip(scaled, top))))
+    return out
+
+
+def _integer_power_products(
+    bases: Sequence[Mapping[Monomial, int]], exponents: Iterable[Monomial], nvars: int
+) -> list[dict[Monomial, int]]:
+    """prod_i bases[i]^e_i for each exponent tuple e, over integer
+    polynomials in nvars variables, each power of a base formed once."""
+    one = {(0,) * nvars: 1}
     powers = [[one] for _ in bases]
     out = []
     for e in exponents:
-        prod = one
+        acc = one
         for i, k in enumerate(e):
             if k:
                 while len(powers[i]) <= k:
-                    powers[i].append(powers[i][-1] * bases[i])
-                prod = prod * powers[i][k]
-        out.append(prod)
+                    powers[i].append(_add_product({}, powers[i][-1], bases[i]))
+                acc = powers[i][k] if acc is one else _add_product({}, acc, powers[i][k])
+        out.append(acc)
     return out
 
 
@@ -365,7 +411,9 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
 
     On a form F: (g1 F)(y) = F(y . g1^{-t}).  On a tuple f: substitute
     x . g1^{-t} into every form, then mix the tuple by g2^{-1} on the right
-    (g2 = None means the identity).  act(g, act(h, F)) = act(g h, F).
+    (g2 = None means the identity).  act(g, act(h, F)) = act(g h, F).  The
+    substitution and the mix both run on integer sums, and each resulting
+    form is divided once.
     """
     if isinstance(target, Polynomial):
         if g2 is not None:
@@ -380,17 +428,27 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
     # Variable j goes to row j of g1^{-1}, read as a linear form.
     images = polynomials_from_vectors(n, 1, matrix_inverse(g1).entries)
     if isinstance(target, Polynomial):
-        return substitute(target, images)
-    moved = [substitute(fi, images) for fi in target.forms]
-    if g2 is not None:
-        if g2.nrows != g2.ncols or g2.nrows != n:
-            raise ValueError("matrix size does not match the tuple length")
-        # Form j of the result is sum_i (g2^{-1})_{ij} f_i: column j of g2^{-1}.
-        moved = [
-            Polynomial(n, [(m, c * w) for g, w in zip(moved, col) for m, c in g.terms()])
-            for col in matrix_inverse(g2).transpose().entries
-        ]
-    return FormTuple(n, target.degree, tuple(moved))
+        return _divided(n, *_substituted([target], images)[0])
+    if g2 is None:
+        mix = MatrixQ.identity(n)
+    elif g2.nrows != g2.ncols or g2.nrows != n:
+        raise ValueError("matrix size does not match the tuple length")
+    else:
+        mix = matrix_inverse(g2)
+    moved = _substituted(target.forms, images)
+    forms = []
+    # Form j of the result is sum_i (g2^{-1})_{ij} f_i: column j of g2^{-1}.
+    # With moved form i the sum S_i over D_i, the weights (g2^{-1})_{ij} / D_i
+    # are scaled to integers once per column.
+    for col in mix.transpose().entries:
+        weights, factor = _primitive_row([w / den for w, (_, den) in zip(col, moved)])
+        acc: dict[Monomial, int] = {}
+        for k, (sums, _) in zip(weights, moved):
+            if k:
+                for m, v in sums.items():
+                    acc[m] = acc.get(m, 0) + k * v
+        forms.append(_divided(n, acc, factor))
+    return FormTuple(n, target.degree, tuple(forms))
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")

@@ -88,10 +88,11 @@ def tangent_dim(f: Polynomial) -> TangentReport:
     """Tangent dimension report for a form whose annihilator is a complete
     intersection; n and d are read off the form itself.
 
-    The degree-d catalecticant is eliminated once, for the generators g_i of
-    Ann(f); they generate the whole ideal (certified by the complete
-    intersection check), so dim(I_d * I_{s-d}) is the rank of the shifted
-    products m * g_i * g_j, and 0 when s < 2d.
+    The degree-d moment matrix (the catalecticant with its rows scaled) is
+    eliminated once, for the generators g_i of Ann(f); they generate the
+    whole ideal (certified by the complete intersection check), so
+    dim(I_d * I_{s-d}) is the rank of the shifted products m * g_i * g_j,
+    and 0 when s < 2d.
     """
     n, d = _socle_shape(f)
     s = n * (d - 1)

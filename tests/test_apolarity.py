@@ -1,8 +1,13 @@
+from fractions import Fraction
 from itertools import combinations
+from math import perm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar import (
+    MatrixQ,
     Polynomial,
     SplitMix64,
     SubspaceBasis,
@@ -16,11 +21,20 @@ from apolar import (
     ci_hilbert,
     determinant,
     dim_forms,
+    monomial_basis,
     parse_polynomial,
     random_ci_tuple,
     random_form,
     rank,
     stratify,
+)
+from apolar.apolarity import _moment_rows
+from apolar.linalg import (
+    _certified_rank,
+    _exact_kernel_basis,
+    _integer_rows,
+    _kernel,
+    _triangularize,
 )
 
 
@@ -303,3 +317,68 @@ def test_chart_with_a_column_basis_and_dependent_rows_is_singular():
         canonical_kernel_basis(f, chart=(rows, cols))
     with pytest.raises(ValueError, match="singular chart minor"):
         block_solve_chart_basis(f, (rows, cols))
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def rational_forms(draw):
+    """Nonzero forms of degree 1..5 in 2 or 3 variables: dense, sparse (one
+    to three monomials), or a sum of one to three powers of linear forms,
+    whose catalecticants have rank at most three."""
+    nvars = draw(st.integers(2, 3))
+    degree = draw(st.integers(1, 5))
+    basis = monomial_basis(nvars, degree)
+    kind = draw(st.sampled_from(["dense", "sparse", "powers"]))
+    if kind == "powers":
+        f = Polynomial.zero(nvars)
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars))
+            linear = Polynomial.from_coefficient_vector(nvars, 1, coeffs)
+            power = Polynomial.constant(nvars, draw(small_fractions))
+            for _ in range(degree):
+                power = power * linear
+            f = f + power
+    else:
+        monos = basis if kind == "dense" else draw(
+            st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True)
+        )
+        coeffs = draw(st.lists(small_fractions, min_size=len(monos), max_size=len(monos)))
+        f = Polynomial(nvars, zip(monos, coeffs))
+    if f.is_zero:
+        f = Polynomial(nvars, {basis[-1]: Fraction(1)})
+    return f
+
+
+def defining_catalecticant(f, i):
+    """Entry (c, a) straight from the definition: the coefficient of
+    y^(a+c) in f times prod_k (a_k+c_k)!/c_k!."""
+    e = f.homogeneous_degree()
+    return [
+        [
+            f.coefficient(tuple(x + y for x, y in zip(a, c)))
+            * prod(perm(x + y, x) for x, y in zip(a, c))
+            for a in monomial_basis(f.nvars, i)
+        ]
+        for c in monomial_basis(f.nvars, e - i)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_forms())
+def test_moment_rows_have_the_catalecticant_rank_and_kernel(f):
+    # Cat_i(f) = diag(1/c!) H_i: the public catalecticant is the defining
+    # matrix, and the moment rows H_i have its Bareiss rank and its
+    # reduced-echelon kernel, in every contraction degree.
+    for i in range(f.homogeneous_degree() + 1):
+        reference = defining_catalecticant(f, i)
+        assert catalecticant(f, i) == MatrixQ.from_rows(reference)
+        cat = _integer_rows(reference)
+        moments = _moment_rows(f, i)[0]
+        ncols = len(cat[0])
+        assert (len(moments), len(moments[0])) == (len(cat), ncols)
+        want = len(_triangularize(cat, ncols))
+        assert _certified_rank(moments, min(len(moments), ncols)) == want
+        assert _kernel(moments, ncols).vectors == _exact_kernel_basis(cat, ncols).vectors
+        assert annihilator_piece(f, i).dimension == ncols - want

@@ -271,6 +271,25 @@ def test_unwritable_report_path_is_an_input_error(tmp_path, capsys, flag):
         assert not report.exists()
 
 
+def test_unwritable_out_leaves_the_csv_path_as_it_was(tmp_path, capsys):
+    # The CSV is opened first: when --out then fails, a CSV file the call
+    # created is removed, and one that was there already keeps its bytes
+    # until a run that writes both replaces them.
+    csv_path = tmp_path / "ok.csv"
+    args = ["tangent", "--n", "2", "--d", "2", "--trials", "1", "--csv", str(csv_path)]
+    missing = ["--out", str(tmp_path / "missing" / "x.jsonl")]
+    code, out, err = run_main(args + missing, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not csv_path.exists()
+    old = "an older and longer summary\n" * 3
+    csv_path.write_text(old)
+    assert run_main(args + missing, capsys)[0] == 2
+    assert csv_path.read_text() == old
+    assert run_main(args + ["--out", str(tmp_path / "r.jsonl")], capsys)[0] == 0
+    assert csv_path.read_text().splitlines() == ["suite,records,passed,failed", "tangent,1,1,0"]
+
+
 def test_coeff_bound_past_one_draw_is_an_input_error(capsys):
     """2^63 asks for 2^64 + 1 values, more than one 64-bit draw covers."""
     args = ["tangent", "--n", "2", "--d", "2", "--trials", "1", "--coeff-bound"]

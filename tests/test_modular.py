@@ -248,6 +248,26 @@ def test_relation_rank_is_certified_by_its_left_kernel(paths, n, d, want):
     assert paths == ["p-adic"]
 
 
+def test_left_kernel_reconstructs_each_column_once(monkeypatch):
+    # Criterion 2's first (6,2) seed: the product rank's left kernel has 70
+    # columns over 371 pivots.  The first p-adic digit reconstructs a few
+    # entries before one has no fraction small enough; the next digit
+    # resumes at that column and keeps the rest, so every entry is
+    # reconstructed once plus less than one column more.  Redoing every
+    # column at each digit took 46436 calls.
+    calls = [0]
+    reconstruct = linalg._rational_reconstruction
+
+    def spy(*args):
+        calls[0] += 1
+        return reconstruct(*args)
+
+    f = random_ci_tuple(6, 2, trial_seeds(262, 3)[0], coeff_bound=2)
+    monkeypatch.setattr(linalg, "_rational_reconstruction", spy)
+    assert relation_space_dim_bruteforce(f) == 70
+    assert 70 * 371 <= calls[0] < 71 * 371
+
+
 def test_from_spanning_takes_the_certified_route(paths):
     m = [[2, 4, 0, 1], [1, 2, 1, 3], [3, 6, 1, 4]]
     assert SubspaceBasis.from_spanning(m, 4).vectors == sympy_rref_rows(m)

@@ -134,6 +134,26 @@ def test_substitute_linear_change():
     assert substitute(p, images) == parse_polynomial("x1^2 + 2*x1*x2 + x2^2", 2)
 
 
+def test_substitute_at_a_zero_image():
+    # Every term with a positive power of x2 dies; x1 goes to a form with a
+    # fractional coefficient, so the integer sum is divided at the end.
+    p = parse_polynomial("x1^3 - 2/3*x1*x2 + 5/2*x2^2", 2)
+    images = [parse_polynomial("1/2*x1 + x2", 2), Polynomial.zero(2)]
+    expected = parse_polynomial("1/8*x1^3 + 3/4*x1^2*x2 + 3/2*x1*x2^2 + x2^3", 2)
+    assert substitute(p, images) == expected
+    assert substitute(p, [Polynomial.zero(2)] * 2).is_zero
+
+
+def test_substitute_non_homogeneous_polynomial_and_images():
+    # Terms of different degrees take different common-denominator powers.
+    p = parse_polynomial("x1*x2 + 3/4*x1 - 1", 2)
+    images = [parse_polynomial("x1^2 - x2", 2), parse_polynomial("2/3*x2", 2)]
+    expected = parse_polynomial(
+        "2/3*x1^2*x2 - 2/3*x2^2 + 3/4*x1^2 - 3/4*x2 - 1", 2
+    )
+    assert substitute(p, images) == expected
+
+
 def test_act_gl_scaling_worked_example():
     g = MatrixQ.from_rows([[2, 0], [0, 1]])
     f = parse_polynomial("y1^2", 2)
