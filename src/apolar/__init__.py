@@ -4,8 +4,9 @@ identities behind the closed-form dimension counts.
 
 All linear algebra is exact, with Fraction at the API surface: ranks and
 kernels are lifted p-adically mod a word-size prime and verified over the
-integers, with fraction-free elimination as the fallback and for solves;
-randomized suites are deterministic in their seeds.
+integers, with fraction-free elimination as the fallback, for solves and for
+matrices of at most 100 entries; randomized suites are deterministic in
+their seeds.
 """
 from .apolarity import (
     StratumReport,

@@ -18,7 +18,8 @@ Its lower bound is the rank mod a prime.  Its upper bound is the complete
 intersection value: by rank semicontinuity no tuple's ideal is larger in any
 degree than a generic tuple's, and a generic tuple is a complete
 intersection.  When the two bounds differ, a verified left kernel or Bareiss
-elimination decides.
+elimination decides; matrices small enough for the size rule
+(linalg.EXACT_MAX_ENTRIES) go to Bareiss directly.
 """
 from __future__ import annotations
 
@@ -124,9 +125,10 @@ class GradedQuotient:
         if self._socle_functional is None:
             if not self.is_complete_intersection():
                 raise DegenerateTupleError("tuple is not a complete intersection")
-            # The socle is a line, so the shift matrix has corank one: its
-            # kernel is lifted p-adically and verified exactly, with Bareiss
-            # as the fallback; the entries run to hundreds of bits.
+            # The socle is a line, so the shift matrix has corank one: past
+            # the smallest shapes, which Bareiss reads under the size rule,
+            # its kernel is lifted p-adically and verified exactly, with
+            # Bareiss as the fallback; the entries run to hundreds of bits.
             lam = _kernel(
                 _shift_rows(self.tuple.forms, self.socle_degree - self.degree),
                 dim_forms(self.var_count, self.socle_degree),

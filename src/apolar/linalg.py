@@ -12,18 +12,21 @@ gmpy2 is installed, as plain ints otherwise; results come back as
 fractions.Fraction.
 
 Every rank goes through _certified_rank, given the integer rows and an upper
-bound the caller has proven (rank passes min(rows, cols)).  The lower bound
-is the rank mod the word-size prime PRIME, since specialization can only drop
-rank; when the two bounds meet, that is the rank.  Otherwise a verified left
-kernel bounds the rank from above by rows minus its dimension.  Every kernel
-(left kernels, kernel_basis, SubspaceBasis.from_spanning, the socle
-functional) is read by one certified reader, _padic_kernel, which lifts it
-p-adically mod PRIME (Dixon 1982) and checks it exactly with _verify_kernel;
-Bareiss answers what it does not certify, and determinant, solve and inverse
-are exact.  Every mod-p step runs one elimination loop, _echelon_mod_prime,
-with delayed reduction, over residues below 2^25.  A bound that is not met is
-never reported, so a certified answer is as exact as the Bareiss one.
-Nothing in this module touches floating point.
+bound the caller has proven (rank passes min(rows, cols)), and every kernel
+basis (kernel_basis, SubspaceBasis.from_spanning, the socle functional)
+through _kernel.  A matrix of at most EXACT_MAX_ENTRIES entries is answered
+by Bareiss alone, which costs less there than the modular route's set-up.
+On a larger one the lower bound is the rank mod the word-size prime PRIME,
+since specialization can only drop rank; when the two bounds meet, that is
+the rank.  Otherwise a verified left kernel bounds the rank from above by
+rows minus its dimension.  Every such kernel, left or right, is read by one
+certified reader, _padic_kernel, which lifts it p-adically mod PRIME (Dixon
+1982) and checks it exactly with _verify_kernel; Bareiss answers what it does
+not certify, and determinant, solve and inverse are exact.  Every mod-p step
+runs one elimination loop, _echelon_mod_prime, with delayed reduction, over
+residues below 2^25.  A bound that is not met is never reported, so a
+certified answer is as exact as the Bareiss one.  Nothing in this module
+touches floating point.
 """
 from __future__ import annotations
 
@@ -42,6 +45,12 @@ except ImportError:  # gmpy2 is optional; plain ints give the same answers
 # elimination (_echelon_mod_prime), and for the p-adic lift's sums of r
 # products of residues, r (p - 1)^2 < 2^63, for every r up to 8192.
 PRIME = 33554393
+
+# Matrices of at most this many entries skip the modular route: on them an
+# exact Bareiss run costs less than that route's fixed cost (column profile,
+# reduced [A_R | I], lift set-up, exact check).  The README's exactness
+# notes give the measured crossover.
+EXACT_MAX_ENTRIES = 100
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -220,9 +229,12 @@ def rank(m) -> int:
 
 def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
     """Exact rank of nonempty integer rows whose rank is at most `upper`, a
-    bound the caller has proven: the mod-p rank when it meets the bound,
+    bound the caller has proven: Bareiss elimination for at most
+    EXACT_MAX_ENTRIES entries; else the mod-p rank when it meets the bound,
     else a verified left kernel, lifted from the same column profile (the
     transpose's row profile), else Bareiss elimination."""
+    if len(ints) * len(ints[0]) <= EXACT_MAX_ENTRIES:
+        return len(_triangularize(ints, len(ints[0])))
     profile = _column_profile(_integer_array(ints))
     if len(profile) == upper:
         return upper
@@ -235,20 +247,23 @@ def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
 def kernel_basis(m) -> SubspaceBasis:
     """Reduced-echelon basis of the right kernel: one vector per free column
     in ascending order, 1 there and 0 at the other free columns.  _kernel
-    lifts it p-adically when it can certify it, else reads it by Bareiss."""
+    reads it by Bareiss under the size rule (EXACT_MAX_ENTRIES), else lifts
+    it p-adically when it can certify it, else reads it by Bareiss."""
     ints = _integer_rows(_entry_rows(m))
     return _kernel(ints, len(ints[0]) if ints else 0)
 
 
 def _kernel(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
-    """The reduced-echelon kernel basis of integer rows, by the certified
-    reader, _padic_kernel, when it gives a certificate, else by the exact
-    reader, _exact_kernel_basis.  The certificate (see _verify_kernel) pins
-    the pivot columns, so both readers give the same basis."""
-    vectors = _padic_kernel(ints, ncols) if ints and ncols else None
-    if vectors is None:
-        return _exact_kernel_basis(ints, ncols)
-    return SubspaceBasis(ncols, tuple(vectors))
+    """The reduced-echelon kernel basis of integer rows, by the exact reader,
+    _exact_kernel_basis, for at most EXACT_MAX_ENTRIES entries; else by the
+    certified reader, _padic_kernel, when it gives a certificate, else by the
+    exact reader.  The certificate (see _verify_kernel) pins the pivot
+    columns, so both readers give the same basis."""
+    if len(ints) * ncols > EXACT_MAX_ENTRIES:
+        vectors = _padic_kernel(ints, ncols)
+        if vectors is not None:
+            return SubspaceBasis(ncols, tuple(vectors))
+    return _exact_kernel_basis(ints, ncols)
 
 
 def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
@@ -351,7 +366,7 @@ def _padic_kernel(
         columns = lifted[:, done:].T.tolist()
         vectors += _reconstruct_vectors(columns, modulus, pivots, free[done:], ncols)
         if len(vectors) == k:
-            if _verify_kernel(ints, ncols, pivots, vectors):
+            if _verify_kernel(a, ncols, pivots, vectors):
                 return vectors
             vectors = []
     return None
@@ -562,8 +577,13 @@ def _verify_kernel(
     the bounds then meet, the mod-p pivot columns are the rational ones, and
     each vector is the one kernel vector with its pattern on the free
     columns: the vector the exact reduced row echelon form gives.  Nothing
-    here relies on how the vectors were computed.
+    here relies on how the vectors were computed.  A V = 0 is checked as
+    one exact product over the nonzero entries of A, V holding the vectors
+    scaled to primitive integers: in int64 when no partial sum can pass it,
+    else on Python ints (numpy object arrays).
     """
+    import numpy as np
+
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     if len(vectors) != len(free):
@@ -572,8 +592,20 @@ def _verify_kernel(
         support = [j for j, x in enumerate(v) if x]
         if v[f] != 1 or any(j != f and (j not in pivot_set or j > f) for j in support):
             return False
-        ints = _primitive_row(v)[0]
-        w = [(j, ints[j]) for j in support]
-        if any(sum(row[j] * x for j, x in w) for row in rows):
-            return False
-    return True
+    a = _integer_array(rows)
+    i, j = np.nonzero(a)
+    if not (i.size and vectors):
+        return True
+    scaled = np.array([_primitive_row(v)[0] for v in vectors], dtype=object)
+    top = max(int(a.max()), -int(a.min())) * int(np.abs(scaled).max())
+    # Each vector is 1 somewhere, so top bounds every entry of A: below the
+    # bound, A is already int64.
+    if top * ncols < 2**63:
+        scaled = scaled.astype(np.int64)
+    else:
+        a = a.astype(object)
+    # The nonzeros come row by row: terms[t, e] is nonzero e times vector t
+    # at its column, and each row's terms are one run, summed by reduceat.
+    terms = a[i, j] * scaled[:, j]
+    runs = np.flatnonzero(np.diff(i, prepend=-1))
+    return not np.count_nonzero(np.add.reduceat(terms, runs, axis=1))

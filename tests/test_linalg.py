@@ -15,7 +15,7 @@ from apolar import (
     rank,
     span_dim,
 )
-from apolar.linalg import PRIME, rank_mod_prime
+from apolar.linalg import EXACT_MAX_ENTRIES, PRIME, rank_mod_prime
 
 
 def test_kernel_of_single_row():
@@ -249,3 +249,35 @@ def test_block_solve_matches_sympy(a, width, data):
             sympy.Rational(x.numerator, x.denominator) for row in b for x in row
         ])
         assert block_solve(a, b).entries == from_sympy(expected)
+
+
+@st.composite
+def matrices_around_the_cutoff(draw, max_side=14):
+    """Products B C of integer matrices of full or lower rank, up to 196
+    entries: below the cutoff of 100 Bareiss reads them, above it the
+    modular route."""
+    side = st.integers(1, max_side)
+    nrows, ncols = draw(side), draw(side)
+    inner = draw(st.integers(1, min(nrows, ncols)))
+    entry = st.integers(-9, 9)
+    b = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=nrows,
+                      max_size=nrows))
+    c = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=inner,
+                      max_size=inner))
+    return [[sum(x * y for x, y in zip(r, col)) for col in zip(*c)] for r in b]
+
+
+@given(matrices_around_the_cutoff())
+@example([[i + j for j in range(10)] for i in range(10)])
+@example([list(range(1, EXACT_MAX_ENTRIES + 1))])
+@example([list(range(1, EXACT_MAX_ENTRIES + 2))])
+@settings(deadline=None, max_examples=60)
+def test_rank_and_bases_match_sympy_at_the_default_cutoff(m):
+    ref = sympy_matrix(m)
+    assert rank(m) == ref.rank()
+    nullspace = tuple(tuple(Fraction(int(x.p), int(x.q)) for x in v) for v in ref.nullspace())
+    assert kernel_basis(m).vectors == nullspace
+    reduced, pivots = ref.rref()
+    assert SubspaceBasis.from_spanning(m, len(m[0])).vectors == from_sympy(
+        reduced[: len(pivots), :]
+    )

@@ -2,7 +2,12 @@
 linalg.rank's left kernels, linalg.kernel_basis, SubspaceBasis.from_spanning
 and the socle line, checked against the Bareiss core and against sympy,
 including the cases where the certificate must fail and the exact fallback
-must answer, and the exact route that solves keep."""
+must answer, and the exact route that solves keep.
+
+Matrices of at most linalg.EXACT_MAX_ENTRIES entries skip the modular route.
+This module sets that cutoff to 0, so every rank and kernel here, however
+small its crafted matrix, drives the modular route; the tests that take the
+`default_cutoff` fixture check the size rule itself."""
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -30,7 +35,7 @@ from apolar import (
     relation_space_dim_bruteforce,
 )
 from apolar.ci import _shift_rows
-from apolar.cli import trial_seeds
+from apolar.cli import RunConfig, run_suite, trial_seeds
 from apolar.linalg import (
     PRIME,
     _certified_rank,
@@ -44,6 +49,20 @@ from apolar.linalg import (
 from bareiss_reference import bareiss_socle_kernel, eager_echelon_mod_prime
 
 P = PRIME
+DEFAULT_CUTOFF = linalg.EXACT_MAX_ENTRIES
+
+
+@pytest.fixture(scope="module", autouse=True)
+def modular_route_at_every_size():
+    # Module-scoped, so that hypothesis tests run under it too.
+    with mock.patch.object(linalg, "EXACT_MAX_ENTRIES", 0):
+        yield
+
+
+@pytest.fixture
+def default_cutoff(monkeypatch):
+    """The size rule as the package ships it, for one test."""
+    monkeypatch.setattr(linalg, "EXACT_MAX_ENTRIES", DEFAULT_CUTOFF)
 
 small_int = st.integers(-7, 7)
 # Entries that vanish or coincide mod PRIME make the prime unlucky.
@@ -290,10 +309,11 @@ def test_ideal_piece_takes_the_certified_route(paths):
     assert paths == ["p-adic"]
 
 
-def test_solves_and_the_socle_functional_stay_exact(paths):
-    # Small solves skip the certified try, which costs more than Bareiss on
-    # them.  The socle kernel, entries of hundreds of bits, is lifted
-    # p-adically and verified exactly, with no Bareiss.
+def test_solves_and_the_socle_functional_stay_exact(paths, default_cutoff):
+    # Solves always run Bareiss.  The (2,3) socle matrix, 4 x 5, is under
+    # the cutoff and read by Bareiss too; the (3,3) one, 30 x 28, is past
+    # it, and its kernel is lifted p-adically and verified exactly, with no
+    # Bareiss.
     assert block_solve([[2, 1], [1, 1]], [[1], [2]]).entries == ((1,), (-3,))
     assert paths == ["bareiss"]
     paths.clear()
@@ -302,7 +322,40 @@ def test_solves_and_the_socle_functional_stay_exact(paths):
     f = random_ci_tuple(2, 3, SplitMix64(5).next_u64())
     paths.clear()
     f.quotient.socle_functional()
+    assert paths == ["bareiss"]
+    f = random_ci_tuple(3, 3, SplitMix64(5).next_u64())
+    paths.clear()
+    f.quotient.socle_functional()
     assert paths == ["p-adic"]
+
+
+def test_a_matrix_at_the_cutoff_goes_straight_to_bareiss(paths, default_cutoff):
+    # 100 entries, rank 2: neither the rank nor the kernel tries the lift.
+    m = [[i + j for j in range(10)] for i in range(10)]
+    assert len(m) * len(m[0]) == DEFAULT_CUTOFF
+    assert rank(m) == 2
+    assert kernel_basis(m).vectors == sympy_nullspace(m)
+    assert paths == ["bareiss", "bareiss"]
+
+
+def test_a_matrix_past_the_cutoff_takes_the_modular_route(paths, default_cutoff):
+    # 101 entries: the kernel of the row is lifted, and the rank of the
+    # column is its mod-p rank, which meets its bound with no elimination
+    # beyond it.
+    row = [list(range(1, DEFAULT_CUTOFF + 2))]
+    assert kernel_basis(row).vectors == sympy_nullspace(row)
+    assert rank(list(zip(*row))) == 1
+    assert paths == ["p-adic"]
+
+
+def test_a_tangent_trial_at_3_5_runs_no_bareiss(paths, default_cutoff):
+    # Every rank and kernel of an `apolar tangent` trial at (3,5) has far
+    # more entries than the cutoff, so a cutoff set too high would show
+    # here as a Bareiss call.
+    cfg = RunConfig(command="tangent", n=3, d=5, trials=1, seed=1)
+    (record,) = run_suite(cfg)
+    assert record["pass"]
+    assert "p-adic" in paths and "bareiss" not in paths
 
 
 def test_verify_kernel_accepts_the_reduced_echelon_basis():
@@ -321,6 +374,13 @@ def test_verify_kernel_rejects_support_right_of_the_free_column():
 def test_verify_kernel_rejects_a_vector_outside_the_kernel():
     assert not _verify_kernel([[1, 2]], 2, [0], [(Fraction(-1), Fraction(1))])
     assert _verify_kernel([[1, 2]], 2, [0], [(Fraction(-2), Fraction(1))])
+
+
+def test_verify_kernel_rejects_a_product_that_wraps_in_int64():
+    # A v = 2^64: zero in int64 arithmetic, so the check must run on Python
+    # ints here.
+    assert not _verify_kernel([[2**32, 0]], 2, [0], [(2**32, 1)])
+    assert _verify_kernel([[2**32, 0]], 2, [0], [(0, 1)])
 
 
 def test_verify_kernel_rejects_a_wrong_count():
