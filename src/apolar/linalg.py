@@ -7,8 +7,7 @@ back-substitutes its echelon rows straight into the reduced-echelon kernel
 basis, the one form built from them.  The public functions check once that
 rows share one width and clear entries to integers row by row, once (row
 scaling changes neither rank nor kernel); the private cores take integer rows
-as they are.  Integers are manipulated as gmpy2 integers when the optional
-gmpy2 is installed, as plain ints otherwise; results come back as
+as they are.  The exact core runs on Python ints; results come back as
 fractions.Fraction.
 
 Every rank goes through _certified_rank, given the integer rows and an upper
@@ -35,10 +34,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # gmpy2 is optional; plain ints give the same answers
-    mpz = int
+# Python int is the one big-integer type; no code here uses this name, which
+# bench/run.py reads to record the big-integer backend of a run.
+mpz = int
 
 # The largest prime below 2^25.  Residues below it leave room in int64 for
 # (2^63 - p) // (p - 1)^2 = 8192 unreduced rank-one updates in the lazy
@@ -181,9 +179,9 @@ def _triangularize(rows: RowSeq, ncols: int) -> list[tuple[int, int, list]]:
     an integer (a minor of the input), and the last pivot of a nonsingular
     square matrix is its determinant up to the sign of the pivot row order.
     """
-    active = [(i, list(map(mpz, row))) for i, row in enumerate(rows) if any(row)]
+    active = [(i, list(row)) for i, row in enumerate(rows) if any(row)]
     pivots: list[tuple[int, int, list]] = []
-    prev = mpz(1)
+    prev = 1
     for c in range(ncols):
         if not active:
             break
@@ -233,15 +231,15 @@ def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
     EXACT_MAX_ENTRIES entries; else the mod-p rank when it meets the bound,
     else a verified left kernel, lifted from the same column profile (the
     transpose's row profile), else Bareiss elimination."""
-    if len(ints) * len(ints[0]) <= EXACT_MAX_ENTRIES:
-        return len(_triangularize(ints, len(ints[0])))
-    profile = _column_profile(_integer_array(ints))
-    if len(profile) == upper:
-        return upper
-    left = _padic_kernel(list(zip(*ints)), len(ints), profile)
-    if left is not None:
-        return len(ints) - len(left)
-    return len(_triangularize(ints, len(ints[0])))
+    ncols = len(ints[0])
+    if len(ints) * ncols > EXACT_MAX_ENTRIES:
+        profile = _column_profile(_integer_array(ints))
+        if len(profile) == upper:
+            return upper
+        left = _padic_kernel(list(zip(*ints)), len(ints), profile)
+        if left is not None:
+            return len(ints) - len(left)
+    return len(_triangularize(ints, ncols))
 
 
 def kernel_basis(m) -> SubspaceBasis:
@@ -279,7 +277,7 @@ def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBa
     pivots = _triangularize(ints, ncols)
     pivot_cols = [c for _, c, _ in pivots]
     free = sorted(set(range(ncols)) - set(pivot_cols))
-    den = int(pivots[-1][2][0]) if pivots else 1
+    den = pivots[-1][2][0] if pivots else 1
     # scaled[k]: den times the free-column entries of reduced row k.
     scaled: list[list] = [[]] * len(pivots)
     for k in reversed(range(len(pivots))):
@@ -291,7 +289,7 @@ def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBa
                 acc = [a - t * b for a, b in zip(acc, below)]
         scaled[k] = [a // tail[0] for a in acc]
     vectors = (
-        _unit_vector(ncols, f, pivot_cols, [Fraction(-int(row[i]), den) for row in scaled])
+        _unit_vector(ncols, f, pivot_cols, [Fraction(-row[i], den) for row in scaled])
         for i, f in enumerate(free)
     )
     return SubspaceBasis(ncols, tuple(vectors))
@@ -449,7 +447,7 @@ def determinant(a) -> Fraction:
         return Fraction(0)
     order = [p for p, _, _ in pivots]
     inversions = sum(x > y for i, x in enumerate(order) for y in order[i + 1 :])
-    last = int(pivots[-1][2][0]) if pivots else 1
+    last = pivots[-1][2][0] if pivots else 1
     return Fraction(-last if inversions % 2 else last) / prod(f for _, f in scaled)
 
 

@@ -347,8 +347,6 @@ def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     """Evaluate p at the given images of its variables."""
     if len(images) != p.nvars:
         raise ValueError("need one image per variable")
-    if not images:
-        raise ValueError("need at least one variable")
     out_nvars = images[0].nvars
     for g in images:
         if g.nvars != out_nvars:
@@ -428,7 +426,7 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
     # Variable j goes to row j of g1^{-1}, read as a linear form.
     images = polynomials_from_vectors(n, 1, matrix_inverse(g1).entries)
     if isinstance(target, Polynomial):
-        return _divided(n, *_substituted([target], images)[0])
+        return substitute(target, images)
     if g2 is None:
         mix = MatrixQ.identity(n)
     elif g2.nrows != g2.ncols or g2.nrows != n:

@@ -11,6 +11,7 @@ from apolar import (
     block_solve,
     determinant,
     kernel_basis,
+    linalg,
     matrix_inverse,
     rank,
     span_dim,
@@ -281,3 +282,8 @@ def test_rank_and_bases_match_sympy_at_the_default_cutoff(m):
     assert SubspaceBasis.from_spanning(m, len(m[0])).vectors == from_sympy(
         reduced[: len(pivots), :]
     )
+
+
+def test_mpz_names_the_only_big_integer_type():
+    # bench/run.py:93 records the benchmark's `bigint` field from this name.
+    assert linalg.mpz is int

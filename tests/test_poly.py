@@ -154,6 +154,20 @@ def test_substitute_non_homogeneous_polynomial_and_images():
     assert substitute(p, images) == expected
 
 
+def test_substitute_rejects_a_wrong_image_count():
+    p = parse_polynomial("x1^2 + x2", 2)
+    with pytest.raises(ValueError, match="one image per variable"):
+        substitute(p, [x(1, 2)])
+    with pytest.raises(ValueError, match="one image per variable"):
+        substitute(p, [])
+
+
+def test_substitute_rejects_images_in_different_rings():
+    p = parse_polynomial("x1*x2", 2)
+    with pytest.raises(ValueError, match="mismatched variable counts"):
+        substitute(p, [x(1, 2), x(1, 3)])
+
+
 def test_act_gl_scaling_worked_example():
     g = MatrixQ.from_rows([[2, 0], [0, 1]])
     f = parse_polynomial("y1^2", 2)
@@ -172,6 +186,32 @@ def test_act_gl_on_tuple_mixes_by_second_matrix():
     g2 = MatrixQ.from_rows([[0, 1], [1, 0]])
     moved = act_gl(MatrixQ.identity(2), g2, f)
     assert moved.forms == (f.forms[1], f.forms[0])
+
+
+def test_act_gl_rejects_a_second_matrix_on_a_form():
+    f = parse_polynomial("y1^2 + y2^2", 2)
+    with pytest.raises(ValueError, match="one matrix"):
+        act_gl(MatrixQ.identity(2), MatrixQ.identity(2), f)
+
+
+def test_act_gl_rejects_matrices_of_the_wrong_size():
+    f = parse_polynomial("y1^2 + y2^2", 2)
+    t = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x2^2", 2)))
+    with pytest.raises(ValueError, match="variable count"):
+        act_gl(MatrixQ.identity(3), None, f)
+    with pytest.raises(ValueError, match="variable count"):
+        act_gl(MatrixQ.from_rows([[1, 0, 0], [0, 1, 0]]), None, f)
+    with pytest.raises(ValueError, match="variable count"):
+        act_gl(MatrixQ.identity(3), None, t)
+    with pytest.raises(ValueError, match="tuple length"):
+        act_gl(MatrixQ.identity(2), MatrixQ.identity(3), t)
+    with pytest.raises(ValueError, match="tuple length"):
+        act_gl(MatrixQ.identity(2), MatrixQ.from_rows([[1, 0]]), t)
+
+
+def test_act_gl_rejects_a_target_that_is_not_a_form():
+    with pytest.raises(TypeError, match="Polynomial or FormTuple"):
+        act_gl(MatrixQ.identity(2), None, [x(1, 2), x(2, 2)])
 
 
 def test_parse_rejects_mixed_letters_and_bad_index():
