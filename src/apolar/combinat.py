@@ -2,7 +2,9 @@
 
 Everything here is integer arithmetic; binomials follow the vanishing
 convention C(a, b) = 0 for b < 0 or b > a.  Negative upper arguments are
-rejected because no caller has a meaning for them.
+rejected because no caller has a meaning for them.  Rows and columns of
+Pascal's triangle are built by the exact one-step recurrences of Graham,
+Knuth and Patashnik, Concrete Mathematics, ch. 5.
 """
 from __future__ import annotations
 
@@ -17,6 +19,42 @@ def binom(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
+
+
+@lru_cache(maxsize=4)
+def pascal_row(a: int) -> tuple[int, ...]:
+    """C(a, b) for b = 0..a, by C(a, b) = C(a, b-1) (a-b+1) / b."""
+    if a < 0:
+        raise ValueError(f"binomial upper argument must be nonnegative, got {a}")
+    row = [1]
+    for b in range(1, a + 1):
+        row.append(row[-1] * (a - b + 1) // b)
+    return tuple(row)
+
+
+@lru_cache(maxsize=4)
+def _column_store(k: int) -> list[tuple[int, ...]]:
+    """One slot holding the longest column k computed so far."""
+    return [(1,)]
+
+
+def pascal_column(k: int, top: int) -> tuple[int, ...]:
+    """Entry i is C(k+i, k), for i = 0 .. top-k at least.
+
+    The column is grown on demand by C(k+i, k) = C(k+i-1, k) (k+i) / i, at
+    least doubling its length, and cached for a few k.  Growing builds a new
+    tuple, so a tuple once returned never changes.
+    """
+    if k < 0:
+        raise ValueError(f"binomial lower argument must be nonnegative, got {k}")
+    store = _column_store(k)
+    col = store[0]
+    if top - k >= len(col):
+        entries = list(col)
+        for i in range(len(col), max(top - k + 1, 2 * len(col))):
+            entries.append(entries[-1] * (k + i) // i)
+        store[0] = col = tuple(entries)
+    return col
 
 
 def dim_forms(nvars: int, degree: int) -> int:

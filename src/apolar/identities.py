@@ -1,18 +1,24 @@
 """Exact verification of the combinatorial identities behind the counts.
 
 Every check returns an IdentityResult carrying both sides as exact integers;
-nothing is proved here, instances are evaluated.  The A3 left-hand side is a
-sum over constrained compositions; it is evaluated as one coefficient of a
-truncated integer power series (the alternating composition sum is
--B(u) D(u) / (1 + A(u)), see a3_lhs), which is the same sum reorganized, and
-a literal recursive enumerator is kept alongside for cross-checking both
-published constraint readings on small parameters.
+nothing is proved here, instances are evaluated.  The left sides of A1, A2,
+A3 and the auxiliary sums are summed term by term from Pascal-triangle
+entries, read from combinat's cached rows C(a, 0..a) and columns C(k+i, k);
+their right sides read binom, never those tables, so a wrong table entry
+shows as a failed check.  The A3 left-hand side is a sum over constrained compositions; it is
+evaluated as one coefficient of a truncated integer power series (the
+alternating composition sum is -B(u) D(u) / (1 + A(u)), see a3_lhs), which
+is the same sum reorganized.  The series do not depend on m, so they are
+kept per n and only extended as m grows.  A literal recursive enumerator is
+kept alongside for cross-checking both published constraint readings on
+small parameters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .combinat import binom, dim_forms, tangent_band_sum
+from .combinat import binom, dim_forms, pascal_column, pascal_row, tangent_band_sum
 from .tangent import relation_space_dim_formula
 
 
@@ -42,22 +48,23 @@ def check_a1(p: int, r: int) -> IdentityResult:
     """Alternating binomial sum equal to 1 for all p, r >= 1."""
     if p < 1 or r < 1:
         raise ValueError("need p >= 1 and r >= 1")
-    lhs = 0
-    for m in range(p * (r - 1) // r + 1):
-        term = binom(p, m) * binom(p * r - m * r - 1, p - 1)
-        lhs += -term if m % 2 else term
-    return IdentityResult("A1", (p, r), lhs, 1)
+    return IdentityResult("A1", (p, r), _a12_lhs(p, r, p - 1), 1)
 
 
 def check_a2(p: int, r: int) -> IdentityResult:
     """Alternating binomial sum equal to C(p+r-1, p)."""
     if p < 1 or r < 1:
         raise ValueError("need p >= 1 and r >= 1")
-    lhs = 0
-    for m in range(p * (r - 1) // r + 1):
-        term = binom(p + 1, m) * binom(p * r - m * r, p)
-        lhs += -term if m % 2 else term
-    return IdentityResult("A2", (p, r), lhs, binom(p + r - 1, p))
+    return IdentityResult("A2", (p, r), _a12_lhs(p, r, p), binom(p + r - 1, p))
+
+
+def _a12_lhs(p: int, r: int, k: int) -> int:
+    """sum_m (-1)^m C(k+1, m) C(pr-mr-p+k, k) over 0 <= m <= p(r-1)/r: the
+    A1 left side at k = p-1, the A2 one at k = p.  Term m reads column k
+    at p(r-1) - mr: every r-th entry from p(r-1) down to the last one >= 0."""
+    col = pascal_column(k, p * r - p + k)
+    terms = [b * c for b, c in zip(pascal_row(k + 1), col[p * (r - 1)::-r])]
+    return sum(terms[::2]) - sum(terms[1::2])
 
 
 def a3_lhs(n: int, m: int) -> int:
@@ -67,19 +74,28 @@ def a3_lhs(n: int, m: int) -> int:
     delta(s, n) u^s.  [u^{m-2}] A^{l-1} B D sums prod C(n+r_i-1, n-1) *
     delta(s, n) over compositions r_1+..+r_l+s = m-2 with r_i >= 1,
     r_l >= 2, s >= 1; it is zero for l > m-4, since B D starts at u^3.
+    The four series do not depend on m: they are extended to u^{m-2}, then
+    one convolution gives the coefficient.
     """
     top = m - 2
-    lhs = delta(top, n)
-    a = [0] + [dim_forms(n, r) for r in range(1, top + 1)]
-    dd = [0] + [delta(s, n) for s in range(1, top + 1)]
-    # inv = 1 / (1 + A): inv_i = -sum_{j=1..i} a_j inv_{i-j}.
-    inv = [1]
-    for i in range(1, top + 1):
+    a, dd, inv, bd = _a3_series(n)
+    # A reads column n-1; delta(s, n) = s(s+1)/2 C(n+s-1, n-3), column n-3.
+    dims = pascal_column(n - 1, n - 1 + top)
+    tail = pascal_column(n - 3, n - 1 + top)
+    for i in range(len(a), top + 1):
+        a.append(dims[i])
+        dd.append(i * (i + 1) // 2 * tail[i + 2])
+        # inv = 1 / (1 + A): inv_i = -sum_{j=1..i} a_j inv_{i-j}.
         inv.append(-sum(a[j] * inv[i - j] for j in range(1, i + 1)))
-    for t in range(3, top + 1):
-        bd = sum(a[i] * dd[t - i] for i in range(2, t))
-        lhs -= bd * inv[top - t]
-    return lhs
+        bd.append(sum(a[j] * dd[i - j] for j in range(2, i)))
+    return dd[top] - sum(bd[t] * inv[top - t] for t in range(3, top + 1))
+
+
+@lru_cache(maxsize=2)
+def _a3_series(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The coefficients of A, D, 1/(1+A) and B D (see a3_lhs) computed so
+    far for one n, from u^0; a3_lhs appends to all four together."""
+    return [0], [0], [1], [0]
 
 
 def a3_lhs_enumerated(n: int, m: int, last_min: int = 2) -> int:
@@ -128,10 +144,14 @@ def check_aux(n: int, m: int) -> tuple[IdentityResult, IdentityResult]:
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
+    # Term p is C(n+1, m-p) C(n-1+p, n-1): row n+1 read backwards from m,
+    # column n-1 forwards from 0; the row runs out below p = m-n-1.
+    row = pascal_row(n + 1)
+    col = pascal_column(n - 1, n - 1 + m)
     s_plain = 0
     s_weighted = 0
-    for p in range(m + 1):
-        term = binom(n + 1, m - p) * binom(n + p - 1, p)
+    for p in range(max(0, m - n - 1), m + 1):
+        term = row[m - p] * col[p]
         if p % 2:
             s_plain -= term
             s_weighted -= p * term

@@ -1,5 +1,7 @@
 import json
+import random
 
+import identity_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,19 @@ from apolar import (
 )
 from apolar.identities import a3_lhs, a3_lhs_enumerated
 
+# Each identity's left side, checked and by reference, and the parameters
+# compared, past the CLI defaults.
+LEFT_SIDES = {
+    "A1": (lambda p, r: check_a1(p, r).lhs, ref.a1_lhs),
+    "A2": (lambda p, r: check_a2(p, r).lhs, ref.a2_lhs),
+    "A3": (lambda n, m: check_a3(n, m).lhs, ref.a3_lhs),
+    "AUX": (lambda n, m: tuple(res.lhs for res in check_aux(n, m)), ref.aux_lhs),
+}
+COMPARED = [
+    *((ident, p, r) for ident in ("A1", "A2") for p in range(1, 61) for r in range(1, 61)),
+    *(("A3", n, m) for n in range(5, 46) for m in range(5, n + 2)),
+    *(("AUX", n, m) for n in range(2, 46) for m in range(1, 61)),
+]
 
 def test_delta_values():
     assert delta(1, 4) == binom(4, 3)
@@ -109,6 +124,44 @@ def test_delta_consistency_right_side_never_reads_the_band_sum(monkeypatch):
     result = check_delta_consistency(4, 4)
     assert (result.lhs, result.rhs) == (0, 20)
     assert not result.passed
+
+
+@pytest.fixture(scope="module")
+def reference_left_sides():
+    return {key: LEFT_SIDES[key[0]][1](*key[1:]) for key in COMPARED}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+def test_left_sides_match_reference_in_any_call_order(order, reference_left_sides):
+    # The cached rows, columns and A3 series grow and are evicted differently
+    # in each order; no value may depend on it.
+    keys = list(COMPARED)
+    if order == "descending":
+        keys.reverse()
+    elif order == "interleaved":
+        # A fixed shuffle: identities and far-apart parameters alternate.
+        random.Random(19).shuffle(keys)
+    for key in keys:
+        assert LEFT_SIDES[key[0]][0](*key[1:]) == reference_left_sides[key], key
+
+
+def test_left_sides_read_the_tables_and_right_sides_never_do(monkeypatch):
+    # A wrong Pascal row or column shows as a failed check: the right sides
+    # read binom, never the tables the left sides sum.
+    import apolar.identities
+
+    cases = [lambda: [check_a1(5, 3)], lambda: [check_a2(5, 3)], lambda: list(check_aux(6, 4))]
+    honest = [case() for case in cases]
+    for name in ("pascal_row", "pascal_column"):
+        table = getattr(apolar.identities, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                apolar.identities, name, lambda *args: tuple(x + 1 for x in table(*args))
+            )
+            for case, before in zip(cases, honest):
+                after = case()
+                assert [res.rhs for res in after] == [res.rhs for res in before]
+                assert not any(res.passed for res in after), (name, after)
 
 
 def test_identity_result_json_shape():
