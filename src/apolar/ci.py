@@ -33,7 +33,6 @@ from .poly import (
     FormTuple,
     Monomial,
     Polynomial,
-    _divided,
     _primitive_terms,
     _shift_columns,
     _substituted,
@@ -206,4 +205,4 @@ def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
         raise ValueError("exponent must be nonnegative")
     n = f.var_count
     monomials = [Polynomial(n, {e: 1}) for e in monomial_basis(n, ell)]
-    return [_divided(n, *t) for t in _substituted(monomials, f.forms)]
+    return _substituted(monomials, f.forms)

@@ -237,35 +237,35 @@ def emit_report(
         out.write(payload)
         if not csv_path:
             return
-        totals: dict[str, list[int]] = {}
-        for record in results:
-            row = totals.setdefault(record["suite"], [0, 0, 0])
-            row[0] += 1
-            if "pass" in record:
-                row[1 if record["pass"] else 2] += 1
         writer = csv.writer(table)
         writer.writerow(["suite", "records", "passed", "failed"])
-        for suite in sorted(totals):
-            writer.writerow([suite, *totals[suite]])
+        for suite, row in _tally(results).items():
+            writer.writerow([suite, *row])
+
+
+def _tally(results: list[dict]) -> dict[str, list[int]]:
+    """[records, passed, failed] per suite, in suite order."""
+    totals: dict[str, list[int]] = {}
+    for record in results:
+        row = totals.setdefault(record["suite"], [0, 0, 0])
+        row[0] += 1
+        if "pass" in record:
+            row[1 if record["pass"] else 2] += 1
+    return dict(sorted(totals.items()))
 
 
 def _summarize(results: list[dict]) -> int:
-    checks = [r for r in results if "pass" in r]
-    failures = [r for r in checks if not r["pass"]]
-    by_suite: dict[str, int] = {}
+    totals = _tally(results)
+    for suite, (records, _, _) in totals.items():
+        print(f"{suite}: {records} records", file=sys.stderr)
+    passed = sum(row[1] for row in totals.values())
+    failed = sum(row[2] for row in totals.values())
+    if passed + failed:
+        print(f"checks: {passed + failed}, passed: {passed}, failed: {failed}", file=sys.stderr)
     for record in results:
-        by_suite[record["suite"]] = by_suite.get(record["suite"], 0) + 1
-    for suite in sorted(by_suite):
-        print(f"{suite}: {by_suite[suite]} records", file=sys.stderr)
-    if checks:
-        print(
-            f"checks: {len(checks)}, passed: {len(checks) - len(failures)}, "
-            f"failed: {len(failures)}",
-            file=sys.stderr,
-        )
-    for record in failures:
-        print(f"FAIL {json.dumps(record)}", file=sys.stderr)
-    return len(failures)
+        if "pass" in record and not record["pass"]:
+            print(f"FAIL {json.dumps(record)}", file=sys.stderr)
+    return failed
 
 
 _IDENTITY_RANGES = ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd")

@@ -9,9 +9,7 @@ shows as a failed check.  The A3 left-hand side is a sum over constrained compos
 evaluated as one coefficient of a truncated integer power series (the
 alternating composition sum is -B(u) D(u) / (1 + A(u)), see a3_lhs), which
 is the same sum reorganized.  The series do not depend on m, so they are
-kept per n and only extended as m grows.  A literal recursive enumerator is
-kept alongside for cross-checking both published constraint readings on
-small parameters.
+kept per n and only extended as m grows.
 """
 from __future__ import annotations
 
@@ -96,33 +94,6 @@ def _a3_series(n: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """The coefficients of A, D, 1/(1+A) and B D (see a3_lhs) computed so
     far for one n, from u^0; a3_lhs appends to all four together."""
     return [0], [0], [1], [0]
-
-
-def a3_lhs_enumerated(n: int, m: int, last_min: int = 2) -> int:
-    """Literal recursive composition enumeration of the A3 left side.
-
-    last_min selects between the two printed constraint readings: 2 requires
-    r_l >= 2 (the reading the identity follows), 1 lets the last part be 1.
-    Exponential in m; for cross-checks on small parameters only.
-    """
-    total = delta(m - 2, n)
-
-    def walk(ell_left: int, remaining: int, prod: int, acc: list[int]):
-        if ell_left == 1:
-            lo = last_min
-            for r_last in range(lo, remaining):
-                s = remaining - r_last
-                if s >= 1:
-                    acc[0] += prod * dim_forms(n, r_last) * delta(s, n)
-            return
-        for r in range(1, remaining):
-            walk(ell_left - 1, remaining - r, prod * dim_forms(n, r), acc)
-
-    for ell in range(1, m - 3):
-        acc = [0]
-        walk(ell, m - 2, 1, acc)
-        total += acc[0] if ell % 2 == 0 else -acc[0]
-    return total
 
 
 def check_a3(n: int, m: int) -> IdentityResult:

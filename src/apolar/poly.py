@@ -169,12 +169,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            pairs = [
-                (tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
-                for m1, c1 in self._terms.items()
-                for m2, c2 in other._terms.items()
-            ]
-            return Polynomial(self.nvars, pairs)
+            (a, sa), (b, sb) = _primitive_terms(self), _primitive_terms(other)
+            return _divided(self.nvars, _add_product({}, a, b), sa * sb)
         return Polynomial(self.nvars, {m: c * other for m, c in self._terms.items()})
 
     def __rmul__(self, other):
@@ -351,20 +347,18 @@ def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     for g in images:
         if g.nvars != out_nvars:
             raise ValueError("mismatched variable counts among images")
-    return _divided(out_nvars, *_substituted([p], images)[0])
+    return _substituted([p], images)[0]
 
 
-def _substituted(
-    ps: Sequence[Polynomial], images: Sequence[Polynomial]
-) -> list[tuple[dict[Monomial, int], Fraction]]:
-    """Each p in ps evaluated at the images, over the integers: an integer
-    sum, and the denominator that divides it into the value.
+def _substituted(ps: Sequence[Polynomial], images: Sequence[Polynomial]) -> list[Polynomial]:
+    """Each p in ps evaluated at the images, summed over the integers and
+    divided once on the way out.
 
     Image i is scaled once to primitive integer terms G_i, so that it is G_i
     times den_i / num_i, and each power of G_i is formed once for all of ps.
     With p scaled the same way and t_i its largest exponent of variable i,
     each term c x^e of p adds c prod_i den_i^e_i num_i^(t_i - e_i) G^e to
-    the sum, whose denominator is p's factor times prod_i num_i^t_i.
+    an integer sum, which is divided by p's factor times prod_i num_i^t_i.
     """
     nvars = images[0].nvars
     scaled = [_primitive_terms(g) for g in images]
@@ -381,7 +375,8 @@ def _substituted(
                 c *= s.denominator**k * s.numerator ** (t - k)
             for m, v in products[e].items():
                 acc[m] = acc.get(m, 0) + c * v
-        out.append((acc, factor * prod(s.numerator**t for (_, s), t in zip(scaled, top))))
+        den = factor * prod(s.numerator**t for (_, s), t in zip(scaled, top))
+        out.append(_divided(nvars, acc, den))
     return out
 
 
@@ -409,9 +404,10 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
 
     On a form F: (g1 F)(y) = F(y . g1^{-t}).  On a tuple f: substitute
     x . g1^{-t} into every form, then mix the tuple by g2^{-1} on the right
-    (g2 = None means the identity).  act(g, act(h, F)) = act(g h, F).  The
-    substitution and the mix both run on integer sums, and each resulting
-    form is divided once.
+    (g2 = None skips the mix).  act(g, act(h, F)) = act(g h, F).  The mix is
+    a substitution too, run first (substitution is a ring map, so the two
+    commute): form j is sum_i (g2^{-1})_{ij} f_i, the tuple substituted into
+    column j of g2^{-1} read as a linear form.  Both run on integer sums.
     """
     if isinstance(target, Polynomial):
         if g2 is not None:
@@ -427,26 +423,13 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
     images = polynomials_from_vectors(n, 1, matrix_inverse(g1).entries)
     if isinstance(target, Polynomial):
         return substitute(target, images)
-    if g2 is None:
-        mix = MatrixQ.identity(n)
-    elif g2.nrows != g2.ncols or g2.nrows != n:
-        raise ValueError("matrix size does not match the tuple length")
-    else:
-        mix = matrix_inverse(g2)
-    moved = _substituted(target.forms, images)
-    forms = []
-    # Form j of the result is sum_i (g2^{-1})_{ij} f_i: column j of g2^{-1}.
-    # With moved form i the sum S_i over D_i, the weights (g2^{-1})_{ij} / D_i
-    # are scaled to integers once per column.
-    for col in mix.transpose().entries:
-        weights, factor = _primitive_row([w / den for w, (_, den) in zip(col, moved)])
-        acc: dict[Monomial, int] = {}
-        for k, (sums, _) in zip(weights, moved):
-            if k:
-                for m, v in sums.items():
-                    acc[m] = acc.get(m, 0) + k * v
-        forms.append(_divided(n, acc, factor))
-    return FormTuple(n, target.degree, tuple(forms))
+    forms = target.forms
+    if g2 is not None:
+        if g2.nrows != g2.ncols or g2.nrows != n:
+            raise ValueError("matrix size does not match the tuple length")
+        mix = polynomials_from_vectors(n, 1, matrix_inverse(g2).transpose().entries)
+        forms = _substituted(mix, forms)
+    return FormTuple(n, target.degree, tuple(_substituted(forms, images)))
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")

@@ -189,6 +189,24 @@ def test_csv_summary(tmp_path, capsys):
     assert lines[1] == "tangent,2,2,0"
 
 
+def test_summary_and_csv_agree_per_suite(tmp_path, capsys):
+    # Two suites out of order, one record without a check, one failure.
+    records = [
+        {"suite": "b", "pass": True},
+        {"suite": "a", "form": "x1"},
+        {"suite": "b", "pass": False},
+        {"suite": "a", "pass": True},
+    ]
+    assert _summarize(records) == 1
+    assert capsys.readouterr().err == (
+        "a: 2 records\nb: 2 records\nchecks: 3, passed: 2, failed: 1\n"
+        'FAIL {"suite": "b", "pass": false}\n'
+    )
+    csv_path = tmp_path / "r.csv"
+    emit_report(records, str(tmp_path / "r.jsonl"), str(csv_path))
+    assert csv_path.read_bytes() == b"suite,records,passed,failed\r\na,2,1,0\r\nb,2,1,1\r\n"
+
+
 def test_summarize_counts_failures_and_echoes_params(capsys):
     records = [
         {"suite": "identities", "identity_id": "A1", "params": [9, 9], "pass": True},

@@ -17,7 +17,7 @@ from apolar import (
     delta,
     expected_N,
 )
-from apolar.identities import a3_lhs, a3_lhs_enumerated
+from apolar.identities import a3_lhs
 
 # Each identity's left side, checked and by reference, and the parameters
 # compared, past the CLI defaults.
@@ -55,15 +55,15 @@ def test_a2_small_values():
 def test_a3_series_matches_literal_enumeration():
     for n in range(5, 10):
         for m in range(5, n + 2):
-            assert a3_lhs(n, m) == a3_lhs_enumerated(n, m)
+            assert a3_lhs(n, m) == ref.a3_lhs_enumerated(n, m)
 
 
 def test_a3_constraint_readings_differ():
     # With the last composition part allowed to be 1 the sum changes and no
     # longer matches the closed form; the implementation keeps the >= 2
     # reading.
-    strict = a3_lhs_enumerated(6, 6, last_min=2)
-    loose = a3_lhs_enumerated(6, 6, last_min=1)
+    strict = ref.a3_lhs_enumerated(6, 6, last_min=2)
+    loose = ref.a3_lhs_enumerated(6, 6, last_min=1)
     assert strict != loose
     assert strict == check_a3(6, 6).rhs
     assert loose != check_a3(6, 6).rhs

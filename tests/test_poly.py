@@ -12,6 +12,7 @@ from apolar import (
     apply_polar,
     format_polynomial,
     jacobian_det,
+    matrix_inverse,
     monomial_basis,
     parse_polynomial,
     partial,
@@ -186,6 +187,27 @@ def test_act_gl_on_tuple_mixes_by_second_matrix():
     g2 = MatrixQ.from_rows([[0, 1], [1, 0]])
     moved = act_gl(MatrixQ.identity(2), g2, f)
     assert moved.forms == (f.forms[1], f.forms[0])
+
+
+@pytest.mark.parametrize(
+    "n, d, forms, rows",
+    [
+        (2, 2, ["1/2*x1^2 - x1*x2", "x2^2 + 3/4*x1*x2"], [[1, 2], [-1, 3]]),
+        (
+            3,
+            3,
+            ["x1^3 - 2/3*x2*x3^2", "5/2*x2^3 + x1*x2*x3", "x3^3 - 1/7*x1^2*x2"],
+            [[1, 1, 0], [0, 2, -1], [1, 0, 3]],
+        ),
+    ],
+)
+def test_act_gl_on_tuple_without_a_mix_substitutes_each_form(n, d, forms, rows):
+    f = FormTuple(n, d, tuple(parse_polynomial(t, n) for t in forms))
+    g1 = MatrixQ.from_rows(rows)
+    moved = act_gl(g1, None, f)
+    assert moved == act_gl(g1, MatrixQ.identity(n), f)
+    images = polynomials_from_vectors(n, 1, matrix_inverse(g1).entries)
+    assert moved.forms == tuple(substitute(fi, images) for fi in f.forms)
 
 
 def test_act_gl_rejects_a_second_matrix_on_a_form():
