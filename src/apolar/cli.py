@@ -343,6 +343,11 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.jobs < 1:
             print("error: --jobs must be positive", file=sys.stderr)
             return 2
+        # SplitMix64 reads its seed mod 2^64, so a seed outside [0, 2^64)
+        # would repeat the report of the one inside that it wraps to.
+        if not 0 <= cfg.seed < 1 << 64:
+            print("error: --seed must lie in [0, 2^64)", file=sys.stderr)
+            return 2
     if cfg.command == "identities":
         for flag in _IDENTITY_RANGES:
             if getattr(cfg, flag[2:].replace("-", "_")) < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 
 def binom(a: int, b: int) -> int:
@@ -91,13 +92,11 @@ def ci_hilbert(n: int, d: int) -> tuple[int, ...]:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     coeffs = [1]
-    block = [1] * d
     for _ in range(n):
-        out = [0] * (len(coeffs) + d - 1)
-        for i, c in enumerate(coeffs):
-            for j, b in enumerate(block):
-                out[i + j] += c * b
-        coeffs = out
+        # Times 1 + u + ... + u^{d-1}: entry i is the sum of the window
+        # coeffs[i-d+1 .. i], a difference of two prefix sums.
+        run = [0, *accumulate(coeffs + [0] * (d - 1))]
+        coeffs = [run[i + 1] - run[max(i + 1 - d, 0)] for i in range(len(run) - 1)]
     assert sum(coeffs) == d**n
     return tuple(coeffs)
 

@@ -12,6 +12,15 @@ The Polynomial constructor is the one place where terms are normalised: it
 adds the coefficients of equal monomials, checks each distinct monomial once,
 and then drops zero coefficients.
 Every operation below hands it raw (monomial, coefficient) pairs.
+
+Products run on primitive integer terms through one kernel, _times: each
+degree piece of a polynomial becomes a coefficient array over the grlex
+basis, and the product of a degree-e and a degree-k array is one outer
+product, summed into degree e + k by the sort order and run starts cached per
+(n, e, k) in _product_runs, read off the shift table _shift_columns.  Each
+caller proves one bound per call on every coefficient and partial sum it will
+form (_norm); below 2^63 the kernel runs in int64, otherwise on Python ints
+in numpy object arrays.  numpy is imported on first use.
 """
 from __future__ import annotations
 
@@ -170,7 +179,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
             (a, sa), (b, sb) = _primitive_terms(self), _primitive_terms(other)
-            return _divided(self.nvars, _add_product({}, a, b), sa * sb)
+            return _divided(self.nvars, _integer_products([(a, b)], self.nvars)[0], sa * sb)
         return Polynomial(self.nvars, {m: c * other for m, c in self._terms.items()})
 
     def __rmul__(self, other):
@@ -215,7 +224,9 @@ def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     when b >= a componentwise and zero otherwise.  Lowers degree by deg h;
     anything of higher degree than f dies.  h and f are scaled once to
     primitive integer terms, the products are summed over the integers, and
-    the sum is divided once by the two scaling factors.
+    the sum is divided once by the two scaling factors.  The factorial
+    weights make this a correlation of the two term lists, not a product, so
+    it does not run through the product kernel _times.
     """
     if h.nvars != f.nvars:
         raise ValueError("mismatched variable counts")
@@ -276,8 +287,9 @@ def jacobian_det(f: FormTuple) -> Polynomial:
     """Determinant of the Jacobian matrix (df_i/dx_j), degree n(d-1).
 
     Each form is scaled once to its primitive integer polynomial c_i f_i, the
-    determinant is taken over the integers, and the result is divided by the
-    product of the c_i."""
+    determinant is taken over the integers (_integer_det, in int64 when the
+    product of the rows' L1 sums is below 2^63), and the result is divided by
+    the product of the c_i."""
     n = f.var_count
     scaled = [_primitive_terms(fi) for fi in f.forms]
     # Entry (i, j) is d(c_i f_i)/dx_j: each term c x^m adds c m_j x^(m - e_j).
@@ -304,17 +316,87 @@ def _divided(nvars: int, terms: Mapping[Monomial, int], scale: Fraction) -> Poly
     return Polynomial(nvars, [(m, Fraction(c * den, num)) for m, c in terms.items() if c])
 
 
-def _add_product(
-    acc: dict[Monomial, int], p: Mapping[Monomial, int], q: Mapping[Monomial, int], sign: int = 1
-) -> dict[Monomial, int]:
-    """Add sign * p * q into acc and return it; integer polynomials are
-    monomial -> coefficient dicts, and cancelled terms stay as zeros."""
-    for m1, c1 in p.items():
-        c1 *= sign
-        for m2, c2 in q.items():
-            m = tuple(map(add, m1, m2))
-            acc[m] = acc.get(m, 0) + c1 * c2
+def _norm(*ps: Mapping[Monomial, int]) -> int:
+    """The L1 norm of the integer polynomials taken together, floored at 1,
+    so that it bounds every coefficient and a product of norms bounds every
+    product."""
+    return max(sum(abs(c) for p in ps for c in p.values()), 1)
+
+
+def _dtype(bound: int):
+    """int64 when `bound`, proven by the caller to bound every coefficient
+    and every partial sum of a computation, stays below 2^63; else object,
+    so that the computation runs on Python ints."""
+    import numpy as np
+
+    return np.int64 if bound < 2**63 else object
+
+
+def _graded(p: Mapping[Monomial, int], nvars: int, dtype) -> dict:
+    """An integer polynomial as one coefficient array per degree, each over
+    the grlex basis of its degree."""
+    import numpy as np
+
+    out = {}
+    for m, c in p.items():
+        e = sum(m)
+        if e not in out:
+            out[e] = np.zeros(len(monomial_basis(nvars, e)), dtype=dtype)
+        out[e][monomial_index(nvars, e)[m]] = c
+    return out
+
+
+def _terms(p: Mapping[int, Sequence[int]], nvars: int) -> dict[Monomial, int]:
+    """Graded coefficient arrays back to monomial -> Python int terms;
+    cancelled terms stay as zeros."""
+    return {m: c for e, a in p.items() for m, c in zip(monomial_basis(nvars, e), a.tolist())}
+
+
+@lru_cache(maxsize=None)
+def _product_runs(n: int, e: int, k: int):
+    """How an outer product of a degree-e and a degree-k coefficient array
+    (grlex bases, the degree-e index outermost) sums into degree e + k: the
+    order that sorts its flattened entries by the column of their product
+    monomial, read off _shift_columns, and where each column's run starts in
+    that order.  Every degree-(e + k) monomial is such a product, so the runs
+    are the columns in order."""
+    import numpy as np
+
+    cols = np.array([j for js in _shift_columns(n, e, k).values() for j in js])
+    order = np.argsort(cols, kind="stable")
+    starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
+    # Cached and shared by every caller, so read-only.
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
+
+
+def _times(p: Mapping, q: Mapping, nvars: int, acc: dict | None = None, sign: int = 1) -> dict:
+    """Add sign * p * q into the graded arrays acc (a new dict by default)
+    and return it.  Each pair of degree pieces is one outer product, summed
+    into its degree by one np.add.reduceat over the cached _product_runs;
+    the caller has chosen the dtype for a bound on the whole sum."""
+    import numpy as np
+
+    acc = {} if acc is None else acc
+    for e, a in p.items():
+        for k, b in q.items():
+            order, starts = _product_runs(nvars, e, k)
+            c = sign * np.add.reduceat(np.multiply.outer(a, b).ravel()[order], starts)
+            acc[e + k] = acc[e + k] + c if e + k in acc else c
     return acc
+
+
+def _integer_products(
+    pairs: Sequence[tuple[Mapping[Monomial, int], Mapping[Monomial, int]]], nvars: int
+) -> list[dict[Monomial, int]]:
+    """p * q for each pair of integer polynomials, in one dtype: int64 when
+    the largest product of a pair's norms (_norm), which bounds every
+    partial sum, is below 2^63."""
+    dtype = _dtype(max((_norm(p) * _norm(q) for p, q in pairs), default=1))
+    return [
+        _terms(_times(_graded(p, nvars, dtype), _graded(q, nvars, dtype), nvars), nvars)
+        for p, q in pairs
+    ]
 
 
 def _integer_det(mat: list[list[dict[Monomial, int]]], nvars: int) -> dict[Monomial, int]:
@@ -323,20 +405,26 @@ def _integer_det(mat: list[list[dict[Monomial, int]]], nvars: int) -> dict[Monom
 
     Minors over the first r rows are memoized per column bitmask, so the work
     is O(2^n) polynomial multiplies instead of n! for the permanent-style sum.
+    Every minor over the first r rows, and every partial sum of one, is
+    bounded by the product of those rows' L1 sums (it is at most the
+    permanent of the entries' L1 norms), so the product of every row's
+    _norm chooses the dtype.
     """
     n = len(mat)
-    states = {0: {(0,) * nvars: 1}}
+    dtype = _dtype(prod(_norm(*row) for row in mat))
+    entries = [[_graded(p, nvars, dtype) for p in row] for row in mat]
+    states = {0: _graded({(0,) * nvars: 1}, nvars, dtype)}
     for r in range(n):
-        nxt: dict[int, dict[Monomial, int]] = {}
+        nxt: dict[int, dict] = {}
         for mask, minor in states.items():
             for j in range(n):
                 bit = 1 << j
-                if mask & bit or not mat[r][j]:
+                if mask & bit or not entries[r][j]:
                     continue
                 sign = -1 if (r + bin(mask & (bit - 1)).count("1")) % 2 else 1
-                _add_product(nxt.setdefault(mask | bit, {}), minor, mat[r][j], sign)
+                _times(minor, entries[r][j], nvars, nxt.setdefault(mask | bit, {}), sign)
         states = nxt
-    return states.get((1 << n) - 1, {})
+    return _terms(states.get((1 << n) - 1, {}), nvars)
 
 
 def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
@@ -369,32 +457,44 @@ def _substituted(ps: Sequence[Polynomial], images: Sequence[Polynomial]) -> list
     out = []
     for ints, factor in terms:
         top = [max((e[i] for e in ints), default=0) for i in range(len(images))]
-        acc: dict[Monomial, int] = {}
+        acc: dict = {}
         for e, c in ints.items():
             for (_, s), k, t in zip(scaled, e, top):
                 c *= s.denominator**k * s.numerator ** (t - k)
-            for m, v in products[e].items():
-                acc[m] = acc.get(m, 0) + c * v
+            for deg, a in products[e].items():
+                a = a.astype(object) * c
+                acc[deg] = acc[deg] + a if deg in acc else a
         den = factor * prod(s.numerator**t for (_, s), t in zip(scaled, top))
-        out.append(_divided(nvars, acc, den))
+        out.append(_divided(nvars, _terms(acc, nvars), den))
     return out
 
 
 def _integer_power_products(
     bases: Sequence[Mapping[Monomial, int]], exponents: Iterable[Monomial], nvars: int
-) -> list[dict[Monomial, int]]:
+) -> list[dict]:
     """prod_i bases[i]^e_i for each exponent tuple e, over integer
-    polynomials in nvars variables, each power of a base formed once."""
-    one = {(0,) * nvars: 1}
-    powers = [[one] for _ in bases]
+    polynomials in nvars variables, as graded arrays (_graded), each power
+    of a base formed once.
+
+    With t_i the largest exponent of base i, every power and product formed,
+    and every partial sum of one, is bounded by prod_i _norm(bases[i])^t_i,
+    which chooses the dtype; the norm's floor at 1 keeps a zero base from
+    zeroing the bound of the products that do not involve it.
+    """
+    exponents = list(exponents)
+    top = [max((e[i] for e in exponents), default=0) for i in range(len(bases))]
+    dtype = _dtype(prod(_norm(g) ** t for g, t in zip(bases, top)))
+    one = _graded({(0,) * nvars: 1}, nvars, dtype)
+    # A base that no exponent uses is not converted: it need not fit.
+    powers = [[one, _graded(g, nvars, dtype)] if t else [one] for g, t in zip(bases, top)]
     out = []
     for e in exponents:
         acc = one
         for i, k in enumerate(e):
             if k:
                 while len(powers[i]) <= k:
-                    powers[i].append(_add_product({}, powers[i][-1], bases[i]))
-                acc = powers[i][k] if acc is one else _add_product({}, acc, powers[i][k])
+                    powers[i].append(_times(powers[i][-1], powers[i][1], nvars))
+                acc = powers[i][k] if acc is one else _times(acc, powers[i][k], nvars)
         out.append(acc)
     return out
 

@@ -30,7 +30,7 @@ from .apolarity import _socle_shape, _ures_generators
 from .ci import DegenerateTupleError, _shift_rows, _term_rows
 from .combinat import dim_forms, tangent_band_sum
 from .linalg import _certified_rank, span_dim
-from .poly import FormTuple, Polynomial, _add_product, _primitive_terms
+from .poly import FormTuple, Polynomial, _integer_products, _primitive_terms
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     form's primitive integer coefficients, since scaling a form changes no
     span."""
     ints = [_primitive_terms(g)[0] for g in forms]
-    products = [_add_product({}, g, h) for i, g in enumerate(ints) for h in ints[i:]]
-    rows = _term_rows(products, shift)
+    pairs = [(g, h) for i, g in enumerate(ints) for h in ints[i:]]
+    rows = _term_rows(_integer_products(pairs, forms[0].nvars), shift)
     return _certified_rank(rows, min(len(rows), len(rows[0])))
 
 

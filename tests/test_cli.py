@@ -87,6 +87,21 @@ def test_zero_trials_gives_empty_output(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["tangent", "relations", "koszul"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_a_usage_error(capsys, command, seed):
+    # Read mod 2^64, -1 would repeat seed 2^64 - 1 and 2^64 would repeat 0.
+    args = [command, "--n", "3", "--d", "3", "--trials", "1", "--seed", str(seed)]
+    code, out, err = run_main(args, capsys)
+    assert (code, out, err) == (2, "", "error: --seed must lie in [0, 2^64)\n")
+
+
+def test_seeds_at_both_ends_of_64_bits_are_accepted(capsys):
+    for seed in (0, 2**64 - 1):
+        args = ["tangent", "--n", "2", "--d", "2", "--trials", "1", "--seed", str(seed)]
+        assert run_main(args, capsys)[0] == 0
+
+
 def test_relations_out_of_band_is_a_usage_error(capsys):
     code, out, err = run_main(
         ["relations", "--n", "2", "--d", "3", "--trials", "1"], capsys

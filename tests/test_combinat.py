@@ -119,3 +119,13 @@ def test_ci_hilbert_shape(n, d):
     assert hf[1] == n
     assert hf == hf[::-1]
     assert sum(hf) == d**n
+
+
+@given(st.integers(1, 8), st.integers(1, 8))
+def test_ci_hilbert_is_the_inclusion_exclusion_count(n, d):
+    # The coefficient of u^j in ((1 - u^d) / (1 - u))^n.
+    def h(j):
+        terms = (comb(n, k) * comb(j - k * d + n - 1, n - 1) for k in range(j // d + 1))
+        return sum(-t if k % 2 else t for k, t in enumerate(terms))
+
+    assert ci_hilbert(n, d) == tuple(h(j) for j in range(n * (d - 1) + 1))

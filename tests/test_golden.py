@@ -23,6 +23,13 @@ INPUTS = {
     "tuple32.txt": "3 2\n-x1^2 + 3*x1*x3 - 3*x2^2 - 2*x3^2\n"
     "-2*x1^2 - 3*x1*x2 + 2*x1*x3 - x2*x3 + 3*x3^2\n-2*x1*x2 + x2^2 - 3*x2*x3\n",
     "tuple23.txt": "2 3\n1/2*x1^3 - x1*x2^2\nx2^3 + 3*x1^2*x2\n",
+    # Mixed-size rational coefficients: the primitive integer Jacobian of
+    # this (4,3) tuple is past int64, so it normalizes the socle functional
+    # on Python ints.
+    "tuple43.txt": "4 3\nx1^3 - 2/3*x2^2*x3 + 1234567/7*x4^3 + 5*x1*x2*x4\n"
+    "x2^3 + 3*x1^2*x3 - 1/1003*x3*x4^2 + 98765/13*x1*x2*x3\n"
+    "-7/2*x3^3 + x1*x4^2 + 42*x2^2*x4 - 3/5*x1^2*x2\n"
+    "x4^3 - x1^2*x4 + 2*x2*x3^2 + 10007/11*x1*x3*x4\n",
 }
 
 SAMPLED = ["--trials", "2", "--seed", "5"]
@@ -39,6 +46,7 @@ CASES = {
     "stratify_cubic.jsonl": ["stratify", "cubic.txt"],
     "assoc_tuple32.jsonl": ["assoc", "tuple32.txt"],
     "assoc_tuple23.jsonl": ["assoc", "tuple23.txt"],
+    "assoc_tuple43.jsonl": ["assoc", "tuple43.txt"],
 }
 
 
