@@ -21,14 +21,19 @@ the rank.  Otherwise a verified left kernel bounds the rank from above by
 rows minus its dimension.  Every such kernel, left or right, is read by one
 certified reader, _padic_kernel, which lifts it p-adically mod PRIME (Dixon
 1982) and checks it exactly with _verify_kernel; Bareiss answers what it does
-not certify, and determinant, solve and inverse are exact.  Every mod-p step
-runs one elimination loop, _echelon_mod_prime, with delayed reduction, over
-residues below 2^25.  A bound that is not met is never reported, so a
-certified answer is as exact as the Bareiss one.  Nothing in this module
-touches floating point.
+not certify, and determinant, solve and inverse are exact.  A right kernel
+costs the lift one elimination, of [A^T | J] (J the reversed identity),
+whose pivots and transform give the row profile, the column profile and the
+inverse of the pivot block at once (Dumas, Pernet and Sultan 2017); a left
+kernel reuses the column profile behind the rank and reduces [A_R | I].
+Every mod-p step runs one elimination loop, _echelon_mod_prime, with delayed
+reduction, over residues below 2^25.  A bound that is not met is never
+reported, so a certified answer is as exact as the Bareiss one.  Nothing in
+this module touches floating point.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -45,10 +50,18 @@ mpz = int
 PRIME = 33554393
 
 # Matrices of at most this many entries skip the modular route: on them an
-# exact Bareiss run costs less than that route's fixed cost (column profile,
-# reduced [A_R | I], lift set-up, exact check).  The README's exactness
+# exact Bareiss run costs less than that route's fixed cost (the elimination
+# of [A^T | J], lift set-up, exact check).  The README's exactness
 # notes give the measured crossover.
 EXACT_MAX_ENTRIES = 100
+
+# Up to this many rows, an elimination reduced above its pivots clears them
+# as it goes (Gauss-Jordan), in one pass; past it, a forward pass and a back
+# pass that skips the columns no caller reads again cost less, although they
+# take two steps per pivot.  On the [A^T | J] of socle matrices the two cost
+# the same at 126 rows, the (5,2) socle; Gauss-Jordan took 6 % less at 91,
+# the (3,5) socle, and 6 % more at 136, the (3,6) socle.
+JORDAN_MAX_ROWS = 120
 
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
@@ -301,13 +314,14 @@ def _padic_kernel(
     """The reduced-echelon kernel basis of integer rows, lifted p-adically
     (Dixon 1982) and certified by _verify_kernel, or None.
 
-    Mod PRIME, the lex-first row profile R (the column profile of the
-    transpose; a caller that has it passes it as `profile`) and the reduced
-    form of [A_R | I] give r pivot columns and the inverse of their r x r
-    block B.  One pass over [A | I] with every row would give both, but it
-    eliminates a block as wide as A is tall, which costs more than the two.
-    The k = ncols - r solutions Y of B Y = -(A_R at the free columns) are
-    lifted together, one p-adic digit per pair of matrix products.
+    The lift needs, mod PRIME, a row profile R (r rows independent mod p),
+    the column profile C (the lex-first r columns independent mod p) and the
+    inverse of their r x r block B.  With no `profile`, one elimination of
+    [A^T | J] gives all three (_profiles_and_inverse); a caller that has R
+    already, as the column profile of the transpose, passes it as `profile`,
+    and the reduced form of [A_R | I] gives C and B^-1.  The k = ncols - r
+    solutions Y of B Y = -(A_R at the free columns) are lifted together, one
+    p-adic digit per pair of matrix products.
     Certificate: the mod-p rank r bounds the kernel dimension by k, so the k
     vectors, 1 at a free column and a column of Y at the pivots, once
     _verify_kernel checks them exactly, are bit for bit the Bareiss basis.
@@ -320,7 +334,15 @@ def _padic_kernel(
     p = PRIME
     a = _integer_array(ints)
     if profile is None:
-        profile = _column_profile(a.T)
+        profile, pivots, inverse = _profiles_and_inverse(a)
+    else:
+        # The reduced echelon form of [A_R | I] mod p is [E | U] with
+        # U A_R = E, so U B = I at the pivot columns: U is B^-1 mod p, and
+        # the elimination reduces only that right block.
+        block = a[profile]
+        reduced = np.hstack([(block % p).astype(np.int64), np.eye(len(profile), dtype=np.int64)])
+        pivots = _echelon_mod_prime(reduced, p, reduce_from=ncols)
+        inverse = reduced[:, ncols:]
     r, k = len(profile), ncols - len(profile)
     if k == 0:
         # Full column rank mod p, so over the rationals too: no kernel.
@@ -332,12 +354,7 @@ def _padic_kernel(
     top = max(int(a.max()), -int(a.min()))
     if top * r * p >= 2**62:
         a = a.astype(object)
-    # [A_R | I] in reduced echelon form mod p is [E | U] with U A_R = E, so
-    # U B = I at the pivot columns: U is B^-1 mod p.
     block = a[profile]
-    reduced = np.hstack([(block % p).astype(np.int64), np.eye(r, dtype=np.int64)])
-    pivots = _echelon_mod_prime(reduced, p, reduced=True)
-    inverse = reduced[:, ncols:]
     free = sorted(set(range(ncols)) - set(pivots))
     b, residual = block[:, pivots], -block[:, free]
     # Cramer and Hadamard: Y's entries are ratios of r x r minors of [B | c],
@@ -368,6 +385,38 @@ def _padic_kernel(
                 return vectors
             vectors = []
     return None
+
+
+def _profiles_and_inverse(a) -> tuple[list[int], list[int], object]:
+    """A row profile R, the column profile C and B^-1 mod PRIME, B the r x r
+    block of the m x W integer array A = `a` at rows R and columns C, from
+    one elimination of [A^T | J], J the reversed W x W identity, reduced
+    from column m on.
+
+    Its pivots left of m are R, the lex-first rows of A independent mod p,
+    and r = len(R) is the mod-p rank.  The right block is U J, U the
+    transform with U A^T = E, E the left block; read back in reverse, it is
+    U.  Rows r.. of E vanish, so rows r.. of U span the kernel of A mod p,
+    and reduced, each is 1 at its own free column and 0 at the other free
+    columns F.  J meets the columns of A last to first, and a kernel vector
+    can end at column f exactly when column f depends on the columns before
+    it, so F is the complement of C.  Rows ..r of E are the identity at R,
+    so X = U[:r]^T is a right inverse of A_R, and with K the kernel rows,
+    B (X - K^T X[F])[C] = I, since the difference vanishes at F; the right
+    block is reduced, so X[F] is already 0 and B^-1 = X[C].
+    """
+    import numpy as np
+
+    p = PRIME
+    m, w = a.shape
+    aug = np.hstack([(a.T % p).astype(np.int64), np.eye(w, dtype=np.int64)[::-1]])
+    found = _echelon_mod_prime(aug, p, reduce_from=m)
+    r = bisect_left(found, m)
+    free = {m + w - 1 - c for c in found[r:]}
+    pivots = [c for c in range(w) if c not in free]
+    # Column c of U is column m + w - 1 - c of the reduced [A^T | J].
+    inverse = aug[:r, [m + w - 1 - c for c in pivots]].T
+    return found[:r], pivots, inverse
 
 
 def _reconstruct_vectors(
@@ -486,22 +535,38 @@ def _column_profile(a) -> list[int]:
     residues = (a % PRIME).astype(np.int64, copy=False)
     nonzero = residues != 0
     lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), residues.shape[1])
-    return _echelon_mod_prime(residues[np.argsort(lead, kind="stable")], PRIME, reduced=False)
+    return _echelon_mod_prime(residues[np.argsort(lead, kind="stable")], PRIME)
 
 
-def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
+def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[int]:
     """Pivot columns of the int64 residue matrix `a`, entries in [0, prime),
     which is brought in place to row echelon form mod `prime` with unit
-    pivots in rows 0..rank-1 and every entry in [0, prime); with `reduced`,
-    each pivot column is also cleared above its pivot, giving the reduced
-    row echelon form.
+    pivots in rows 0..rank-1 and every entry in [0, prime).  With
+    `reduce_from`, each pivot column is also cleared above its pivot in the
+    columns from `reduce_from` on, so those columns end as in the reduced
+    row echelon form; `reduce_from` = 0 gives that form.  The columns before
+    it are in row echelon form, or reduced too when `a` has at most
+    JORDAN_MAX_ROWS rows.
+
+    A pivot row changes only the rows from the first to the last nonzero of
+    its column, and only in the columns from the pivot to the row's last
+    nonzero.  Up to JORDAN_MAX_ROWS rows, a reduced elimination clears above
+    each pivot as it goes (Gauss-Jordan).  Past it, the forward pass clears
+    below only, and in two column ranges, before `reduce_from` and from the
+    row's first nonzero past it; then a back pass takes the pivots last to
+    first and subtracts each pivot row, final by then, from the rows above
+    it, in the columns from `reduce_from` on only.  The back pass reads its
+    multipliers as the forward pass left them, since no later pivot row has
+    an entry in an earlier pivot's column, so it never touches the columns
+    before `reduce_from`; Gauss-Jordan updates them above every pivot.
 
     Reduction is delayed (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008):
     the rank-one updates are left unreduced, and only the pivot column and
     the pivot row are reduced, as they are read.  An update subtracts at most
     (prime - 1)^2, so the rows still to be updated are reduced once every
     `budget` pivots, the most that int64 holds, and the whole matrix once at
-    the end.  ValueError when the prime leaves no room for one update.
+    the end of each pass.  ValueError when the prime leaves no room for one
+    update.
     """
     import numpy as np
 
@@ -509,13 +574,15 @@ def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
     if budget < 1:
         raise ValueError(f"residues mod {prime} are too wide for an int64 update")
     nrows, ncols = a.shape
+    jordan = reduce_from is not None and nrows <= JORDAN_MAX_ROWS
+    split = ncols if reduce_from is None or jordan else reduce_from
     pivots: list[int] = []
     pending = 0
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        first = 0 if reduced else r
+        first = 0 if jordan else r
         column = a[first:, c]
         column %= prime
         nz = column[r - first :].nonzero()[0]
@@ -528,17 +595,47 @@ def _echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
             a[first:, c + 1 :] %= prime
             pending = 0
         row = a[r, c:] % prime * pow(int(a[r, c]), -1, prime) % prime
-        # Only the rows from the first to the last nonzero of the pivot
-        # column, and the columns up to the pivot row's last nonzero, change;
-        # the pivot row clears itself too, and is written back reduced.
-        hits = column.nonzero()[0]
-        end = c + 1 + int(row.nonzero()[0][-1])
-        block = a[first + int(hits[0]) : first + int(hits[-1]) + 1, c:end]
-        block -= block[:, :1] * row[: end - c]
+        # The forward pass reads the pivot column's nonzeros before the swap,
+        # which leaves a zero where the pivot was; the pivot row itself is
+        # written back reduced at the end.
+        hits = column.nonzero()[0] if jordan else nz
+        band = a[first + int(hits[0]) : first + int(hits[-1]) + 1]
+        factors = band[:, c : c + 1]
+        cols = row.nonzero()[0]
+        cut = cols.size if cols[-1] < split - c else int(np.searchsorted(cols, split - c))
+        # The range past `split` first: the range before it starts at the
+        # pivot column, so its update clears the factors as it goes.
+        if cut < cols.size:
+            lo, hi = int(cols[cut]), int(cols[-1]) + 1
+            band[:, c + lo : c + hi] -= factors * row[lo:hi]
+        if cut:
+            hi = int(cols[cut - 1]) + 1
+            band[:, c : c + hi] -= factors * row[:hi]
         a[r, c:] = row
         pending += 1
         pivots.append(c)
     a %= prime
+    if split == ncols:
+        return pivots
+    pending = 0
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        above = a[:k, c]
+        hits = above.nonzero()[0]
+        if hits.size == 0:
+            continue
+        start = max(c, split)
+        row = a[k, start:] % prime
+        cols = row.nonzero()[0]
+        if cols.size == 0:
+            continue
+        if pending == budget:
+            a[:k, split:] %= prime
+            pending = 0
+        top, lo, hi = int(hits[0]), int(cols[0]), int(cols[-1]) + 1
+        a[top:k, start + lo : start + hi] -= above[top:, None] * row[lo:hi]
+        pending += 1
+    a[:, split:] %= prime
     return pivots
 
 

@@ -169,6 +169,73 @@ def test_certified_rank_matches_sympy_under_loose_and_tight_bounds(m):
     assert _certified_rank(ints, exact) == exact
 
 
+@st.composite
+def kernel_matrices(draw, max_side=6):
+    """Wide, tall and square integer matrices: a drawn block of small
+    entries, then scaled copies of some of its rows (so kernels of dimension
+    two and more), zero columns spliced in, and the rows shuffled; or a zero
+    matrix, of rank 0.  Every minor is 0 or a minor of the block times
+    copy factors of at most 3, and every minor of the block is below PRIME
+    (Hadamard: 7^6 6^3 < PRIME), so the pivot columns mod PRIME are the
+    rational ones and the lift must certify every kernel."""
+    nrows, ncols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return [[0] * ncols for _ in range(nrows)]
+    base = draw(st.lists(st.lists(small_int, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    copies = draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(-3, 3)),
+                           max_size=3))
+    rows = base + [[k * x for x in base[i]] for i, k in copies]
+    for z in sorted(draw(st.lists(st.integers(0, ncols), max_size=2)), reverse=True):
+        rows = [row[:z] + [0] + row[z:] for row in rows]
+    return draw(st.permutations(rows))
+
+
+def jordan_limit(jordan: bool) -> int:
+    """JORDAN_MAX_ROWS as shipped, or 0 to send every small crafted matrix
+    through the forward and back passes."""
+    return linalg.JORDAN_MAX_ROWS if jordan else 0
+
+
+@given(kernel_matrices(), st.booleans())
+@example([[0, 0, 0], [0, 0, 0]], False)
+@example([[1, 2, 3], [2, 4, 6], [-1, -2, -3]], False)
+@settings(deadline=None)
+def test_padic_kernel_matches_bareiss_and_sympy(m, jordan):
+    ncols = len(m[0])
+    with mock.patch.object(linalg, "JORDAN_MAX_ROWS", jordan_limit(jordan)):
+        vectors = linalg._padic_kernel(m, ncols)
+    assert vectors is not None
+    assert tuple(vectors) == _exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
+
+
+def rref_pivots(rows, domain) -> tuple:
+    """The pivot columns of sympy's reduced row echelon form over `domain`."""
+    return DM(rows, domain).rref()[1]
+
+
+@given(
+    st.one_of(kernel_matrices(), matrices(unlucky_int), low_rank_matrices(max_entry=2**40)),
+    st.booleans(),
+)
+@example([[P, 1]], True)
+@example([[1, 0, 0], [1, P, 0], [0, 1, 0]], False)
+@settings(deadline=None)
+def test_one_elimination_gives_both_profiles_and_the_pivot_inverse(m, jordan):
+    # The row profile is the transpose's pivot columns mod PRIME, the column
+    # profile the complement of the free columns, and the derived inverse
+    # inverts the pivot block mod PRIME.
+    a = linalg._integer_array(m)
+    with mock.patch.object(linalg, "JORDAN_MAX_ROWS", jordan_limit(jordan)):
+        rows, cols, inverse = linalg._profiles_and_inverse(a)
+    gf = sympy.GF(P)
+    assert tuple(rows) == rref_pivots([list(r) for r in zip(*m)], gf)
+    assert tuple(cols) == rref_pivots(m, gf)
+    block = np.array(m, dtype=object)[np.ix_(rows, cols)]
+    product = block.dot(inverse.astype(object)) % P
+    assert product.tolist() == np.eye(len(rows), dtype=int).tolist()
+
+
 @pytest.fixture
 def paths(monkeypatch):
     """Records, in order, each p-adic lift as it starts and each Bareiss
@@ -424,14 +491,23 @@ def test_kernel_line_matches_bareiss_and_sympy(m):
 
 
 @given(corank_one_matrices(at_guard_edge=True))
+@example([[P, 1]])
 @settings(deadline=None, max_examples=50)
 def test_kernel_line_at_the_guard_edge_matches_bareiss_and_sympy(m):
     # Entries as wide as the int64 bounds allow: an overflow anywhere in the
-    # lift would fail the exact check and show as a Bareiss call.
+    # lift would fail the exact check and show as a Bareiss call.  The lift
+    # certifies exactly when the pivot columns mod PRIME are the rational
+    # ones; [[P, 1]] has pivot column 0 over Q and 1 mod PRIME, so Bareiss
+    # answers it.
     with mock.patch.object(linalg, "_triangularize", wraps=linalg._triangularize) as bareiss:
         vectors = _kernel(m, len(m[0])).vectors
-    if lift_rank(m) == len(m[0]) - 1:
+    same_profile = rref_pivots(m, sympy.QQ) == rref_pivots(m, sympy.GF(P))
+    if same_profile:
         assert not bareiss.called
+    else:
+        assert bareiss.called
+    if m == [[P, 1]]:
+        assert not same_profile
     assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
 
 
@@ -443,6 +519,28 @@ def test_kernel_line_lifts_the_socle_kernel(paths, n, d):
     vectors = _kernel(rows, len(rows[0])).vectors
     assert paths == ["p-adic"]
     assert vectors == bareiss_socle_kernel(f) == sympy_nullspace(rows)
+
+
+def test_socle_lift_runs_one_elimination_of_the_transpose_beside_j(monkeypatch):
+    # The (3,5) socle matrix, m = 108 rows by W = 91 columns: its kernel
+    # costs one mod-p elimination, of the W x (m + W) array [A^T | J], and no
+    # separate column profile.
+    f = random_ci_tuple(3, 5, SplitMix64(5).next_u64())
+    rows = _shift_rows(f.forms, f.socle_degree - f.degree)
+    m, w = len(rows), len(rows[0])
+    assert (m, w) == (108, 91)
+    shapes = []
+    echelon = linalg._echelon_mod_prime
+
+    def spy_echelon(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return echelon(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
+    with mock.patch.object(linalg, "_column_profile", side_effect=AssertionError):
+        vectors = _kernel(rows, w).vectors
+    assert shapes == [(w, m + w)]
+    assert vectors == bareiss_socle_kernel(f)
 
 
 def test_catalecticant_kernel_of_an_associated_form_is_lifted(paths):
@@ -481,19 +579,19 @@ def test_kernel_line_falls_back_when_the_mod_p_rank_is_short(paths, eliminations
     m = [[1, 0, 0], [0, P, P]]
     assert _kernel(m, 3).vectors == ((0, -1, 1),) == sympy_nullspace(m)
     assert paths == ["p-adic", "bareiss"]
-    assert eliminations == [2]
+    assert eliminations == [1]
 
 
 def test_kernel_line_past_the_int64_guard_stays_on_the_lift(paths, eliminations):
     # At the guard's edge the lift runs in int64; one past it, where int64
     # products of 2^45 by a digit would overflow, and past int64 itself, it
-    # runs on Python ints.  Each answers alone, in two eliminations.
+    # runs on Python ints.  Each answers alone, in one elimination.
     edge = guard_edge(3)
     for top in (edge, edge + 1, 2**45 + 1, 2**200 + 1):
         m = [[top, -edge, 1], [1, edge, -edge]]
         assert lift_rank(m) == 2
         assert _kernel(m, 3).vectors == sympy_nullspace(m)
-        assert paths == ["p-adic"] and eliminations == [2]
+        assert paths == ["p-adic"] and eliminations == [1]
         paths.clear()
         eliminations[0] = 0
 
@@ -557,9 +655,30 @@ M = 2**31 - 2
 def test_lazy_echelon_matches_the_eager_reference(pm, reduced):
     p, m = pm
     lazy, eager = np.array(m, dtype=np.int64), np.array(m, dtype=np.int64)
-    pivots = linalg._echelon_mod_prime(lazy, p, reduced)
+    pivots = linalg._echelon_mod_prime(lazy, p, 0 if reduced else None)
     assert pivots == eager_echelon_mod_prime(eager, p, reduced)
     assert lazy.tolist() == eager.tolist()
+
+
+@given(residue_matrices(), st.integers(0, 8), st.booleans())
+@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]), 0, False)
+@example((P, [[1, 2, 0, 0, 1], [0, 1, 0, 1, 0], [2, 0, 1, 0, 0]]), 3, False)
+@settings(deadline=None, max_examples=200)
+def test_reduction_from_a_column_matches_the_eager_forms(pm, start, jordan):
+    # Columns from `start` on as in the reduced row echelon form, the
+    # columns before it as in the row echelon form, or reduced too on the
+    # Gauss-Jordan path; the back pass, taken past JORDAN_MAX_ROWS rows, is
+    # forced by a limit of 0.
+    p, m = pm
+    start = min(start, len(m[0]))
+    a = np.array(m, dtype=np.int64)
+    echelon, reduced = a.copy(), a.copy()
+    pivots = eager_echelon_mod_prime(echelon, p, False)
+    assert eager_echelon_mod_prime(reduced, p, True) == pivots
+    with mock.patch.object(linalg, "JORDAN_MAX_ROWS", jordan_limit(jordan)):
+        assert linalg._echelon_mod_prime(a, p, start) == pivots
+    assert a[:, start:].tolist() == reduced[:, start:].tolist()
+    assert a[:, :start].tolist() == (reduced if jordan else echelon)[:, :start].tolist()
 
 
 @given(st.one_of(matrices(unlucky_int), low_rank_matrices()))
@@ -576,4 +695,4 @@ def test_echelon_rejects_a_prime_with_no_room_for_an_update():
     # already passes 2^63.
     a = np.ones((2, 2), dtype=np.int64)
     with pytest.raises(ValueError):
-        linalg._echelon_mod_prime(a, 2**32 - 5, reduced=False)
+        linalg._echelon_mod_prime(a, 2**32 - 5)
