@@ -409,7 +409,7 @@ def _profiles_and_inverse(a) -> tuple[list[int], list[int], object]:
 
     p = PRIME
     m, w = a.shape
-    aug = np.hstack([(a.T % p).astype(np.int64), np.eye(w, dtype=np.int64)[::-1]])
+    aug = np.hstack([(a.T % p).astype(np.int64, copy=False), np.eye(w, dtype=np.int64)[::-1]])
     found = _echelon_mod_prime(aug, p, reduce_from=m)
     r = bisect_left(found, m)
     free = {m + w - 1 - c for c in found[r:]}
@@ -590,7 +590,8 @@ def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[in
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            # Both rows are zero left of column c.
+            a[r, c:], a[i, c:] = a[i, c:], a[r, c:].copy()
         if pending == budget:
             a[first:, c + 1 :] %= prime
             pending = 0
