@@ -55,14 +55,6 @@ PRIME = 33554393
 # notes give the measured crossover.
 EXACT_MAX_ENTRIES = 100
 
-# Up to this many rows, an elimination reduced above its pivots clears them
-# as it goes (Gauss-Jordan), in one pass; past it, a forward pass and a back
-# pass that skips the columns no caller reads again cost less, although they
-# take two steps per pivot.  On the [A^T | J] of socle matrices the two cost
-# the same at 126 rows, the (5,2) socle; Gauss-Jordan took 6 % less at 91,
-# the (3,5) socle, and 6 % more at 136, the (3,6) socle.
-JORDAN_MAX_ROWS = 120
-
 Scalar = Fraction | int
 RowSeq = Sequence[Sequence[Scalar]]
 
@@ -545,20 +537,18 @@ def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[in
     `reduce_from`, each pivot column is also cleared above its pivot in the
     columns from `reduce_from` on, so those columns end as in the reduced
     row echelon form; `reduce_from` = 0 gives that form.  The columns before
-    it are in row echelon form, or reduced too when `a` has at most
-    JORDAN_MAX_ROWS rows.
+    it are in row echelon form.
 
     A pivot row changes only the rows from the first to the last nonzero of
     its column, and only in the columns from the pivot to the row's last
-    nonzero.  Up to JORDAN_MAX_ROWS rows, a reduced elimination clears above
-    each pivot as it goes (Gauss-Jordan).  Past it, the forward pass clears
-    below only, and in two column ranges, before `reduce_from` and from the
-    row's first nonzero past it; then a back pass takes the pivots last to
-    first and subtracts each pivot row, final by then, from the rows above
-    it, in the columns from `reduce_from` on only.  The back pass reads its
+    nonzero.  The forward pass clears below each pivot, in two column ranges
+    when there is a `reduce_from`: before it, and from the row's first
+    nonzero past it.  With `reduce_from`, a back pass then takes the pivots
+    last to first and subtracts each pivot row, final by then, from the rows
+    above it, in the columns from `reduce_from` on only.  It reads its
     multipliers as the forward pass left them, since no later pivot row has
     an entry in an earlier pivot's column, so it never touches the columns
-    before `reduce_from`; Gauss-Jordan updates them above every pivot.
+    before `reduce_from`.
 
     Reduction is delayed (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008):
     the rank-one updates are left unreduced, and only the pivot column and
@@ -574,18 +564,16 @@ def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[in
     if budget < 1:
         raise ValueError(f"residues mod {prime} are too wide for an int64 update")
     nrows, ncols = a.shape
-    jordan = reduce_from is not None and nrows <= JORDAN_MAX_ROWS
-    split = ncols if reduce_from is None or jordan else reduce_from
+    split = ncols if reduce_from is None else reduce_from
     pivots: list[int] = []
     pending = 0
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        first = 0 if jordan else r
-        column = a[first:, c]
+        column = a[r:, c]
         column %= prime
-        nz = column[r - first :].nonzero()[0]
+        nz = column.nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -593,14 +581,13 @@ def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[in
             # Both rows are zero left of column c.
             a[r, c:], a[i, c:] = a[i, c:], a[r, c:].copy()
         if pending == budget:
-            a[first:, c + 1 :] %= prime
+            a[r:, c + 1 :] %= prime
             pending = 0
         row = a[r, c:] % prime * pow(int(a[r, c]), -1, prime) % prime
-        # The forward pass reads the pivot column's nonzeros before the swap,
+        # The band is read off the pivot column's nonzeros before the swap,
         # which leaves a zero where the pivot was; the pivot row itself is
         # written back reduced at the end.
-        hits = column.nonzero()[0] if jordan else nz
-        band = a[first + int(hits[0]) : first + int(hits[-1]) + 1]
+        band = a[r + int(nz[0]) : r + int(nz[-1]) + 1]
         factors = band[:, c : c + 1]
         cols = row.nonzero()[0]
         cut = cols.size if cols[-1] < split - c else int(np.searchsorted(cols, split - c))

@@ -191,20 +191,13 @@ def kernel_matrices(draw, max_side=6):
     return draw(st.permutations(rows))
 
 
-def jordan_limit(jordan: bool) -> int:
-    """JORDAN_MAX_ROWS as shipped, or 0 to send every small crafted matrix
-    through the forward and back passes."""
-    return linalg.JORDAN_MAX_ROWS if jordan else 0
-
-
-@given(kernel_matrices(), st.booleans())
-@example([[0, 0, 0], [0, 0, 0]], False)
-@example([[1, 2, 3], [2, 4, 6], [-1, -2, -3]], False)
+@given(kernel_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [-1, -2, -3]])
 @settings(deadline=None)
-def test_padic_kernel_matches_bareiss_and_sympy(m, jordan):
+def test_padic_kernel_matches_bareiss_and_sympy(m):
     ncols = len(m[0])
-    with mock.patch.object(linalg, "JORDAN_MAX_ROWS", jordan_limit(jordan)):
-        vectors = linalg._padic_kernel(m, ncols)
+    vectors = linalg._padic_kernel(m, ncols)
     assert vectors is not None
     assert tuple(vectors) == _exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
 
@@ -214,20 +207,16 @@ def rref_pivots(rows, domain) -> tuple:
     return DM(rows, domain).rref()[1]
 
 
-@given(
-    st.one_of(kernel_matrices(), matrices(unlucky_int), low_rank_matrices(max_entry=2**40)),
-    st.booleans(),
-)
-@example([[P, 1]], True)
-@example([[1, 0, 0], [1, P, 0], [0, 1, 0]], False)
+@given(st.one_of(kernel_matrices(), matrices(unlucky_int), low_rank_matrices(max_entry=2**40)))
+@example([[P, 1]])
+@example([[1, 0, 0], [1, P, 0], [0, 1, 0]])
 @settings(deadline=None)
-def test_one_elimination_gives_both_profiles_and_the_pivot_inverse(m, jordan):
+def test_one_elimination_gives_both_profiles_and_the_pivot_inverse(m):
     # The row profile is the transpose's pivot columns mod PRIME, the column
     # profile the complement of the free columns, and the derived inverse
     # inverts the pivot block mod PRIME.
     a = linalg._integer_array(m)
-    with mock.patch.object(linalg, "JORDAN_MAX_ROWS", jordan_limit(jordan)):
-        rows, cols, inverse = linalg._profiles_and_inverse(a)
+    rows, cols, inverse = linalg._profiles_and_inverse(a)
     gf = sympy.GF(P)
     assert tuple(rows) == rref_pivots([list(r) for r in zip(*m)], gf)
     assert tuple(cols) == rref_pivots(m, gf)
@@ -660,25 +649,22 @@ def test_lazy_echelon_matches_the_eager_reference(pm, reduced):
     assert lazy.tolist() == eager.tolist()
 
 
-@given(residue_matrices(), st.integers(0, 8), st.booleans())
-@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]), 0, False)
-@example((P, [[1, 2, 0, 0, 1], [0, 1, 0, 1, 0], [2, 0, 1, 0, 0]]), 3, False)
+@given(residue_matrices(), st.integers(0, 8))
+@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]), 0)
+@example((P, [[1, 2, 0, 0, 1], [0, 1, 0, 1, 0], [2, 0, 1, 0, 0]]), 3)
 @settings(deadline=None, max_examples=200)
-def test_reduction_from_a_column_matches_the_eager_forms(pm, start, jordan):
+def test_reduction_from_a_column_matches_the_eager_forms(pm, start):
     # Columns from `start` on as in the reduced row echelon form, the
-    # columns before it as in the row echelon form, or reduced too on the
-    # Gauss-Jordan path; the back pass, taken past JORDAN_MAX_ROWS rows, is
-    # forced by a limit of 0.
+    # columns before it as in the row echelon form.
     p, m = pm
     start = min(start, len(m[0]))
     a = np.array(m, dtype=np.int64)
     echelon, reduced = a.copy(), a.copy()
     pivots = eager_echelon_mod_prime(echelon, p, False)
     assert eager_echelon_mod_prime(reduced, p, True) == pivots
-    with mock.patch.object(linalg, "JORDAN_MAX_ROWS", jordan_limit(jordan)):
-        assert linalg._echelon_mod_prime(a, p, start) == pivots
+    assert linalg._echelon_mod_prime(a, p, start) == pivots
     assert a[:, start:].tolist() == reduced[:, start:].tolist()
-    assert a[:, :start].tolist() == (reduced if jordan else echelon)[:, :start].tolist()
+    assert a[:, :start].tolist() == echelon[:, :start].tolist()
 
 
 @given(st.one_of(matrices(unlucky_int), low_rank_matrices()))
