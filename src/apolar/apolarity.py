@@ -35,6 +35,7 @@ from .linalg import (
     MatrixQ,
     SubspaceBasis,
     _certified_rank,
+    _dtype,
     _kernel,
     _primitive_row,
     determinant,
@@ -58,14 +59,17 @@ def _factorials(n: int, e: int) -> tuple[int, ...]:
     return tuple(prod(map(factorial, b)) for b in monomial_basis(n, e))
 
 
-def _moment_rows(f: Polynomial, i: int) -> tuple[list[list[int]], Fraction]:
+def _moment_rows(f: Polynomial, i: int) -> tuple[object, Fraction]:
     """The moment matrix H_i of a nonzero homogeneous form f of degree e,
-    scaled to integers, and the factor it was scaled by.
+    scaled to integers, as one 2-D array, and the factor it was scaled by.
 
     phi_b = b! f_b over the degree-e monomials is scaled once to coprime
-    integers; row y^c, c of degree e - i, holds phi at the monomials x^a y^c
-    for every degree-i contractor x^a, read off the shift table.
+    integers, in the dtype _dtype chooses for its largest entry; row y^c, c
+    of degree e - i, holds phi at the monomials x^a y^c for every degree-i
+    contractor x^a, gathered in one step through the shift table.
     """
+    import numpy as np
+
     e = f.homogeneous_degree()
     if not 0 <= i <= e:
         raise ValueError(f"contraction degree must lie in 0..{e}")
@@ -76,7 +80,7 @@ def _moment_rows(f: Polynomial, i: int) -> tuple[list[list[int]], Fraction]:
     for b, c in ints.items():
         scaled[index[b]] = c * weights[index[b]]
     phi, content = _primitive_row(scaled)
-    rows = [[phi[j] for j in cols] for cols in _shift_columns(n, e - i, i).values()]
+    rows = np.array(phi, dtype=_dtype(max(map(abs, phi))))[_shift_columns(n, e - i, i)]
     return rows, factor * content
 
 
@@ -87,7 +91,7 @@ def catalecticant(f: Polynomial, i: int) -> MatrixQ:
     y^(a+c) in f times prod_k (a_k+c_k)!/c_k!: the moment rows scaled."""
     rows, factor = _moment_rows(f, i)
     weights = (factor * w for w in _factorials(f.nvars, f.homogeneous_degree() - i))
-    return MatrixQ.from_rows([[x / w for x in row] for row, w in zip(rows, weights)])
+    return MatrixQ.from_rows([[x / w for x in row] for row, w in zip(rows.tolist(), weights)])
 
 
 def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
@@ -102,7 +106,7 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
     if j > e:
         dim = dim_forms(f.nvars, j)
         return SubspaceBasis(dim, MatrixQ.identity(dim).entries)
-    return _kernel(_moment_rows(f, j)[0], dim_forms(f.nvars, j))
+    return _kernel(_moment_rows(f, j)[0])
 
 
 def annihilator_polynomials(f: Polynomial, j: int) -> list[Polynomial]:
@@ -142,7 +146,7 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     that symmetry is asserted on every call.
     """
     moments = (_moment_rows(f, i)[0] for i in range(f.homogeneous_degree() + 1))
-    ranks = tuple(_certified_rank(rows, min(len(rows), len(rows[0]))) for rows in moments)
+    ranks = tuple(_certified_rank(rows, min(rows.shape)) for rows in moments)
     assert ranks == ranks[::-1], "apolar Hilbert function must be symmetric"
     assert ranks[0] == 1
     return ranks
@@ -212,7 +216,7 @@ def canonical_kernel_basis(
     n, d = _socle_shape(f)
     moments = _moment_rows(f, d)[0]
     k_dim = dim_forms(n, d)
-    kernel = _kernel(moments, k_dim)
+    kernel = _kernel(moments)
     if kernel.dimension != n:
         raise ValueError("form is not in the expected rank locus")
     if chart is None:
@@ -220,6 +224,7 @@ def canonical_kernel_basis(
     r = k_dim - n
     rows, cols = chart
     rows, cols = sorted(rows), sorted(cols)
+    moments = moments.tolist()
     for picked, size in ((rows, len(moments)), (cols, k_dim)):
         if len(set(picked)) != r or len(picked) != r or not 0 <= picked[0] <= picked[-1] < size:
             raise ValueError(f"chart must pick {r} distinct rows and columns, each in range")

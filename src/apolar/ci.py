@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 from .apolarity import annihilator_piece, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
-from .linalg import SubspaceBasis, _certified_rank, _kernel, span_dim
+from .linalg import SubspaceBasis, _certified_rank, _dtype, _kernel_numerators, span_dim
 from .poly import (
     FormTuple,
     Monomial,
@@ -39,6 +39,7 @@ from .poly import (
     apply_polar,
     jacobian_det,
     monomial_basis,
+    monomial_index,
 )
 
 
@@ -46,29 +47,39 @@ class DegenerateTupleError(ValueError):
     """Raised when an operation needs a complete intersection and lacks one."""
 
 
-def _shift_rows(forms: Sequence[Polynomial], k: int) -> list[list[int]]:
+def _shift_rows(forms: Sequence[Polynomial], k: int):
     """The _term_rows of the forms, each scaled to coprime integers first,
     which changes no span."""
     return _term_rows([_primitive_terms(g)[0] for g in forms], k)
 
 
-def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int) -> list[list[int]]:
-    """Integer rows m * g for every g in forms (integer polynomials as
-    monomial -> coefficient dicts, all of one degree e) and every degree-k
-    monomial m, g outermost, m in grlex order; columns are the degree-(e + k)
-    monomials."""
+def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int):
+    """The _shifted_rows of integer polynomials given as monomial ->
+    coefficient dicts, all of one degree e, in the dtype _dtype chooses for
+    their largest coefficient."""
+    import numpy as np
+
     first = next(iter(forms[0]))
     n, e = len(first), sum(first)
-    columns = _shift_columns(n, e, k)
-    width, shifts = dim_forms(n, e + k), dim_forms(n, k)
-    rows = []
-    for g in forms:
-        block = [[0] * width for _ in range(shifts)]
-        for b, c in g.items():
-            for row, j in zip(block, columns[b]):
-                row[j] = c
-        rows.extend(block)
-    return rows
+    basis = monomial_basis(n, e)
+    top = max(abs(c) for g in forms for c in g.values())
+    coefficients = np.array([[g.get(b, 0) for b in basis] for g in forms], dtype=_dtype(top))
+    return _shifted_rows(coefficients, n, e, k)
+
+
+def _shifted_rows(coefficients, n: int, e: int, k: int):
+    """Integer rows m * g, as one 2-D array in the dtype of `coefficients`,
+    for every g among its rows (degree-e forms over the grlex basis) and
+    every degree-k monomial m, g outermost, m in grlex order; columns are
+    the degree-(e + k) monomials.  One scatter over the shift table fills
+    it."""
+    import numpy as np
+
+    table = _shift_columns(n, e, k)
+    shifts, width = table.shape[1], dim_forms(n, e + k)
+    rows = np.zeros((len(coefficients), shifts, width), dtype=coefficients.dtype)
+    rows[:, np.arange(shifts)[:, None], table.T] = coefficients[:, None, :]
+    return rows.reshape(-1, width)
 
 
 class GradedQuotient:
@@ -116,7 +127,8 @@ class GradedQuotient:
         width = dim_forms(self.var_count, j)
         if j < self.degree:
             return SubspaceBasis(width, ())
-        return SubspaceBasis.from_spanning(_shift_rows(self.tuple.forms, j - self.degree), width)
+        rows = _shift_rows(self.tuple.forms, j - self.degree)
+        return SubspaceBasis.from_spanning(rows.tolist(), width)
 
     def socle_functional(self) -> tuple[Fraction, ...]:
         """The functional on top-degree forms killing the ideal, with value 1
@@ -128,16 +140,17 @@ class GradedQuotient:
             # the smallest shapes, which Bareiss reads under the size rule,
             # its kernel is lifted p-adically and verified exactly, with
             # Bareiss as the fallback; the entries run to hundreds of bits.
-            lam = _kernel(
-                _shift_rows(self.tuple.forms, self.socle_degree - self.degree),
-                dim_forms(self.var_count, self.socle_degree),
-            )
-            assert lam.dimension == 1, "complete intersection socle must be a line"
-            vec = lam.vectors[0]
-            jac_vec = jacobian_det(self.tuple).coefficient_vector(self.socle_degree)
-            t = sum(a * b for a, b in zip(vec, jac_vec))
+            lam = _kernel_numerators(_shift_rows(self.tuple.forms, self.socle_degree - self.degree))
+            assert len(lam) == 1, "complete intersection socle must be a line"
+            # The Jacobian determinant is jac / factor, jac its primitive
+            # integer terms, so its value on the integer vector is one
+            # integer dot product t divided by factor.
+            jac, factor = _primitive_terms(jacobian_det(self.tuple))
+            index = monomial_index(self.var_count, self.socle_degree)
+            t = sum(lam[0][index[m]] * c for m, c in jac.items())
             assert t != 0, "Jacobian determinant must generate the socle"
-            self._socle_functional = tuple(x / t for x in vec)
+            scale = factor / t
+            self._socle_functional = tuple(x * scale for x in lam[0])
         return self._socle_functional
 
     def socle_coordinate(self, p: Polynomial) -> Fraction:

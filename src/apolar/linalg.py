@@ -2,34 +2,41 @@
 
 One elimination core, _triangularize, runs fraction-free Bareiss elimination
 with first-nonzero partial pivoting, so identical inputs take identical pivot
-paths.  The determinant is read off its last pivot; _exact_kernel_basis
+paths.  The determinant is read off its last pivot; _exact_kernel_numerators
 back-substitutes its echelon rows straight into the reduced-echelon kernel
 basis, the one form built from them.  The public functions check once that
 rows share one width and clear entries to integers row by row, once (row
-scaling changes neither rank nor kernel); the private cores take integer rows
-as they are.  The exact core runs on Python ints; results come back as
-fractions.Fraction.
+scaling changes neither rank nor kernel).  The exact core runs on Python
+ints, and is handed lists of them, never numpy scalars, whose products would
+overflow silently; results come back as fractions.Fraction.
 
-Every rank goes through _certified_rank, given the integer rows and an upper
-bound the caller has proven (rank passes min(rows, cols)), and every kernel
-basis (kernel_basis, SubspaceBasis.from_spanning, the socle functional)
-through _kernel.  A matrix of at most EXACT_MAX_ENTRIES entries is answered
-by Bareiss alone, which costs less there than the modular route's set-up.
-On a larger one the lower bound is the rank mod the word-size prime PRIME,
-since specialization can only drop rank; when the two bounds meet, that is
-the rank.  Otherwise a verified left kernel bounds the rank from above by
-rows minus its dimension.  Every such kernel, left or right, is read by one
-certified reader, _padic_kernel, which lifts it p-adically mod PRIME (Dixon
-1982) and checks it exactly with _verify_kernel; Bareiss answers what it does
-not certify, and determinant, solve and inverse are exact.  A right kernel
-costs the lift one elimination, of [A^T | J] (J the reversed identity),
-whose pivots and transform give the row profile, the column profile and the
-inverse of the pivot block at once (Dumas, Pernet and Sultan 2017); a left
-kernel reuses the column profile behind the rank and reduces [A_R | I].
-Every mod-p step runs one elimination loop, _echelon_mod_prime, with delayed
-reduction, over residues below 2^25.  A bound that is not met is never
-reported, so a certified answer is as exact as the Bareiss one.  Nothing in
-this module touches floating point.
+Every rank goes through _certified_rank, given the integer rows as one 2-D
+numpy array and an upper bound the caller has proven (rank passes
+min(rows, cols)), and every kernel basis (kernel_basis,
+SubspaceBasis.from_spanning, the socle functional) through
+_kernel_numerators.  The array is int64 when its entries fit, else an array
+of Python ints (_integer_array, or the caller's own builder, chooses by
+_dtype, once per matrix), and stays an array up to the exact check.  A
+matrix of at most EXACT_MAX_ENTRIES entries is answered by Bareiss alone,
+which costs less there than the modular route's set-up.  On a larger one the
+lower bound is the rank mod the word-size prime PRIME, since specialization
+can only drop rank; when the two bounds meet, that is the rank.  Otherwise a
+verified left kernel bounds the rank from above by rows minus its dimension.
+Every such kernel, left or right, is read by one certified reader,
+_padic_kernel, which lifts it p-adically mod PRIME (Dixon 1982), tries the
+rational reconstruction at digits 1, 2, 4, ... and at the Hadamard cap only,
+and checks the result, integer numerators over one denominator per vector,
+exactly with _verify_kernel; Bareiss answers what it does not certify, and
+determinant, solve and inverse are exact.  A right kernel costs the lift one
+elimination, of [A^T | J] (J the reversed identity), whose pivots and
+transform give the row profile, the column profile and the inverse of the
+pivot block at once (Dumas, Pernet and Sultan 2017); a left kernel reuses
+the column profile behind the rank and reduces [A_R | I].  Every mod-p step
+runs one elimination loop, _echelon_mod_prime, with delayed reduction, over
+residues below 2^25.  A bound that is not met is never reported, so a
+certified answer is as exact as the Bareiss one.  Kernel vectors become
+fractions once, in _fraction_basis.  Nothing in this module touches floating
+point.
 """
 from __future__ import annotations
 
@@ -138,7 +145,7 @@ class SubspaceBasis:
             raise ValueError("vector length does not match ambient dimension")
         # Kernel vector v_f ends at its free column f; reduced row p is 1 at
         # the pivot column p and -v_f[p] at each free column f.
-        kernel = _kernel(ints, ambient_dim).vectors
+        kernel = _kernel(_integer_array(ints, ambient_dim)).vectors
         free = [max(j for j, x in enumerate(v) if x) for v in kernel]
         pivots = sorted(set(range(ambient_dim)) - set(free))
         rows = (_unit_vector(ambient_dim, p, free, [-v[p] for v in kernel]) for p in pivots)
@@ -227,24 +234,24 @@ def rank(m) -> int:
     rows = _entry_rows(m)
     if not rows or not rows[0]:
         return 0
-    return _certified_rank(_integer_rows(rows), min(len(rows), len(rows[0])))
+    a = _integer_array(_integer_rows(rows), len(rows[0]))
+    return _certified_rank(a, min(a.shape))
 
 
-def _certified_rank(ints: Sequence[Sequence[int]], upper: int) -> int:
-    """Exact rank of nonempty integer rows whose rank is at most `upper`, a
-    bound the caller has proven: Bareiss elimination for at most
+def _certified_rank(a, upper: int) -> int:
+    """Exact rank of a nonempty integer array whose rank is at most `upper`,
+    a bound the caller has proven: Bareiss elimination for at most
     EXACT_MAX_ENTRIES entries; else the mod-p rank when it meets the bound,
     else a verified left kernel, lifted from the same column profile (the
     transpose's row profile), else Bareiss elimination."""
-    ncols = len(ints[0])
-    if len(ints) * ncols > EXACT_MAX_ENTRIES:
-        profile = _column_profile(_integer_array(ints))
+    if a.size > EXACT_MAX_ENTRIES:
+        profile = _column_profile(a)
         if len(profile) == upper:
             return upper
-        left = _padic_kernel(list(zip(*ints)), len(ints), profile)
+        left = _padic_kernel(a.T, profile)
         if left is not None:
-            return len(ints) - len(left)
-    return len(_triangularize(ints, ncols))
+            return a.shape[0] - len(left)
+    return len(_triangularize(a.tolist(), a.shape[1]))
 
 
 def kernel_basis(m) -> SubspaceBasis:
@@ -253,31 +260,57 @@ def kernel_basis(m) -> SubspaceBasis:
     reads it by Bareiss under the size rule (EXACT_MAX_ENTRIES), else lifts
     it p-adically when it can certify it, else reads it by Bareiss."""
     ints = _integer_rows(_entry_rows(m))
-    return _kernel(ints, len(ints[0]) if ints else 0)
+    return _kernel(_integer_array(ints, len(ints[0]) if ints else 0))
 
 
-def _kernel(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
-    """The reduced-echelon kernel basis of integer rows, by the exact reader,
-    _exact_kernel_basis, for at most EXACT_MAX_ENTRIES entries; else by the
-    certified reader, _padic_kernel, when it gives a certificate, else by the
-    exact reader.  The certificate (see _verify_kernel) pins the pivot
-    columns, so both readers give the same basis."""
-    if len(ints) * ncols > EXACT_MAX_ENTRIES:
-        vectors = _padic_kernel(ints, ncols)
+def _kernel(a) -> SubspaceBasis:
+    """The reduced-echelon kernel basis of an integer array, read by
+    _kernel_numerators."""
+    return _fraction_basis(a.shape[1], _kernel_numerators(a))
+
+
+def _kernel_numerators(a) -> list[list[int]]:
+    """The reduced-echelon kernel basis of an integer array, each vector
+    times the denominator of its entries, which it holds at its free column:
+    by the exact reader, _exact_kernel_numerators, for at most
+    EXACT_MAX_ENTRIES entries; else by the certified reader, _padic_kernel,
+    when it gives a certificate, else by the exact reader.  The certificate
+    (see _verify_kernel) pins the pivot columns, so both readers give the
+    same basis."""
+    if a.size > EXACT_MAX_ENTRIES:
+        vectors = _padic_kernel(a)
         if vectors is not None:
-            return SubspaceBasis(ncols, tuple(vectors))
-    return _exact_kernel_basis(ints, ncols)
+            return vectors
+    return _exact_kernel_numerators(a.tolist(), a.shape[1])
+
+
+def _fraction_basis(ncols: int, vectors: Sequence[Sequence[int]]) -> SubspaceBasis:
+    """The basis of integer kernel vectors, each divided by its entry at its
+    free column, its last nonzero entry: the one place where the kernel
+    readers make fractions."""
+    zero, basis = Fraction(0), []
+    for v in vectors:
+        den = next(x for x in reversed(v) if x)
+        basis.append(tuple(Fraction(x, den) if x else zero for x in v))
+    return SubspaceBasis(ncols, tuple(basis))
 
 
 def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
     """The reduced-echelon kernel basis of integer rows, by Bareiss
-    elimination and exact back substitution, with no modular attempt.
+    elimination alone: _exact_kernel_numerators as fractions."""
+    return _fraction_basis(ncols, _exact_kernel_numerators(ints, ncols))
+
+
+def _exact_kernel_numerators(ints: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """The reduced-echelon kernel basis of integer rows, each vector times
+    the last Bareiss pivot `den`, by Bareiss elimination and exact back
+    substitution, with no modular attempt.
 
     The vector of free column f is 1 at f and, at each pivot column, minus
     the entry at f of that column's reduced row.  The reduced rows are P^{-1}
     times the pivot rows, where P is the pivot block, whose determinant is
-    the last pivot `den`; so den times each reduced entry is an integer and
-    the back substitution, run over the free columns only, divides exactly.
+    den; so den times each reduced entry is an integer and the back
+    substitution, run over the free columns only, divides exactly.
     """
     pivots = _triangularize(ints, ncols)
     pivot_cols = [c for _, c, _ in pivots]
@@ -293,18 +326,21 @@ def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBa
             if t:
                 acc = [a - t * b for a, b in zip(acc, below)]
         scaled[k] = [a // tail[0] for a in acc]
-    vectors = (
-        _unit_vector(ncols, f, pivot_cols, [Fraction(-row[i], den) for row in scaled])
-        for i, f in enumerate(free)
-    )
-    return SubspaceBasis(ncols, tuple(vectors))
+    vectors = []
+    for i, f in enumerate(free):
+        v = [0] * ncols
+        v[f] = den
+        for c, row in zip(pivot_cols, scaled):
+            v[c] = -row[i]
+        vectors.append(v)
+    return vectors
 
 
-def _padic_kernel(
-    ints: Sequence[Sequence[int]], ncols: int, profile: Sequence[int] | None = None
-) -> list[tuple[Fraction, ...]] | None:
-    """The reduced-echelon kernel basis of integer rows, lifted p-adically
-    (Dixon 1982) and certified by _verify_kernel, or None.
+def _padic_kernel(a, profile: Sequence[int] | None = None) -> list[list[int]] | None:
+    """The reduced-echelon kernel basis of the integer array `a`, lifted
+    p-adically (Dixon 1982) and certified by _verify_kernel, each vector
+    times the denominator of its entries, which it holds at its free column;
+    or None.
 
     The lift needs, mod PRIME, a row profile R (r rows independent mod p),
     the column profile C (the lex-first r columns independent mod p) and the
@@ -313,18 +349,21 @@ def _padic_kernel(
     already, as the column profile of the transpose, passes it as `profile`,
     and the reduced form of [A_R | I] gives C and B^-1.  The k = ncols - r
     solutions Y of B Y = -(A_R at the free columns) are lifted together, one
-    p-adic digit per pair of matrix products.
+    p-adic digit per pair of matrix products.  Reconstruction
+    (_reconstruct_vectors) is tried at digits 1, 2, 4, ... and at the
+    Hadamard cap, each time on every column.
     Certificate: the mod-p rank r bounds the kernel dimension by k, so the k
     vectors, 1 at a free column and a column of Y at the pivots, once
-    _verify_kernel checks them exactly, are bit for bit the Bareiss basis.
-    The rows and the residual are int64 within the bounds below, Python ints
-    past them.  None when r passes 8192, or when the lift reaches the
-    Hadamard bound unverified, as after a rank drop mod p.
+    _verify_kernel checks their integer numerators exactly, are bit for bit
+    the Bareiss basis.  The rows and the residual are int64 within the
+    bounds below, Python ints past them.  None when r passes 8192, or when
+    the lift reaches the Hadamard bound unverified, as after a rank drop
+    mod p.
     """
     import numpy as np
 
     p = PRIME
-    a = _integer_array(ints)
+    ncols = a.shape[1]
     if profile is None:
         profile, pivots, inverse = _profiles_and_inverse(a)
     else:
@@ -360,22 +399,23 @@ def _padic_kernel(
     norms = [2 * t.bit_length() + nz.bit_length() for t, nz in zip(sizes, counts)]
     bits = sum(norms[c] for c in pivots) + max(norms[f] for f in free)
     cap = -(-(bits + 1) // (p.bit_length() - 1))
-    # Columns reconstructed at one digit are kept for the next: a digit
-    # resumes at the first column not yet reconstructed, and the kept
-    # columns are dropped only when _verify_kernel rejects a full set.
-    lifted, modulus, vectors = np.zeros((r, k), dtype=object), 1, []
-    for _ in range(cap):
+    lifted, modulus = np.zeros((r, k), dtype=object), 1
+    for t in range(1, cap + 1):
         digit = inverse @ (residual % p).astype(np.int64, copy=False) % p
         residual = (residual - b @ digit) // p
         lifted += digit.astype(object) * modulus
         modulus *= p
-        done = len(vectors)
-        columns = lifted[:, done:].T.tolist()
-        vectors += _reconstruct_vectors(columns, modulus, pivots, free[done:], ncols)
-        if len(vectors) == k:
-            if _verify_kernel(a, ncols, pivots, vectors):
-                return vectors
-            vectors = []
+        if t & (t - 1) and t < cap:
+            continue
+        columns = _reconstruct_vectors(lifted.T.tolist(), modulus)
+        if columns is None:
+            continue
+        dens, nums = zip(*columns)
+        vectors = np.zeros((k, ncols), dtype=object)
+        vectors[:, pivots] = np.array(nums, dtype=object).reshape(k, r)
+        vectors[np.arange(k), free] = dens
+        if _verify_kernel(a, pivots, vectors):
+            return vectors.tolist()
     return None
 
 
@@ -412,24 +452,37 @@ def _profiles_and_inverse(a) -> tuple[list[int], list[int], object]:
 
 
 def _reconstruct_vectors(
-    lifted: list[list[int]], modulus: int, pivots: list[int], free: list[int], ncols: int
-) -> list[tuple[Fraction, ...]]:
-    """Kernel vectors, 1 at each free column and, at the pivots, the
-    fractions with the residues `lifted` mod `modulus`, up to the first
-    column with a residue that has none small enough.  Each column runs one
-    common denominator: scaled by the denominators found so far, its later
-    entries are integers."""
-    bound, vectors = isqrt(modulus // 2), []
-    for f, column in zip(free, lifted):
-        den, entries = 1, []
+    lifted: list[list[int]], modulus: int
+) -> list[tuple[int, list[int]]] | None:
+    """For each column of residues `lifted` mod `modulus`, the fractions
+    with those residues and numerator and denominator at most
+    sqrt(modulus / 2) in size, as integer numerators over one common
+    denominator: (den, numerators).  None when some residue has no such
+    fraction.
+
+    A column runs its denominator den, the product of those found so far:
+    den u, u the next residue, is the next numerator when its symmetric
+    residue is within the bound, with no Euclid call, and otherwise
+    _rational_reconstruction splits it into a/b, b joins den, and the
+    numerators found so far are scaled by b."""
+    bound, half, columns = isqrt(modulus // 2), modulus // 2, []
+    for column in lifted:
+        den, nums = 1, []
         for u in column:
-            q = _rational_reconstruction(den * u % modulus, modulus, bound)
+            w = den * u % modulus
+            if w > half:
+                w -= modulus
+            if -bound <= w <= bound:
+                nums.append(w)
+                continue
+            q = _rational_reconstruction(w % modulus, modulus, bound)
             if q is None:
-                return vectors
-            entries.append(q / den if den > 1 else q)
+                return None
+            nums = [x * q.denominator for x in nums]
+            nums.append(q.numerator)
             den *= q.denominator
-        vectors.append(_unit_vector(ncols, f, pivots, entries))
-    return vectors
+        columns.append((den, nums))
+    return columns
 
 
 def _unit_vector(ncols: int, unit: int, cols: Sequence[int], entries) -> tuple[Fraction, ...]:
@@ -502,18 +555,25 @@ def rank_mod_prime(rows: Sequence[Sequence[int]]) -> int:
     """
     if not rows or not len(rows[0]):
         return 0
-    return len(_column_profile(_integer_array(rows)))
+    return len(_column_profile(_integer_array(rows, len(rows[0]))))
 
 
-def _integer_array(rows: Sequence[Sequence[int]]):
-    """The rows as an int64 array, or as an array of Python ints (dtype
-    object) when some entry does not fit in int64."""
+def _dtype(bound: int):
+    """int64 when `bound`, proven by the caller to bound every entry and
+    every partial sum of a computation, stays below 2^63; else object, so
+    that the computation runs on Python ints."""
     import numpy as np
 
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
+    return np.int64 if bound < 2**63 else object
+
+
+def _integer_array(rows: Sequence[Sequence[int]], ncols: int):
+    """Integer rows of width ncols as one 2-D array, its dtype chosen once
+    by _dtype from the largest entry."""
+    import numpy as np
+
+    top = max((max(map(abs, row), default=0) for row in rows), default=0)
+    return np.array(rows, dtype=_dtype(top)).reshape(len(rows), ncols)
 
 
 def _column_profile(a) -> list[int]:
@@ -642,53 +702,51 @@ def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | Non
     return Fraction(r1, s1)
 
 
-def _verify_kernel(
-    rows: Sequence[Sequence[int]],
-    ncols: int,
-    pivots: Sequence[int],
-    vectors: Sequence[Sequence[Fraction]],
-) -> bool:
-    """Whether `vectors` is exactly the reduced-echelon kernel basis of the
-    integer `rows`, given the rows' pivot columns mod some prime.
+def _verify_kernel(a, pivots: Sequence[int], vectors) -> bool:
+    """Whether the integer `vectors`, each divided by its entry at its free
+    column, are exactly the reduced-echelon kernel basis of the integer
+    array `a`, given a's pivot columns mod some prime.
 
     Upper bound on the kernel dimension: ncols - len(pivots), because the
     mod-p rank is at most the rational rank.  Lower bound: one vector per
-    non-pivot column f, in ascending order, each 1 at f and supported only on
-    f and pivot columns left of f (so they are independent), and each with
-    A v = 0 over the integers.  Such a vector writes column f as a
+    non-pivot column f, in ascending order, each nonzero at f and supported
+    only on f and pivot columns left of f (so they are independent), and
+    each with A v = 0 over the integers.  Such a vector writes column f as a
     combination of earlier columns, so no such f is a rational pivot column;
     the bounds then meet, the mod-p pivot columns are the rational ones, and
-    each vector is the one kernel vector with its pattern on the free
-    columns: the vector the exact reduced row echelon form gives.  Nothing
-    here relies on how the vectors were computed.  A V = 0 is checked as
-    one exact product over the nonzero entries of A, V holding the vectors
-    scaled to primitive integers: in int64 when no partial sum can pass it,
-    else on Python ints (numpy object arrays).
+    each vector, divided by its entry at f, is the one kernel vector that is
+    1 at f and 0 at the other free columns: the vector the exact reduced row
+    echelon form gives.  Nothing here relies on how the vectors were
+    computed.  A V = 0 is checked as one exact product over the nonzero
+    entries of A: in int64 when no partial sum can pass it, else on Python
+    ints (numpy object arrays).
     """
     import numpy as np
 
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    if len(vectors) != len(free):
+    ncols = a.shape[1]
+    is_pivot = np.zeros(ncols, dtype=bool)
+    is_pivot[list(pivots)] = True
+    free = np.flatnonzero(~is_pivot)
+    if len(vectors) != free.size:
         return False
-    for f, v in zip(free, vectors):
-        support = [j for j, x in enumerate(v) if x]
-        if v[f] != 1 or any(j != f and (j not in pivot_set or j > f) for j in support):
-            return False
-    a = _integer_array(rows)
+    v = np.asarray(vectors, dtype=object).reshape(free.size, ncols)
+    allowed = is_pivot & (np.arange(ncols) < free[:, None])
+    allowed[np.arange(free.size), free] = True
+    nonzero = v != 0
+    if (nonzero & ~allowed).any() or not nonzero[np.arange(free.size), free].all():
+        return False
     i, j = np.nonzero(a)
-    if not (i.size and vectors):
+    if not (i.size and free.size):
         return True
-    scaled = np.array([_primitive_row(v)[0] for v in vectors], dtype=object)
-    top = max(int(a.max()), -int(a.min())) * int(np.abs(scaled).max())
-    # Each vector is 1 somewhere, so top bounds every entry of A: below the
-    # bound, A is already int64.
+    top = max(int(a.max()), -int(a.min())) * int(np.abs(v).max())
+    # Each vector is nonzero somewhere, so top bounds every entry of A:
+    # below the bound, A is already int64.
     if top * ncols < 2**63:
-        scaled = scaled.astype(np.int64)
+        v = v.astype(np.int64)
     else:
         a = a.astype(object)
     # The nonzeros come row by row: terms[t, e] is nonzero e times vector t
     # at its column, and each row's terms are one run, summed by reduceat.
-    terms = a[i, j] * scaled[:, j]
+    terms = a[i, j] * v[:, j]
     runs = np.flatnonzero(np.diff(i, prepend=-1))
     return not np.count_nonzero(np.add.reduceat(terms, runs, axis=1))

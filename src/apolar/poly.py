@@ -33,7 +33,7 @@ from math import perm, prod
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .linalg import MatrixQ, _primitive_row, matrix_inverse
+from .linalg import MatrixQ, _dtype, _primitive_row, matrix_inverse
 
 if TYPE_CHECKING:
     from .ci import GradedQuotient
@@ -63,13 +63,20 @@ def monomial_index(nvars: int, degree: int) -> Mapping[Monomial, int]:
 
 
 @lru_cache(maxsize=None)
-def _shift_columns(n: int, e: int, k: int) -> Mapping[Monomial, tuple[int, ...]]:
-    """For each degree-e monomial b, in grlex order, the column of m * b
-    among the degree-(e + k) monomials, for every degree-k monomial m in
-    grlex order."""
+def _shift_columns(n: int, e: int, k: int):
+    """The shift table, a read-only integer array: entry (i, j) is the
+    column of m_j * b_i among the degree-(e + k) monomials, b_i the i-th
+    degree-e monomial and m_j the j-th degree-k monomial, both in grlex
+    order."""
+    import numpy as np
+
     col = monomial_index(n, e + k)
     shifts = monomial_basis(n, k)
-    return {b: tuple(col[tuple(map(add, m, b))] for m in shifts) for b in monomial_basis(n, e)}
+    table = np.array(
+        [[col[tuple(map(add, m, b))] for m in shifts] for b in monomial_basis(n, e)], dtype=np.intp
+    )
+    table.flags.writeable = False
+    return table
 
 
 class Polynomial:
@@ -323,15 +330,6 @@ def _norm(*ps: Mapping[Monomial, int]) -> int:
     return max(sum(abs(c) for p in ps for c in p.values()), 1)
 
 
-def _dtype(bound: int):
-    """int64 when `bound`, proven by the caller to bound every coefficient
-    and every partial sum of a computation, stays below 2^63; else object,
-    so that the computation runs on Python ints."""
-    import numpy as np
-
-    return np.int64 if bound < 2**63 else object
-
-
 def _graded(p: Mapping[Monomial, int], nvars: int, dtype) -> dict:
     """An integer polynomial as one coefficient array per degree, each over
     the grlex basis of its degree."""
@@ -362,7 +360,7 @@ def _product_runs(n: int, e: int, k: int):
     are the columns in order."""
     import numpy as np
 
-    cols = np.array([j for js in _shift_columns(n, e, k).values() for j in js])
+    cols = _shift_columns(n, e, k).ravel()
     order = np.argsort(cols, kind="stable")
     starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
     # Cached and shared by every caller, so read-only.
@@ -386,17 +384,21 @@ def _times(p: Mapping, q: Mapping, nvars: int, acc: dict | None = None, sign: in
     return acc
 
 
+def _graded_products(
+    pairs: Sequence[tuple[Mapping[Monomial, int], Mapping[Monomial, int]]], nvars: int
+) -> list[dict]:
+    """p * q for each pair of integer polynomials, as graded arrays in one
+    dtype: int64 when the largest product of a pair's norms (_norm), which
+    bounds every partial sum, is below 2^63."""
+    dtype = _dtype(max((_norm(p) * _norm(q) for p, q in pairs), default=1))
+    return [_times(_graded(p, nvars, dtype), _graded(q, nvars, dtype), nvars) for p, q in pairs]
+
+
 def _integer_products(
     pairs: Sequence[tuple[Mapping[Monomial, int], Mapping[Monomial, int]]], nvars: int
 ) -> list[dict[Monomial, int]]:
-    """p * q for each pair of integer polynomials, in one dtype: int64 when
-    the largest product of a pair's norms (_norm), which bounds every
-    partial sum, is below 2^63."""
-    dtype = _dtype(max((_norm(p) * _norm(q) for p, q in pairs), default=1))
-    return [
-        _terms(_times(_graded(p, nvars, dtype), _graded(q, nvars, dtype), nvars), nvars)
-        for p, q in pairs
-    ]
+    """The _graded_products as monomial -> Python int terms."""
+    return [_terms(p, nvars) for p in _graded_products(pairs, nvars)]
 
 
 def _integer_det(mat: list[list[dict[Monomial, int]]], nvars: int) -> dict[Monomial, int]:

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .apolarity import _socle_shape, _ures_generators
-from .ci import DegenerateTupleError, _shift_rows, _term_rows
+from .ci import DegenerateTupleError, _shift_rows, _shifted_rows
 from .combinat import dim_forms, tangent_band_sum
 from .linalg import _certified_rank, span_dim
-from .poly import FormTuple, Polynomial, _integer_products, _primitive_terms
+from .poly import FormTuple, Polynomial, _graded_products, _primitive_terms
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,15 @@ def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     """Exact rank of the rows m * g_i * g_j, i <= j, over the forms g and
     every degree-`shift` monomial m.  The products are formed from each
     form's primitive integer coefficients, since scaling a form changes no
-    span."""
+    span, as coefficient arrays, which are shifted as they are."""
+    import numpy as np
+
+    n, e = forms[0].nvars, 2 * forms[0].homogeneous_degree()
     ints = [_primitive_terms(g)[0] for g in forms]
     pairs = [(g, h) for i, g in enumerate(ints) for h in ints[i:]]
-    rows = _term_rows(_integer_products(pairs, forms[0].nvars), shift)
-    return _certified_rank(rows, min(len(rows), len(rows[0])))
+    products = np.stack([p[e] for p in _graded_products(pairs, n)])
+    rows = _shifted_rows(products, n, e, shift)
+    return _certified_rank(rows, min(rows.shape))
 
 
 def tangent_dim(f: Polynomial) -> TangentReport:
@@ -150,21 +154,20 @@ def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
     """Whether the syzygies of (h_1..h_n) -> sum h_i f_i in degree rho are
     exactly the Koszul ones m (f_j e_i - f_i e_j).  The map's rank is the
     dimension of the ideal's degree rho + d piece, read off the quotient."""
+    import numpy as np
+
     n, d = f.var_count, f.degree
     if rho < d:
         raise ValueError("need rho >= d")
     if not f.quotient.is_complete_intersection():
         raise DegenerateTupleError("tuple is not a complete intersection")
-    block = dim_forms(n, rho)
+    block, shifts = dim_forms(n, rho), dim_forms(n, rho - d)
     kernel_dim = n * block - f.quotient.ideal_dim(rho + d)
-    low = [_shift_rows([g], rho - d) for g in f.forms]
-    koszul_rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for vec_j, vec_i in zip(low[j], low[i]):
-                full = [0] * (n * block)
-                full[i * block : (i + 1) * block] = vec_j
-                full[j * block : (j + 1) * block] = [-v for v in vec_i]
-                koszul_rows.append(full)
-    upper = min(len(koszul_rows), len(koszul_rows[0]))
-    return kernel_dim == _certified_rank(koszul_rows, upper)
+    low = _shift_rows(f.forms, rho - d).reshape(n, shifts, block)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    koszul = np.zeros((len(pairs), shifts, n, block), dtype=low.dtype)
+    for t, (i, j) in enumerate(pairs):
+        koszul[t, :, i] = low[j]
+        koszul[t, :, j] = -low[i]
+    rows = koszul.reshape(-1, n * block)
+    return kernel_dim == _certified_rank(rows, min(rows.shape))

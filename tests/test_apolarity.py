@@ -2,8 +2,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import perm, prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apolar import (
@@ -36,6 +37,7 @@ from apolar.linalg import (
     _kernel,
     _triangularize,
 )
+from bareiss_reference import list_moment_rows
 
 
 def test_catalecticant_of_product_form():
@@ -379,6 +381,36 @@ def test_moment_rows_have_the_catalecticant_rank_and_kernel(f):
         ncols = len(cat[0])
         assert (len(moments), len(moments[0])) == (len(cat), ncols)
         want = len(_triangularize(cat, ncols))
-        assert _certified_rank(moments, min(len(moments), ncols)) == want
-        assert _kernel(moments, ncols).vectors == _exact_kernel_basis(cat, ncols).vectors
+        assert _certified_rank(moments, min(moments.shape)) == want
+        assert _kernel(moments).vectors == _exact_kernel_basis(cat, ncols).vectors
         assert annihilator_piece(f, i).dimension == ncols - want
+
+
+# 2^63 - 1 is the largest size int64 holds; 2^63 and past it need Python ints.
+edge_int = st.one_of(
+    st.integers(-5, 5), st.sampled_from([2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**70])
+)
+
+
+@st.composite
+def edge_integer_forms(draw):
+    """Nonzero integer forms of degree e <= 5 in n <= 4 variables, with
+    coefficients on both sides of the int64 edge."""
+    n, e = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    terms = draw(st.dictionaries(st.sampled_from(monomial_basis(n, e)), edge_int, min_size=1))
+    return Polynomial(n, terms) if any(terms.values()) else Polynomial(n, {(e,) + (0,) * (n - 1): 1})
+
+
+@given(edge_integer_forms())
+@example(Polynomial(2, {(2, 0): 2**63 - 1, (0, 2): 1}))
+@example(Polynomial(2, {(3, 0): 2**63, (0, 3): 3}))
+@settings(deadline=None)
+def test_moment_rows_array_matches_the_list_oracle(f):
+    # One gather from phi into one array, int64 exactly when every entry is
+    # below 2^63 in size, against the rows written one entry at a time.
+    for i in range(f.homogeneous_degree() + 1):
+        rows, factor = _moment_rows(f, i)
+        want, want_factor = list_moment_rows(f, i)
+        top = max(abs(x) for row in want for x in row)
+        assert rows.dtype == (np.int64 if top < 2**63 else object)
+        assert (rows.tolist(), factor) == (want, want_factor)

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apolar import (
@@ -26,7 +27,7 @@ from apolar import (
 )
 from apolar.ci import _term_rows
 from apolar.poly import monomial_basis
-from bareiss_reference import bareiss_quotient_dims
+from bareiss_reference import bareiss_quotient_dims, list_term_rows
 
 
 def power_tuple(n, d):
@@ -279,4 +280,36 @@ def test_term_rows_are_the_coefficients_of_every_shifted_form(forms, k):
         for g in gs
         for m in monomial_basis(n, k)
     ]
-    assert _term_rows(gs, k) == want
+    assert _term_rows(gs, k).tolist() == want
+
+
+# 2^63 - 1 is the largest size int64 holds; 2^63 and past it need Python ints.
+edge_int = st.one_of(
+    st.integers(-5, 5), st.sampled_from([2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**70])
+)
+
+
+@st.composite
+def edge_integer_forms(draw):
+    """n <= 4, e <= 5 and one to three integer forms of degree e in n
+    variables as monomial -> coefficient dicts, with zero coefficients and
+    coefficients on both sides of the int64 edge."""
+    n, e = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    terms = st.dictionaries(st.sampled_from(monomial_basis(n, e)), edge_int, min_size=1)
+    return n, e, draw(st.lists(terms, min_size=1, max_size=3))
+
+
+@given(edge_integer_forms(), st.integers(0, 4))
+@example((2, 1, [{(1, 0): 2**63 - 1, (0, 1): 0}]), 0)
+@example((2, 1, [{(1, 0): 2**63}, {(0, 1): -(2**63 - 1)}]), 2)
+@example((3, 2, [{(2, 0, 0): 0}]), 1)
+@settings(deadline=None)
+def test_term_rows_array_matches_the_list_oracle(forms, k):
+    # One scatter into one array, int64 exactly when every coefficient is
+    # below 2^63 in size, against the rows written one entry at a time.
+    n, e, gs = forms
+    rows = _term_rows(gs, k)
+    top = max(abs(c) for g in gs for c in g.values())
+    assert rows.dtype == (np.int64 if top < 2**63 else object)
+    assert rows.shape == (len(gs) * dim_forms(n, k), dim_forms(n, e + k))
+    assert rows.tolist() == list_term_rows(gs, k)

@@ -8,6 +8,7 @@ Matrices of at most linalg.EXACT_MAX_ENTRIES entries skip the modular route.
 This module sets that cutoff to 0, so every rank and kernel here, however
 small its crafted matrix, drives the modular route; the tests that take the
 `default_cutoff` fixture check the size rule itself."""
+import random
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -111,6 +112,11 @@ def sympy_rref_rows(rows) -> tuple:
     )
 
 
+def array(m):
+    """Integer rows as the integer array the private readers take."""
+    return linalg._integer_array(m, len(m[0]))
+
+
 def bareiss_rank(rows) -> int:
     return len(_triangularize(_integer_rows(rows), len(rows[0])))
 
@@ -164,7 +170,7 @@ def test_certified_rank_matches_sympy_under_loose_and_tight_bounds(m):
     # The loosest bound rank passes, min(rows, cols), and the tightest, the
     # rank itself; shapes run wide and tall.
     exact = sympy_matrix(m).rank()
-    ints = _integer_rows(m)
+    ints = array(_integer_rows(m))
     assert _certified_rank(ints, min(len(m), len(m[0]))) == exact
     assert _certified_rank(ints, exact) == exact
 
@@ -197,9 +203,10 @@ def kernel_matrices(draw, max_side=6):
 @settings(deadline=None)
 def test_padic_kernel_matches_bareiss_and_sympy(m):
     ncols = len(m[0])
-    vectors = linalg._padic_kernel(m, ncols)
+    vectors = linalg._padic_kernel(array(m))
     assert vectors is not None
-    assert tuple(vectors) == _exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
+    lifted = linalg._fraction_basis(ncols, vectors).vectors
+    assert lifted == _exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
 
 
 def rref_pivots(rows, domain) -> tuple:
@@ -215,7 +222,7 @@ def test_one_elimination_gives_both_profiles_and_the_pivot_inverse(m):
     # The row profile is the transpose's pivot columns mod PRIME, the column
     # profile the complement of the free columns, and the derived inverse
     # inverts the pivot block mod PRIME.
-    a = linalg._integer_array(m)
+    a = array(m)
     rows, cols, inverse = linalg._profiles_and_inverse(a)
     gf = sympy.GF(P)
     assert tuple(rows) == rref_pivots([list(r) for r in zip(*m)], gf)
@@ -229,7 +236,8 @@ def test_one_elimination_gives_both_profiles_and_the_pivot_inverse(m):
 def paths(monkeypatch):
     """Records, in order, each p-adic lift as it starts and each Bareiss
     elimination made through the linalg module; a lift that falls back is
-    "p-adic" followed by "bareiss"."""
+    "p-adic" followed by "bareiss".  Bareiss must see Python ints only: an
+    int64 scalar would overflow silently in its products."""
     seen = []
     lift, bareiss = linalg._padic_kernel, linalg._triangularize
 
@@ -237,9 +245,10 @@ def paths(monkeypatch):
         seen.append("p-adic")
         return lift(*args)
 
-    def spy_bareiss(*args):
+    def spy_bareiss(rows, ncols):
         seen.append("bareiss")
-        return bareiss(*args)
+        assert all(type(x) is int for row in rows for x in row)
+        return bareiss(rows, ncols)
 
     monkeypatch.setattr(linalg, "_padic_kernel", spy_lift)
     monkeypatch.setattr(linalg, "_triangularize", spy_bareiss)
@@ -289,7 +298,7 @@ def test_tight_bound_is_not_reported_after_a_rank_drop_mod_p(paths):
     # Mod PRIME the rank is 1, short of the true rank 2 that the bound
     # states, so the bound is not met and the exact route answers.
     m = [[P, 1], [0, 1]]
-    assert _certified_rank(m, 2) == 2 == sympy_matrix(m).rank()
+    assert _certified_rank(array(m), 2) == 2 == sympy_matrix(m).rank()
     assert paths == ["p-adic", "bareiss"]
 
 
@@ -325,22 +334,37 @@ def test_relation_rank_is_certified_by_its_left_kernel(paths, n, d, want):
 
 def test_left_kernel_reconstructs_each_column_once(monkeypatch):
     # Criterion 2's first (6,2) seed: the product rank's left kernel has 70
-    # columns over 371 pivots.  The first p-adic digit reconstructs a few
-    # entries before one has no fraction small enough; the next digit
-    # resumes at that column and keeps the rest, so every entry is
-    # reconstructed once plus less than one column more.  Redoing every
-    # column at each digit took 46436 calls.
-    calls = [0]
-    reconstruct = linalg._rational_reconstruction
+    # columns over 371 pivots.  The first p-adic digit reconstructs some
+    # columns before an entry has no fraction small enough; the second
+    # reconstructs all 70.  Within a column, an entry is a Euclid call only
+    # where it brings a new factor into the column's denominator; the rest
+    # are integers over it.  One call per entry was 70 * 371 calls and more.
+    calls, lifted = [0], []
+    reconstruct, lift = linalg._rational_reconstruction, linalg._padic_kernel
 
     def spy(*args):
         calls[0] += 1
         return reconstruct(*args)
 
+    def spy_lift(a, *args):
+        lifted.append((a, lift(a, *args)))
+        return lifted[-1][1]
+
     f = random_ci_tuple(6, 2, trial_seeds(262, 3)[0], coeff_bound=2)
     monkeypatch.setattr(linalg, "_rational_reconstruction", spy)
+    monkeypatch.setattr(linalg, "_padic_kernel", spy_lift)
     assert relation_space_dim_bruteforce(f) == 70
-    assert 70 * 371 <= calls[0] < 71 * 371
+    assert calls[0] < 3 * 70
+    # Bareiss on the whole 462 x 441 transpose takes about 25 s on a 2-core
+    # Xeon VM, so the oracle reads the columns before 105 (under a second).  A reduced-echelon kernel vector
+    # ends at its free column, and the leading columns' own reduced-echelon
+    # kernel is the vectors whose free column lies among them, cut there.
+    ((a, vectors),) = lifted
+    assert a.shape == (462, 441) and len(vectors) == 70
+    basis = linalg._fraction_basis(441, vectors).vectors
+    leading = tuple(v[:105] for v in basis if not any(v[105:]))
+    assert len(leading) == 10
+    assert leading == _exact_kernel_basis(a[:, :105].tolist(), 105).vectors
 
 
 def test_from_spanning_takes_the_certified_route(paths):
@@ -361,7 +385,7 @@ def test_ideal_piece_takes_the_certified_route(paths):
     f = random_ci_tuple(3, 3, SplitMix64(5).next_u64())
     paths.clear()
     piece = f.quotient.ideal_piece(5)
-    assert piece.vectors == sympy_rref_rows(_shift_rows(f.forms, 5 - f.degree))
+    assert piece.vectors == sympy_rref_rows(_shift_rows(f.forms, 5 - f.degree).tolist())
     assert paths == ["p-adic"]
 
 
@@ -415,32 +439,43 @@ def test_a_tangent_trial_at_3_5_runs_no_bareiss(paths, default_cutoff):
 
 
 def test_verify_kernel_accepts_the_reduced_echelon_basis():
-    rows = [[1, 1, 0]]
-    assert _verify_kernel(rows, 3, [0], [(-1, 1, 0), (0, 0, 1)])
+    rows = array([[1, 1, 0]])
+    assert _verify_kernel(rows, [0], [(-1, 1, 0), (0, 0, 1)])
+
+
+def test_verify_kernel_accepts_numerators_over_their_denominator():
+    # (-2, 1) / 3 is the kernel vector of free column 1, given as integer
+    # numerators with the denominator 3 at the free column.
+    assert _verify_kernel(array([[1, 2]]), [0], [(-6, 3)])
+    assert _verify_kernel(array([[1, 2]]), [0], [(2, -1)])
+
+
+def test_verify_kernel_rejects_a_zero_at_the_free_column():
+    assert not _verify_kernel(array([[1, 0]]), [0], [(0, 0)])
 
 
 def test_verify_kernel_rejects_support_right_of_the_free_column():
     # A true kernel basis, but for the wrong pivot column: (1, -1, 0) has its
     # pivot entry right of its free column 0, so column 1 is not shown to
     # depend on earlier columns.
-    rows = [[1, 1, 0]]
-    assert not _verify_kernel(rows, 3, [1], [(1, -1, 0), (0, 0, 1)])
+    rows = array([[1, 1, 0]])
+    assert not _verify_kernel(rows, [1], [(1, -1, 0), (0, 0, 1)])
 
 
 def test_verify_kernel_rejects_a_vector_outside_the_kernel():
-    assert not _verify_kernel([[1, 2]], 2, [0], [(Fraction(-1), Fraction(1))])
-    assert _verify_kernel([[1, 2]], 2, [0], [(Fraction(-2), Fraction(1))])
+    assert not _verify_kernel(array([[1, 2]]), [0], [(-1, 1)])
+    assert _verify_kernel(array([[1, 2]]), [0], [(-2, 1)])
 
 
 def test_verify_kernel_rejects_a_product_that_wraps_in_int64():
     # A v = 2^64: zero in int64 arithmetic, so the check must run on Python
     # ints here.
-    assert not _verify_kernel([[2**32, 0]], 2, [0], [(2**32, 1)])
-    assert _verify_kernel([[2**32, 0]], 2, [0], [(0, 1)])
+    assert not _verify_kernel(array([[2**32, 0]]), [0], [(2**32, 1)])
+    assert _verify_kernel(array([[2**32, 0]]), [0], [(0, 1)])
 
 
 def test_verify_kernel_rejects_a_wrong_count():
-    assert not _verify_kernel([[1, 2, 0]], 3, [0], [(-2, 1, 0)])
+    assert not _verify_kernel(array([[1, 2, 0]]), [0], [(-2, 1, 0)])
 
 
 def lift_rank(rows) -> int:
@@ -475,7 +510,7 @@ def corank_one_matrices(draw, at_guard_edge=False, max_side=6):
 @given(corank_one_matrices())
 @settings(deadline=None)
 def test_kernel_line_matches_bareiss_and_sympy(m):
-    vectors = _kernel(m, len(m[0])).vectors
+    vectors = _kernel(array(m)).vectors
     assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
 
 
@@ -489,7 +524,7 @@ def test_kernel_line_at_the_guard_edge_matches_bareiss_and_sympy(m):
     # ones; [[P, 1]] has pivot column 0 over Q and 1 mod PRIME, so Bareiss
     # answers it.
     with mock.patch.object(linalg, "_triangularize", wraps=linalg._triangularize) as bareiss:
-        vectors = _kernel(m, len(m[0])).vectors
+        vectors = _kernel(array(m)).vectors
     same_profile = rref_pivots(m, sympy.QQ) == rref_pivots(m, sympy.GF(P))
     if same_profile:
         assert not bareiss.called
@@ -505,9 +540,65 @@ def test_kernel_line_lifts_the_socle_kernel(paths, n, d):
     f = random_ci_tuple(n, d, SplitMix64(5).next_u64())
     rows = _shift_rows(f.forms, f.socle_degree - f.degree)
     paths.clear()
-    vectors = _kernel(rows, len(rows[0])).vectors
+    vectors = _kernel(rows).vectors
     assert paths == ["p-adic"]
-    assert vectors == bareiss_socle_kernel(f) == sympy_nullspace(rows)
+    assert vectors == bareiss_socle_kernel(f) == sympy_nullspace(rows.tolist())
+
+
+def test_socle_lift_reconstructs_on_a_schedule(monkeypatch):
+    # The (3,5) socle line, 90 entries over about 17 p-adic digits: the
+    # reconstruction is tried at digits 1, 2, 4, ... and at the cap, and
+    # within the line only an entry that brings a new factor into its
+    # denominator is a Euclid call.  One try per digit made 132 calls.
+    calls = [0]
+    reconstruct = linalg._rational_reconstruction
+
+    def spy(*args):
+        calls[0] += 1
+        return reconstruct(*args)
+
+    f = random_ci_tuple(3, 5, SplitMix64(5).next_u64())
+    rows = _shift_rows(f.forms, f.socle_degree - f.degree)
+    monkeypatch.setattr(linalg, "_rational_reconstruction", spy)
+    assert _kernel(rows).vectors == bareiss_socle_kernel(f)
+    assert 0 < calls[0] <= 40
+
+
+def test_reconstruction_that_first_succeeds_at_the_cap_is_lifted(paths, monkeypatch):
+    # The kernel of [1, b] is (-b, 1), with b = 2^25 - 1 past the bound
+    # sqrt(p^2 / 2) that two digits give, so its reconstruction first gives
+    # -b at three digits: the Hadamard cap here (column bits 3 and 51),
+    # which is no power of two.  Before it, a small wrong fraction or none.
+    # A schedule that skipped the cap would end the lift at two digits and
+    # leave the kernel to Bareiss.
+    tries = []
+    reconstruct = linalg._reconstruct_vectors
+
+    def spy(lifted, modulus):
+        tries.append((modulus, reconstruct(lifted, modulus)))
+        return tries[-1][1]
+
+    monkeypatch.setattr(linalg, "_reconstruct_vectors", spy)
+    m = [[1, 2**25 - 1]]
+    assert _kernel(array(m)).vectors == ((-(2**25 - 1), 1),) == sympy_nullspace(m)
+    assert paths == ["p-adic"]
+    assert [modulus for modulus, _ in tries] == [P, P**2, P**3]
+    right = [(1, [-(2**25 - 1)])]
+    assert [columns == right for _, columns in tries] == [False, False, True]
+
+
+def test_bareiss_reads_an_int64_array_as_python_ints(paths, default_cutoff):
+    # Under the size rule an int64 array goes straight to Bareiss.  Entries
+    # near 2^20 give 4 x 4 minors past 2^63, so Bareiss on int64 scalars
+    # would overflow silently; the paths spy checks that it gets Python ints.
+    rng = random.Random(20)
+    m = [[rng.choice([-1, 1]) * rng.randint(2**19, 2**20) for _ in range(5)] for _ in range(4)]
+    a = array(m)
+    assert a.dtype == np.int64
+    assert abs(sympy_matrix([r[:4] for r in m]).det()) > 2**63
+    assert _certified_rank(a[:, :4], 4) == sympy_matrix(m).rank() == 4
+    assert _kernel(a).vectors == sympy_nullspace(m)
+    assert paths == ["bareiss"] * 2
 
 
 def test_socle_lift_runs_one_elimination_of_the_transpose_beside_j(monkeypatch):
@@ -516,7 +607,7 @@ def test_socle_lift_runs_one_elimination_of_the_transpose_beside_j(monkeypatch):
     # separate column profile.
     f = random_ci_tuple(3, 5, SplitMix64(5).next_u64())
     rows = _shift_rows(f.forms, f.socle_degree - f.degree)
-    m, w = len(rows), len(rows[0])
+    m, w = rows.shape
     assert (m, w) == (108, 91)
     shapes = []
     echelon = linalg._echelon_mod_prime
@@ -527,7 +618,7 @@ def test_socle_lift_runs_one_elimination_of_the_transpose_beside_j(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
     with mock.patch.object(linalg, "_column_profile", side_effect=AssertionError):
-        vectors = _kernel(rows, w).vectors
+        vectors = _kernel(rows).vectors
     assert shapes == [(w, m + w)]
     assert vectors == bareiss_socle_kernel(f)
 
@@ -566,7 +657,7 @@ def test_kernel_line_falls_back_when_the_mod_p_rank_is_short(paths, eliminations
     # Mod PRIME the second row vanishes: rank 1, short of the rational 2, so
     # the lift's two vectors fail the exact check and Bareiss answers.
     m = [[1, 0, 0], [0, P, P]]
-    assert _kernel(m, 3).vectors == ((0, -1, 1),) == sympy_nullspace(m)
+    assert _kernel(array(m)).vectors == ((0, -1, 1),) == sympy_nullspace(m)
     assert paths == ["p-adic", "bareiss"]
     assert eliminations == [1]
 
@@ -579,7 +670,7 @@ def test_kernel_line_past_the_int64_guard_stays_on_the_lift(paths, eliminations)
     for top in (edge, edge + 1, 2**45 + 1, 2**200 + 1):
         m = [[top, -edge, 1], [1, edge, -edge]]
         assert lift_rank(m) == 2
-        assert _kernel(m, 3).vectors == sympy_nullspace(m)
+        assert _kernel(array(m)).vectors == sympy_nullspace(m)
         assert paths == ["p-adic"] and eliminations == [1]
         paths.clear()
         eliminations[0] = 0
@@ -599,7 +690,7 @@ def test_kernel_line_falls_back_at_the_step_cap(paths, monkeypatch):
 
     monkeypatch.setattr(linalg, "_verify_kernel", spy_verify)
     m = [[1, 2, 3], [4, 5, 6], [7, 8, 9 + P]]
-    assert _kernel(m, 3).vectors == () == sympy_nullspace(m)
+    assert _kernel(array(m)).vectors == () == sympy_nullspace(m)
     assert paths == ["p-adic", "bareiss"]
     assert verdicts and not any(verdicts)
 

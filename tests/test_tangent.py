@@ -202,7 +202,7 @@ def test_koszul_kernel_dimension_oracle():
     for n, d, seed in [(3, 3, 0), (3, 4, 1), (4, 2, 2)]:
         f = random_ci_tuple(n, d, seed=seed)
         for rho in range(d, f.socle_degree - d + 1):
-            rows = _shift_rows(f.forms, rho)
+            rows = _shift_rows(f.forms, rho).tolist()
             bareiss = len(rows) - len(_triangularize(rows, dim_forms(n, rho + d)))
             assert bareiss == n * dim_forms(n, rho) - f.quotient.ideal_dim(rho + d)
             assert koszul_kernel_check(f, rho)
