@@ -8,10 +8,11 @@ Cat_i(F) = diag(1/c!) H_i, where H_i[c, a] = phi_{a+c} is the moment (Hankel)
 matrix of the divided-power coefficients phi_b = b! F_b (Iarrobino-Kanev,
 Power Sums, Gorenstein Algebras, and Determinantal Loci, 1999).  A nonzero
 scaling of the rows changes neither rank nor right kernel, so every rank and
-kernel below is read off H_i, built from one vector phi scaled once to
-primitive integers and indexed by the shift table of poly.  Ranks of these
-matrices are the apolar Hilbert function, and the kernel in the critical
-degree is the degree-d piece of the annihilator ideal.
+kernel below is read off H_i, built from one vector phi, computed from the
+form's stored integer terms and divided by its gcd, and indexed by the shift
+table of poly; the same H_j times a coefficient vector is poly.apply_polar.
+Ranks of these matrices are the apolar Hilbert function, and the kernel in
+the critical degree is the degree-d piece of the annihilator ideal.
 
 stratify places a form of degree n(d-1) relative to the nested loci
 
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, prod
+from math import gcd
 from typing import Sequence
 
 from .combinat import ci_hilbert, dim_forms
@@ -36,15 +36,16 @@ from .linalg import (
     SubspaceBasis,
     _certified_rank,
     _dtype,
+    _fraction_basis,
     _kernel,
-    _primitive_row,
+    _kernel_numerators,
     determinant,
     matrix_inverse,
 )
 from .poly import (
     FormTuple,
     Polynomial,
-    _primitive_terms,
+    _factorials,
     _shift_columns,
     monomial_basis,
     monomial_index,
@@ -52,36 +53,37 @@ from .poly import (
 )
 
 
-@lru_cache(maxsize=None)
-def _factorials(n: int, e: int) -> tuple[int, ...]:
-    """b! = prod_k b_k! for every degree-e monomial b in n variables, in
-    grlex order."""
-    return tuple(prod(map(factorial, b)) for b in monomial_basis(n, e))
+def _moments(f: Polynomial) -> tuple[object, int, Fraction]:
+    """phi_b = b! f_b of a nonzero homogeneous form f of degree e, over the
+    degree-e monomials, scaled to coprime integers as one array in the dtype
+    _dtype chooses for its largest entry; e; and the factor it was scaled
+    by.  It reads f's stored integer terms, so the scaling is one gcd."""
+    import numpy as np
+
+    e = f.homogeneous_degree()
+    index, weights = monomial_index(f.nvars, e), _factorials(f.nvars, e)
+    phi = [0] * len(index)
+    for b, c in f._ints.items():
+        i = index[b]
+        phi[i] = c * weights[i]
+    content = gcd(*phi)
+    if content > 1:
+        phi = [x // content for x in phi]
+    return np.array(phi, dtype=_dtype(max(map(abs, phi)))), e, f._factor / content
 
 
 def _moment_rows(f: Polynomial, i: int) -> tuple[object, Fraction]:
     """The moment matrix H_i of a nonzero homogeneous form f of degree e,
     scaled to integers, as one 2-D array, and the factor it was scaled by.
 
-    phi_b = b! f_b over the degree-e monomials is scaled once to coprime
-    integers, in the dtype _dtype chooses for its largest entry; row y^c, c
-    of degree e - i, holds phi at the monomials x^a y^c for every degree-i
-    contractor x^a, gathered in one step through the shift table.
+    Row y^c, c of degree e - i, holds the scaled phi (_moments) at the
+    monomials x^a y^c for every degree-i contractor x^a, gathered in one
+    step through the shift table.
     """
-    import numpy as np
-
-    e = f.homogeneous_degree()
+    phi, e, factor = _moments(f)
     if not 0 <= i <= e:
         raise ValueError(f"contraction degree must lie in 0..{e}")
-    n = f.nvars
-    ints, factor = _primitive_terms(f)
-    index, weights = monomial_index(n, e), _factorials(n, e)
-    scaled = [0] * len(index)
-    for b, c in ints.items():
-        scaled[index[b]] = c * weights[index[b]]
-    phi, content = _primitive_row(scaled)
-    rows = np.array(phi, dtype=_dtype(max(map(abs, phi))))[_shift_columns(n, e - i, i)]
-    return rows, factor * content
+    return phi[_shift_columns(f.nvars, e - i, i)], factor
 
 
 def catalecticant(f: Polynomial, i: int) -> MatrixQ:
@@ -110,8 +112,21 @@ def annihilator_piece(f: Polynomial, j: int) -> SubspaceBasis:
 
 
 def annihilator_polynomials(f: Polynomial, j: int) -> list[Polynomial]:
-    """The annihilator piece as polynomials in the contraction variables."""
+    """The annihilator piece as polynomials in the contraction variables;
+    at most deg f, built from the kernel's integer numerators."""
+    if 0 <= j <= f.homogeneous_degree():
+        return _kernel_polynomials(f.nvars, j, _kernel_numerators(_moment_rows(f, j)[0]))
     return polynomials_from_vectors(f.nvars, j, annihilator_piece(f, j).vectors)
+
+
+def _kernel_polynomials(nvars: int, degree: int, vectors) -> list[Polynomial]:
+    """Integer kernel vectors over the grlex basis as forms, each divided by
+    its entry at its free column, its last nonzero entry."""
+    basis = monomial_basis(nvars, degree)
+    return [
+        Polynomial._from_integers(nvars, dict(zip(basis, v)), next(x for x in reversed(v) if x))
+        for v in vectors
+    ]
 
 
 def _socle_shape(f: Polynomial) -> tuple[int, int]:
@@ -145,7 +160,8 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     This is the Hilbert function of the apolar algebra; it is symmetric, and
     that symmetry is asserted on every call.
     """
-    moments = (_moment_rows(f, i)[0] for i in range(f.homogeneous_degree() + 1))
+    phi, e, _ = _moments(f)
+    moments = (phi[_shift_columns(f.nvars, e - i, i)] for i in range(e + 1))
     ranks = tuple(_certified_rank(rows, min(rows.shape)) for rows in moments)
     assert ranks == ranks[::-1], "apolar Hilbert function must be symmetric"
     assert ranks[0] == 1
@@ -216,11 +232,12 @@ def canonical_kernel_basis(
     n, d = _socle_shape(f)
     moments = _moment_rows(f, d)[0]
     k_dim = dim_forms(n, d)
-    kernel = _kernel(moments)
-    if kernel.dimension != n:
+    numerators = _kernel_numerators(moments)
+    if len(numerators) != n:
         raise ValueError("form is not in the expected rank locus")
     if chart is None:
-        return polynomials_from_vectors(n, d, kernel.vectors)
+        return _kernel_polynomials(n, d, numerators)
+    kernel = _fraction_basis(k_dim, numerators)
     r = k_dim - n
     rows, cols = chart
     rows, cols = sorted(rows), sorted(cols)

@@ -26,18 +26,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .apolarity import annihilator_piece, apolar_hilbert
+from .apolarity import _moment_rows, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
 from .linalg import SubspaceBasis, _certified_rank, _dtype, _kernel_numerators, span_dim
 from .poly import (
     FormTuple,
     Monomial,
     Polynomial,
-    _primitive_terms,
+    _jacobian_det,
     _shift_columns,
     _substituted,
     apply_polar,
-    jacobian_det,
     monomial_basis,
     monomial_index,
 )
@@ -48,9 +47,9 @@ class DegenerateTupleError(ValueError):
 
 
 def _shift_rows(forms: Sequence[Polynomial], k: int):
-    """The _term_rows of the forms, each scaled to coprime integers first,
-    which changes no span."""
-    return _term_rows([_primitive_terms(g)[0] for g in forms], k)
+    """The _term_rows of the forms' stored primitive integer terms: scaling
+    a form changes no span."""
+    return _term_rows([g._ints for g in forms], k)
 
 
 def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int):
@@ -86,13 +85,15 @@ class GradedQuotient:
     """Degreewise data of k[x_1..x_n] modulo the ideal of a form tuple."""
 
     def __init__(self, f: FormTuple):
-        self.tuple = f
+        # The forms, not the tuple: the tuple keeps its quotient, and a
+        # reference back would make the pair a cycle.
+        self.forms = f.forms
         self.var_count = f.var_count
         self.degree = f.degree
         self.socle_degree = f.socle_degree
         self._target = ci_hilbert(f.var_count, f.degree)
         self._ideal_dims: dict[int, int] = {}
-        self._socle_functional: tuple[Fraction, ...] | None = None
+        self._socle_line: tuple[list[int], Fraction] | None = None
 
     def ideal_dim(self, j: int) -> int:
         """Exact dimension of the ideal's degree-j piece, certified against
@@ -102,7 +103,7 @@ class GradedQuotient:
         if j < self.degree:
             return 0
         if j not in self._ideal_dims:
-            rows = _shift_rows(self.tuple.forms, j - self.degree)
+            rows = _shift_rows(self.forms, j - self.degree)
             width = dim_forms(self.var_count, j)
             upper = width - (self._target[j] if j <= self.socle_degree else 0)
             self._ideal_dims[j] = _certified_rank(rows, upper)
@@ -127,31 +128,36 @@ class GradedQuotient:
         width = dim_forms(self.var_count, j)
         if j < self.degree:
             return SubspaceBasis(width, ())
-        rows = _shift_rows(self.tuple.forms, j - self.degree)
+        rows = _shift_rows(self.forms, j - self.degree)
         return SubspaceBasis.from_spanning(rows.tolist(), width)
 
-    def socle_functional(self) -> tuple[Fraction, ...]:
-        """The functional on top-degree forms killing the ideal, with value 1
-        on the Jacobian determinant."""
-        if self._socle_functional is None:
+    def _socle(self) -> tuple[list[int], Fraction]:
+        """The socle functional as integer numerators over one rational
+        denominator, computed once."""
+        if self._socle_line is None:
             if not self.is_complete_intersection():
                 raise DegenerateTupleError("tuple is not a complete intersection")
             # The socle is a line, so the shift matrix has corank one: past
             # the smallest shapes, which Bareiss reads under the size rule,
             # its kernel is lifted p-adically and verified exactly, with
             # Bareiss as the fallback; the entries run to hundreds of bits.
-            lam = _kernel_numerators(_shift_rows(self.tuple.forms, self.socle_degree - self.degree))
+            lam = _kernel_numerators(_shift_rows(self.forms, self.socle_degree - self.degree))
             assert len(lam) == 1, "complete intersection socle must be a line"
-            # The Jacobian determinant is jac / factor, jac its primitive
-            # integer terms, so its value on the integer vector is one
-            # integer dot product t divided by factor.
-            jac, factor = _primitive_terms(jacobian_det(self.tuple))
+            # The Jacobian determinant is its stored integer terms over its
+            # factor, so its value on the integer vector is one integer dot
+            # product t over that factor.
+            jac = _jacobian_det(self.forms)
             index = monomial_index(self.var_count, self.socle_degree)
-            t = sum(lam[0][index[m]] * c for m, c in jac.items())
+            t = sum(lam[0][index[m]] * c for m, c in jac._ints.items())
             assert t != 0, "Jacobian determinant must generate the socle"
-            scale = factor / t
-            self._socle_functional = tuple(x * scale for x in lam[0])
-        return self._socle_functional
+            self._socle_line = lam[0], t / jac._factor
+        return self._socle_line
+
+    def socle_functional(self) -> tuple[Fraction, ...]:
+        """The functional on top-degree forms killing the ideal, with value 1
+        on the Jacobian determinant."""
+        lam, den = self._socle()
+        return tuple(x / den for x in lam)
 
     def socle_coordinate(self, p: Polynomial) -> Fraction:
         """Coordinate of p's class in the socle line, normalized so the
@@ -165,14 +171,10 @@ class GradedQuotient:
     def associated_form(self) -> Polynomial:
         """Macaulay inverse system generator of the ideal, a form of degree
         n(d-1) in the dual variables."""
-        lam = self.socle_functional()
-        n, s = self.var_count, self.socle_degree
-        terms = {}
-        for idx, mono in enumerate(monomial_basis(n, s)):
-            c = lam[idx]
-            if c:
-                terms[mono] = multinomial(mono) * c
-        return Polynomial(n, terms)
+        lam, den = self._socle()
+        basis = monomial_basis(self.var_count, self.socle_degree)
+        terms = {mono: multinomial(mono) * c for mono, c in zip(basis, lam) if c}
+        return Polynomial._from_integers(self.var_count, terms, den)
 
 
 def ideal_piece(f: FormTuple, j: int) -> SubspaceBasis:
@@ -205,10 +207,13 @@ def verify_inverse_system(f: FormTuple, g: Polynomial) -> bool:
 
 def roundtrip_span(f: FormTuple) -> bool:
     """Whether the degree-d annihilator of the associated form is exactly the
-    span of the tuple: both have dimension n, and so does their sum."""
-    ann = annihilator_piece(associated_form(f), f.degree)
-    rows = f.coefficient_rows()
-    return ann.dimension == f.var_count == span_dim(rows) == span_dim([*ann.vectors, *rows])
+    span of the tuple: both have dimension n, and so does their sum.  Both
+    are read as integer vectors, the kernel's numerators and the forms'
+    stored terms, since scaling a vector changes no span."""
+    ann = _kernel_numerators(_moment_rows(associated_form(f), f.degree)[0])
+    basis = monomial_basis(f.var_count, f.degree)
+    rows = [[g._ints.get(b, 0) for b in basis] for g in f.forms]
+    return len(ann) == f.var_count == span_dim(rows) == span_dim([*ann, *rows])
 
 
 def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
@@ -217,5 +222,5 @@ def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
     if ell < 0:
         raise ValueError("exponent must be nonnegative")
     n = f.var_count
-    monomials = [Polynomial(n, {e: 1}) for e in monomial_basis(n, ell)]
+    monomials = [Polynomial._from_integers(n, {e: 1}) for e in monomial_basis(n, ell)]
     return _substituted(monomials, f.forms)

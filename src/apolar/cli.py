@@ -18,6 +18,7 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cache
 from multiprocessing import Pool
 
 from .apolarity import stratify
@@ -271,7 +272,11 @@ def _summarize(results: list[dict]) -> int:
 _IDENTITY_RANGES = ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, and an
+    argparse parser is a reference cycle that only a full collection would
+    free, so it is built once rather than per main call."""
     parser = argparse.ArgumentParser(
         prog="apolar",
         description="verification suites for apolarity, associated forms, "

@@ -8,10 +8,17 @@ The polar pairing lets a polynomial in x act on one in y as a constant
 coefficient differential operator: apply_polar(h, F) = h(d/dy1,...,d/dyn) F.
 Variable letters are a printing concern only; the algebra never records them.
 
-The Polynomial constructor is the one place where terms are normalised: it
-adds the coefficients of equal monomials, checks each distinct monomial once,
-and then drops zero coefficients.
-Every operation below hands it raw (monomial, coefficient) pairs.
+A Polynomial stores its primitive form: integer terms with gcd 1 and one
+positive rational factor, p = terms / factor (Knuth, TAOCP vol. 2, 4.6.1),
+the convention of linalg._primitive_row.  The form is canonical, so equality
+and hashing read it directly; the Fraction views (terms(), coefficient,
+coefficient_vector, sorted_terms, printing) are derived from it.  There are
+two ways in.  The constructor from (monomial, coefficient) pairs adds the
+coefficients of equal monomials, checks each distinct monomial once, drops
+zero coefficients and scales once by _primitive_row.  Integer results enter
+through Polynomial._from_integers, which makes the same monomial checks,
+divides by the gcd once and makes the factor positive, with no Fraction per
+coefficient.  Every integer kernel below reads the stored form as it is.
 
 Products run on primitive integer terms through one kernel, _times: each
 degree piece of a polynomial becomes a coefficient array over the grlex
@@ -29,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import perm, prod
+from math import factorial, gcd, lcm, prod
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from .linalg import MatrixQ, _dtype, _primitive_row, matrix_inverse
 
@@ -79,28 +86,80 @@ def _shift_columns(n: int, e: int, k: int):
     return table
 
 
-class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+def _check_monomials(nvars: int, monos: Collection[Monomial]) -> None:
+    """Every exponent tuple has nvars entries, none negative; the first
+    that does not, in order, raises."""
+    if set(map(len, monos)) <= {nvars} and min(map(min, monos), default=0) >= 0:
+        return
+    for mono in monos:
+        if len(mono) != nvars:
+            raise ValueError(f"exponent tuple {mono} does not have {nvars} entries")
+        if min(mono) < 0:
+            raise ValueError("exponents must be nonnegative")
 
-    __slots__ = ("nvars", "_terms")
+
+class Polynomial:
+    """Immutable sparse polynomial with rational coefficients.
+
+    The stored state is the primitive form: _ints maps each monomial with a
+    nonzero coefficient to an integer, the integers have gcd 1, and _factor
+    is one positive Fraction with p = _ints / _factor (the zero polynomial is
+    {} over 1).  The form is canonical, so == and hash compare it directly,
+    and integer kernels read it as it is.  terms(), coefficient,
+    coefficient_vector, sorted_terms and printing are derived from it, in
+    the order the terms were first given.
+    """
+
+    __slots__ = ("nvars", "_ints", "_factor")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction] | Iterable = ()):
         if nvars < 1:
             raise ValueError("need at least one variable")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[Monomial, Fraction] = {}
+        merged: dict[Monomial, Fraction | int] = {}
         for mono, coeff in items:
             mono = tuple(mono)
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            c = coeff if type(coeff) is int or isinstance(coeff, Fraction) else _rational(coeff)
             prev = merged.get(mono)
             merged[mono] = c if prev is None else prev + c
-        for mono in merged:
-            if len(mono) != nvars:
-                raise ValueError(f"exponent tuple {mono} does not have {nvars} entries")
-            if any(e < 0 for e in mono):
-                raise ValueError("exponents must be nonnegative")
+        _check_monomials(nvars, merged)
+        nonzero = {m: c for m, c in merged.items() if c}
+        ints, factor = _primitive_row(list(nonzero.values()))
+        self._set(nvars, dict(zip(nonzero, ints)), factor)
+
+    def _set(self, nvars: int, ints: dict[Monomial, int], factor: Fraction) -> None:
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", {m: c for m, c in merged.items() if c})
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_factor", factor)
+
+    @classmethod
+    def _primitive(cls, nvars: int, ints: dict[Monomial, int], factor: Fraction) -> "Polynomial":
+        """The polynomial whose primitive form is already (ints, factor)."""
+        p = object.__new__(cls)
+        p._set(nvars, ints, factor)
+        return p
+
+    @classmethod
+    def _from_integers(
+        cls, nvars: int, terms: Mapping[Monomial, int], scale: Fraction | int = 1
+    ) -> "Polynomial":
+        """terms / scale, for integer terms on distinct monomials and a
+        nonzero rational scale: the one way in for integer results.  The
+        monomials are checked as in the constructor, zeros are dropped, the
+        gcd is divided out once and the factor made positive; no Fraction is
+        made but the factor."""
+        _check_monomials(nvars, terms)
+        num, den = scale.numerator, scale.denominator
+        if not num:
+            raise ZeroDivisionError("polynomial scaled by zero")
+        ints = {m: c for m, c in terms.items() if c}
+        if not ints:
+            return cls._primitive(nvars, ints, _ONE)
+        # Dividing by g, signed like the scale, leaves a positive factor.
+        g = gcd(*ints.values()) if num > 0 else -gcd(*ints.values())
+        if g != 1:
+            ints = {m: c // g for m, c in ints.items()}
+        return cls._primitive(nvars, ints, Fraction(num, den * g))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -130,16 +189,18 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._ints
 
-    def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
-        return self._terms.items()
+    def terms(self) -> list[tuple[Monomial, Fraction]]:
+        num, den = self._factor.numerator, self._factor.denominator
+        return [(m, Fraction(c * den, num)) for m, c in self._ints.items()]
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return sorted(self.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), Fraction(0))
+        c = self._ints.get(tuple(mono), 0)
+        return Fraction(c * self._factor.denominator, self._factor.numerator)
 
     def coefficient_vector(self, degree: int) -> tuple[Fraction, ...]:
         """Coordinates in the grlex monomial basis of the given degree.
@@ -147,15 +208,15 @@ class Polynomial:
         The polynomial must be zero or homogeneous of that degree.
         """
         idx = monomial_index(self.nvars, degree)
-        vec = [Fraction(0)] * len(idx)
-        for mono, c in self._terms.items():
+        vec = [_ZERO] * len(idx)
+        for mono, c in self.terms():
             if sum(mono) != degree:
                 raise ValueError("polynomial is not homogeneous of the requested degree")
             vec[idx[mono]] = c
         return tuple(vec)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(m) for m in self._terms}
+        degrees = {sum(m) for m in self._ints}
         if not degrees:
             return True
         if len(degrees) > 1:
@@ -163,7 +224,7 @@ class Polynomial:
         return degree is None or degrees == {degree}
 
     def homogeneous_degree(self) -> int:
-        degrees = {sum(m) for m in self._terms}
+        degrees = {sum(m) for m in self._ints}
         if len(degrees) != 1:
             raise ValueError("polynomial is zero or not homogeneous")
         return next(iter(degrees))
@@ -173,11 +234,20 @@ class Polynomial:
             raise ValueError("mismatched variable counts")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        """Over the lcm L of the two factors' numerators, self + other is
+        a * da (L / na) + b * db (L / nb), all over L."""
         self._require_same_ring(other)
-        return Polynomial(self.nvars, [*self._terms.items(), *other._terms.items()])
+        na, da = self._factor.numerator, self._factor.denominator
+        nb, db = other._factor.numerator, other._factor.denominator
+        common = lcm(na, nb)
+        sa, sb = da * (common // na), db * (common // nb)
+        acc = {m: c * sa for m, c in self._ints.items()}
+        for m, c in other._ints.items():
+            acc[m] = acc.get(m, 0) + c * sb
+        return Polynomial._from_integers(self.nvars, acc, common)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Polynomial._primitive(self.nvars, {m: -c for m, c in self._ints.items()}, self._factor)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -185,9 +255,13 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._require_same_ring(other)
-            (a, sa), (b, sb) = _primitive_terms(self), _primitive_terms(other)
-            return _divided(self.nvars, _integer_products([(a, b)], self.nvars)[0], sa * sb)
-        return Polynomial(self.nvars, {m: c * other for m, c in self._terms.items()})
+            product = _integer_products([(self._ints, other._ints)], self.nvars)[0]
+            return Polynomial._from_integers(self.nvars, product, self._factor * other._factor)
+        s = other if isinstance(other, Fraction) else _rational(other)
+        if not s or not self._ints:
+            return Polynomial.zero(self.nvars)
+        ints = self._ints if s > 0 else {m: -c for m, c in self._ints.items()}
+        return Polynomial._primitive(self.nvars, ints, self._factor / abs(s))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -195,10 +269,12 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (
+            self.nvars == other.nvars and self._factor == other._factor and self._ints == other._ints
+        )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
+        return hash((self.nvars, self._factor, frozenset(self._ints.items())))
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -207,45 +283,78 @@ class Polynomial:
         return f"<{format_polynomial(self)}>"
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction of Python ints, so that no numpy integer, which
+    would overflow silently, reaches the stored terms."""
+    f = Fraction(x)
+    return Fraction(int(f.numerator), int(f.denominator))
+
+
 def polynomials_from_vectors(nvars: int, degree: int, vectors) -> list[Polynomial]:
     """Interpret coordinate vectors in the grlex basis as homogeneous forms."""
     return [Polynomial.from_coefficient_vector(nvars, degree, v) for v in vectors]
 
 
-def _polar_term(a: Monomial, b: Monomial) -> tuple[Monomial, int] | None:
-    """x^a acting on y^b: (b - a, prod_i b_i!/(b_i-a_i)!), or None when
-    some a_i > b_i."""
-    if any(bi < ai for ai, bi in zip(a, b)):
-        return None
-    factor = 1
-    for ai, bi in zip(a, b):
-        if ai:
-            factor *= perm(bi, ai)
-    return tuple(bi - ai for ai, bi in zip(a, b)), factor
+@lru_cache(maxsize=None)
+def _factorials(n: int, e: int) -> tuple[int, ...]:
+    """b! = prod_k b_k! for every degree-e monomial b in n variables, in
+    grlex order."""
+    return tuple(prod(map(factorial, b)) for b in monomial_basis(n, e))
+
+
+@lru_cache(maxsize=None)
+def _factorial_array(n: int, e: int):
+    """_factorials as a read-only array, int64 when they fit."""
+    import numpy as np
+
+    weights = _factorials(n, e)
+    out = np.array(weights, dtype=_dtype(max(weights)))
+    out.flags.writeable = False
+    return out
 
 
 def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     """Apply h as a differential operator to f (the polar pairing).
 
-    Term by term, x^a acting on y^b gives prod_i b_i!/(b_i-a_i)! * y^{b-a}
-    when b >= a componentwise and zero otherwise.  Lowers degree by deg h;
-    anything of higher degree than f dies.  h and f are scaled once to
-    primitive integer terms, the products are summed over the integers, and
-    the sum is divided once by the two scaling factors.  The factorial
-    weights make this a correlation of the two term lists, not a product, so
-    it does not run through the product kernel _times.
+    Term by term, x^a acting on y^b gives b!/(b-a)! y^{b-a} when b >= a
+    componentwise and zero otherwise.  Lowers degree by deg h; anything of
+    higher degree than f dies.  With phi_b = b! f_b, the coefficient of y^c
+    in the result times c! is sum_a h_a phi_{a+c}: the moment matrix H_j(f)
+    of apolarity (row y^c, column x^a, entry phi_{a+c}) times h's
+    coefficient vector, one gather through the shift table and one
+    matrix-vector product for each degree-j piece of h and degree-e piece of
+    f with j <= e.  Each entry is then divided by c! exactly, since every
+    (a+c)!/c! is an integer.  It runs on the stored integer terms of h and
+    f, in the dtype _dtype chooses for ||h||_1 max |phi|, which bounds every
+    partial sum, and the result is divided once by the two factors.
     """
+    import numpy as np
+
     if h.nvars != f.nvars:
         raise ValueError("mismatched variable counts")
-    (h_ints, h_scale), (f_ints, f_scale) = _primitive_terms(h), _primitive_terms(f)
-    acc: dict[Monomial, int] = {}
-    for a, ca in h_ints.items():
-        for b, cb in f_ints.items():
-            term = _polar_term(a, b)
-            if term:
-                mono, factor = term
-                acc[mono] = acc.get(mono, 0) + ca * cb * factor
-    return _divided(f.nvars, acc, h_scale * f_scale)
+    n = f.nvars
+    phis: dict[int, list[int]] = {}
+    for b, c in f._ints.items():
+        e = sum(b)
+        if e not in phis:
+            phis[e] = [0] * len(monomial_basis(n, e))
+        i = monomial_index(n, e)[b]
+        phis[e][i] = c * _factorials(n, e)[i]
+    # Floored at 1, like _norm, so that the bound covers h's own terms.
+    top = max((max(map(abs, phi)) for phi in phis.values()), default=1)
+    dtype = _dtype(_norm(h._ints) * top)
+    hs = _graded(h._ints, n, dtype)
+    acc: dict[int, object] = {}
+    for e, phi in phis.items():
+        phi = np.array(phi, dtype=dtype)
+        for j, v in hs.items():
+            if j <= e:
+                c = (phi[_shift_columns(n, e - j, j)] @ v) // _factorial_array(n, e - j)
+                acc[e - j] = acc[e - j] + c if e - j in acc else c
+    return Polynomial._from_integers(n, _terms(acc, n), h._factor * f._factor)
 
 
 def partial(p: Polynomial, i: int) -> Polynomial:
@@ -291,36 +400,26 @@ class FormTuple:
 
 
 def jacobian_det(f: FormTuple) -> Polynomial:
-    """Determinant of the Jacobian matrix (df_i/dx_j), degree n(d-1).
+    """Determinant of the Jacobian matrix (df_i/dx_j), degree n(d-1)."""
+    return _jacobian_det(f.forms)
 
-    Each form is scaled once to its primitive integer polynomial c_i f_i, the
-    determinant is taken over the integers (_integer_det, in int64 when the
-    product of the rows' L1 sums is below 2^63), and the result is divided by
-    the product of the c_i."""
-    n = f.var_count
-    scaled = [_primitive_terms(fi) for fi in f.forms]
-    # Entry (i, j) is d(c_i f_i)/dx_j: each term c x^m adds c m_j x^(m - e_j).
+
+def _jacobian_det(forms: Sequence[Polynomial]) -> Polynomial:
+    """The Jacobian determinant of n forms in n variables.
+
+    Each form is read as its stored primitive integer terms g_i, with
+    f_i = g_i / c_i, the determinant is taken over the integers
+    (_integer_det, in int64 when the product of the rows' L1 sums is below
+    2^63), and the result is divided by the product of the c_i."""
+    n = len(forms)
+    # Entry (i, j) is d g_i/dx_j: each term c x^m adds c m_j x^(m - e_j).
     mat: list[list[dict[Monomial, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-    for row, (g, _) in zip(mat, scaled):
-        for m, c in g.items():
+    for row, g in zip(mat, forms):
+        for m, c in g._ints.items():
             for j, e in enumerate(m):
                 if e:
                     row[j][m[:j] + (e - 1,) + m[j + 1 :]] = c * e
-    return _divided(n, _integer_det(mat, n), prod(c for _, c in scaled))
-
-
-def _primitive_terms(p: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
-    """p's terms scaled to coprime integer coefficients, and the factor they
-    were scaled by."""
-    ints, factor = _primitive_row(list(p._terms.values()))
-    return dict(zip(p._terms, ints)), factor
-
-
-def _divided(nvars: int, terms: Mapping[Monomial, int], scale: Fraction) -> Polynomial:
-    """The polynomial with the integer terms divided by the nonzero `scale`:
-    the one division on the way out of an integer computation."""
-    num, den = scale.numerator, scale.denominator
-    return Polynomial(nvars, [(m, Fraction(c * den, num)) for m, c in terms.items() if c])
+    return Polynomial._from_integers(n, _integer_det(mat, n), prod(g._factor for g in forms))
 
 
 def _norm(*ps: Mapping[Monomial, int]) -> int:
@@ -444,30 +543,29 @@ def _substituted(ps: Sequence[Polynomial], images: Sequence[Polynomial]) -> list
     """Each p in ps evaluated at the images, summed over the integers and
     divided once on the way out.
 
-    Image i is scaled once to primitive integer terms G_i, so that it is G_i
-    times den_i / num_i, and each power of G_i is formed once for all of ps.
-    With p scaled the same way and t_i its largest exponent of variable i,
+    Image i is read as its stored primitive integer terms G_i, so that it is
+    G_i times den_i / num_i, and each power of G_i is formed once for all of
+    ps.  With p read the same way and t_i its largest exponent of variable i,
     each term c x^e of p adds c prod_i den_i^e_i num_i^(t_i - e_i) G^e to
     an integer sum, which is divided by p's factor times prod_i num_i^t_i.
     """
     nvars = images[0].nvars
-    scaled = [_primitive_terms(g) for g in images]
-    terms = [_primitive_terms(p) for p in ps]
-    exponents = list(dict.fromkeys(e for ints, _ in terms for e in ints))
-    bases = [g for g, _ in scaled]
+    scales = [g._factor for g in images]
+    exponents = list(dict.fromkeys(e for p in ps for e in p._ints))
+    bases = [g._ints for g in images]
     products = dict(zip(exponents, _integer_power_products(bases, exponents, nvars)))
     out = []
-    for ints, factor in terms:
-        top = [max((e[i] for e in ints), default=0) for i in range(len(images))]
+    for p in ps:
+        top = [max((e[i] for e in p._ints), default=0) for i in range(len(images))]
         acc: dict = {}
-        for e, c in ints.items():
-            for (_, s), k, t in zip(scaled, e, top):
+        for e, c in p._ints.items():
+            for s, k, t in zip(scales, e, top):
                 c *= s.denominator**k * s.numerator ** (t - k)
             for deg, a in products[e].items():
                 a = a.astype(object) * c
                 acc[deg] = acc[deg] + a if deg in acc else a
-        den = factor * prod(s.numerator**t for (_, s), t in zip(scaled, top))
-        out.append(_divided(nvars, _terms(acc, nvars), den))
+        den = p._factor * prod(s.numerator**t for s, t in zip(scales, top))
+        out.append(Polynomial._from_integers(nvars, _terms(acc, nvars), den))
     return out
 
 

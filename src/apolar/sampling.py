@@ -65,7 +65,7 @@ def random_form(nvars: int, degree: int, stream: SplitMix64, coeff_bound: int) -
         c = stream.randint(-coeff_bound, coeff_bound)
         if c:
             terms[mono] = c
-    return Polynomial(nvars, terms)
+    return Polynomial._from_integers(nvars, terms)
 
 
 def random_ci_tuple(n: int, d: int, seed: int, coeff_bound: int = 5) -> FormTuple:

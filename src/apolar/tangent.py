@@ -30,7 +30,7 @@ from .apolarity import _socle_shape, _ures_generators
 from .ci import DegenerateTupleError, _shift_rows, _shifted_rows
 from .combinat import dim_forms, tangent_band_sum
 from .linalg import _certified_rank, span_dim
-from .poly import FormTuple, Polynomial, _graded_products, _primitive_terms
+from .poly import FormTuple, Polynomial, _graded_products, monomial_basis
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,21 @@ def product_space_dim(us: Sequence[Polynomial], vs: Sequence[Polynomial]) -> int
     for v in vs:
         if v.nvars != nvars or v.homogeneous_degree() != deg_v:
             raise ValueError("second family is not homogeneous of one degree")
-    total = deg_u + deg_v
-    vectors = [(u * v).coefficient_vector(total) for u in us for v in vs]
+    # Each product as its stored integer terms: scaling changes no span.
+    basis = monomial_basis(nvars, deg_u + deg_v)
+    vectors = [[(u * v)._ints.get(b, 0) for b in basis] for u in us for v in vs]
     return span_dim(vectors)
 
 
 def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     """Exact rank of the rows m * g_i * g_j, i <= j, over the forms g and
     every degree-`shift` monomial m.  The products are formed from each
-    form's primitive integer coefficients, since scaling a form changes no
+    form's stored primitive integer terms, since scaling a form changes no
     span, as coefficient arrays, which are shifted as they are."""
     import numpy as np
 
     n, e = forms[0].nvars, 2 * forms[0].homogeneous_degree()
-    ints = [_primitive_terms(g)[0] for g in forms]
+    ints = [g._ints for g in forms]
     pairs = [(g, h) for i, g in enumerate(ints) for h in ints[i:]]
     products = np.stack([p[e] for p in _graded_products(pairs, n)])
     rows = _shifted_rows(products, n, e, shift)

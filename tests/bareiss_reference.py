@@ -17,7 +17,8 @@ import numpy as np
 from apolar import FormTuple, Polynomial, dim_forms
 from apolar.ci import _shift_rows
 from apolar.linalg import _exact_kernel_basis, _primitive_row, _triangularize
-from apolar.poly import Monomial, _primitive_terms, monomial_basis, monomial_index
+from apolar.poly import Monomial, monomial_basis, monomial_index
+from poly_reference import primitive_terms
 
 
 def bareiss_quotient_dims(f: FormTuple, top: int) -> tuple[int, ...]:
@@ -63,7 +64,7 @@ def list_moment_rows(f: Polynomial, i: int) -> tuple[list[list[int]], Fraction]:
     x^a."""
     e = f.homogeneous_degree()
     n = f.nvars
-    ints, factor = _primitive_terms(f)
+    ints, factor = primitive_terms(dict(f.terms()))
     index = monomial_index(n, e)
     scaled = [0] * len(index)
     for b, c in ints.items():

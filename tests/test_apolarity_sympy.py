@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar import MatrixQ, Polynomial, catalecticant, monomial_basis
-from apolar.poly import _polar_term, monomial_index
+from apolar.poly import monomial_index
+from poly_reference import polar_term
 
 nonzero_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 
@@ -41,7 +42,7 @@ def term_pairing_catalecticant(f, i):
     entries = [[Fraction(0)] * len(cols) for _ in row_index]
     for b, c in f.terms():
         for k, a in enumerate(cols):
-            term = _polar_term(a, b)
+            term = polar_term(a, b)
             if term:
                 target, factor = term
                 entries[row_index[target]][k] += c * factor

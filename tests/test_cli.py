@@ -388,3 +388,51 @@ def test_cli_defaults_are_the_run_config_defaults():
     assert config_from_args(args) == RunConfig("tangent", n=2, d=2)
     args = _build_parser().parse_args(["identities"])
     assert config_from_args(args) == RunConfig("identities")
+
+
+def test_main_calls_share_one_parser(monkeypatch, capsys):
+    import argparse
+
+    from apolar.cli import _build_parser
+
+    used = []
+    parse = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        used.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for _ in range(2):
+        assert run_main(["tangent", "--n", "2", "--d", "2", "--trials", "1"], capsys)[0] == 0
+    assert len(used) == 2 and used[0] is used[1] is _build_parser()
+
+
+def test_main_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    import argparse
+    import gc
+
+    from apolar import FormTuple, Polynomial
+    from apolar.ci import GradedQuotient
+
+    args = ["tangent", "--n", "3", "--d", "5", "--coeff-bound", "5", "--trials", "1"]
+    args += ["--out", str(tmp_path / "out.jsonl")]
+    for seed in range(2):
+        assert main([*args, "--seed", str(seed)]) == 0
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for seed in range(2, 7):
+            assert main([*args, "--seed", str(seed)]) == 0
+        gc.collect()
+        kinds = (argparse.ArgumentParser, FormTuple, GradedQuotient, Polynomial)
+        left = [type(x).__name__ for x in gc.garbage if isinstance(x, kinds)]
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert left == []
