@@ -119,7 +119,7 @@ class Polynomial:
         merged: dict[Monomial, Fraction | int] = {}
         for mono, coeff in items:
             mono = tuple(mono)
-            c = coeff if type(coeff) is int or isinstance(coeff, Fraction) else _rational(coeff)
+            c = coeff if type(coeff) is int else _rational(coeff)
             prev = merged.get(mono)
             merged[mono] = c if prev is None else prev + c
         _check_monomials(nvars, merged)
@@ -257,7 +257,7 @@ class Polynomial:
             self._require_same_ring(other)
             product = _integer_products([(self._ints, other._ints)], self.nvars)[0]
             return Polynomial._from_integers(self.nvars, product, self._factor * other._factor)
-        s = other if isinstance(other, Fraction) else _rational(other)
+        s = _rational(other)
         if not s or not self._ints:
             return Polynomial.zero(self.nvars)
         ints = self._ints if s > 0 else {m: -c for m, c in self._ints.items()}
@@ -286,10 +286,14 @@ class Polynomial:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _rational(x) -> Fraction:
-    """x as a Fraction of Python ints, so that no numpy integer, which
-    would overflow silently, reaches the stored terms."""
-    f = Fraction(x)
+def _rational(x) -> int | Fraction:
+    """x as a Python int or a Fraction of Python ints, so that no numpy
+    integer, which would overflow, reaches the stored terms."""
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
+    if type(f.numerator) is int and type(f.denominator) is int:
+        return f
     return Fraction(int(f.numerator), int(f.denominator))
 
 

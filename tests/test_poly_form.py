@@ -283,3 +283,16 @@ def test_primitive_row_runs_at_most_once_per_polynomial(monkeypatch):
         koszul_kernel_check(t, t.degree)
     act_gl(*matrices, tuples[1])
     assert calls and len(calls) == len(made)
+
+
+def test_numpy_integers_reach_the_stored_form_as_python_ints():
+    """A numpy integer, bare or inside a Fraction, would wrap past 2^63 in
+    the integer kernels; the constructor and scalar * store Python ints."""
+    import numpy as np
+
+    big = np.int64(2**62)
+    p = Polynomial(1, [((1,), Fraction(big)), ((0,), np.int64(3)), ((2,), big)])
+    total = p + p + p
+    assert all(type(c) is int for q in (p, total, p * big) for c in q._ints.values())
+    check_form(total, {(1,): Fraction(3 * 2**62), (0,): Fraction(9), (2,): Fraction(3 * 2**62)}, True)
+    check_form(p * big, {(1,): Fraction(2**124), (0,): Fraction(3 * 2**62), (2,): Fraction(2**124)}, True)
