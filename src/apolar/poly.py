@@ -247,7 +247,8 @@ class Polynomial:
         return Polynomial._from_integers(self.nvars, acc, common)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._primitive(self.nvars, {m: -c for m, c in self._ints.items()}, self._factor)
+        ints = {m: -c for m, c in self._ints.items()}
+        return Polynomial._primitive(self.nvars, ints, self._factor)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -270,7 +271,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (
-            self.nvars == other.nvars and self._factor == other._factor and self._ints == other._ints
+            self.nvars == other.nvars
+            and self._factor == other._factor
+            and self._ints == other._ints
         )
 
     def __hash__(self):
