@@ -145,6 +145,14 @@ def _ures_generators(f: Polynomial, d: int) -> list[Polynomial] | None:
     lies in Ann(f), and S/J is Gorenstein with socle degree deg f, so J is
     the annihilator of the one form, up to scale, that it kills in that
     degree; that form is f.  So Ann(f) = J is generated in degree d.
+
+    The g_i lie in Ann(f), so J_s lies in f^perp, of codimension one: the
+    complete intersection verdict on the g_i (ci.GradedQuotient) meets its
+    rank bound W - 1 in degree s exactly when J_s = f^perp, and the kernel
+    line it back-substitutes is then f's own moment vector mod PRIME, whose
+    minor test is the one of f.  So one factorization in degree s proves
+    membership, with no kernel lift and no rank in degree s + 1; any other
+    outcome falls back to that rank.
     """
     gens = annihilator_polynomials(f, d)
     if len(gens) != f.nvars:

@@ -1,34 +1,75 @@
 """Graded quotients by form tuples and their associated forms.
 
-GradedQuotient tracks the ideal generated by a tuple of n degree-d forms in
-n variables, degree by degree.  The tuple is a complete intersection exactly
-when its ideal fills degree s + 1, s = n(d-1) (Macaulay's resultant
-criterion): then S/I is Artinian, so the forms are a system of parameters of
-the Cohen-Macaulay ring S, hence a regular sequence (Bruns-Herzog 2.1); and
-a regular sequence has Hilbert function (1 + u + ... + u^{d-1})^n, zero past
-s.  The quotient is then Gorenstein with one-dimensional socle generated by
-the Jacobian determinant, and the associated form
+GradedQuotient tracks the ideal I generated by a tuple f of n degree-d forms
+in n variables, degree by degree.  Write s = n(d-1) and W = dim S_s.  The
+tuple is a complete intersection exactly when I fills degree s + 1
+(Macaulay's resultant criterion): then S/I is Artinian, so the forms are a
+system of parameters of the Cohen-Macaulay ring S, hence a regular sequence
+(Bruns-Herzog 2.1); and a regular sequence has Hilbert function
+(1 + u + ... + u^{d-1})^n, zero past s.  The quotient is then Gorenstein
+with one-dimensional socle generated by the Jacobian determinant, and the
+associated form
 
     A(f) = sum multinomial(a) * socle_coordinate(x^a) * y^a
 
 over degree-n(d-1) monomials is a Macaulay inverse system for the ideal.
 
+The verdict is proven in degree s (Macaulay's inverse system,
+Iarrobino-Kanev, LNM 1721), from the degree-s shift matrix M_s:
+
+- dim I_s <= W - 1 always: by rank semicontinuity no tuple's ideal is larger
+  in any degree than a generic tuple's, and a generic tuple is a complete
+  intersection, whose quotient has dimension 1 in degree s.
+- If dim I_s = W - 1, then I_s = F^perp for a nonzero form F of degree s in
+  the dual variables, A(f) up to scale.  The part of degree s + 1 orthogonal
+  to S_1 I_s is {G : x_i o G in k F for every i}, o the polar action.  Let G
+  be in it, G != 0, with x_i o G = c_i F.  Not every c_i is 0, since G is
+  not a constant, so after a linear change of coordinates c = e_1: then
+  x_i o G = 0 for i >= 2, G is a multiple of y_1^{s+1}, and F of y_1^s.  So
+  that part is 0 unless F = l^s for a linear form l, and then it is k l^{s+1}.
+- F = l^s exactly when rank Cat_1(F) = 1, the span of its first partials
+  being a line.  So if rank Cat_1(F) >= 2, then I_{s+1} contains
+  S_1 I_s = S_{s+1}, and f is a complete intersection by the criterion
+  above.  Conversely a complete intersection has rank Cat_1(A(f)) = n >= 2,
+  its Hilbert function in degree 1.
+
+The certificate (GradedQuotient._socle_certificate): rank M_s = W - 1, which
+meets the bound, read mod PRIME from the factorization of M_s (or exactly,
+by Bareiss, under the size rule linalg.EXACT_MAX_ENTRIES); its kernel is then
+the line of the primitive integer socle vector lambda, whose moments are
+phi = s! lambda, and the kernel line mod p is a nonzero multiple of lambda
+mod p.  A nonzero 2 x 2 minor mod p of the moment matrix H_1 built from that
+line is a nonzero multiple of the same minor of F, so rank Cat_1(F) >= 2.
+Tuples through a common point, whose F is usually a pure power, fail the
+minor.  When either test fails, the degree-(s + 1) rank decides, as it
+alone ever reports "not a complete intersection"; the socle line is lifted
+from the same factorization of M_s.
+
 Dimensions: each ideal rank is linalg._certified_rank of the shifted rows.
 Its lower bound is the rank mod a prime.  Its upper bound is the complete
-intersection value: by rank semicontinuity no tuple's ideal is larger in any
-degree than a generic tuple's, and a generic tuple is a complete
-intersection.  When the two bounds differ, a verified left kernel or Bareiss
-elimination decides; matrices small enough for the size rule
-(linalg.EXACT_MAX_ENTRIES) go to Bareiss directly.
+intersection value, by the same semicontinuity.  When the two bounds differ,
+a verified left kernel or Bareiss elimination decides; matrices small enough
+for the size rule go to Bareiss directly.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import linalg
 from .apolarity import _moment_rows, apolar_hilbert
 from .combinat import ci_hilbert, dim_forms, multinomial
-from .linalg import SubspaceBasis, _certified_rank, _dtype, _kernel_numerators, span_dim
+from .linalg import (
+    PRIME,
+    SubspaceBasis,
+    _certified_rank,
+    _dtype,
+    _exact_kernel_numerators,
+    _factorization,
+    _kernel_numerators,
+    _line_residues,
+    span_dim,
+)
 from .poly import (
     FormTuple,
     Monomial,
@@ -93,6 +134,11 @@ class GradedQuotient:
         self.socle_degree = f.socle_degree
         self._target = ci_hilbert(f.var_count, f.degree)
         self._ideal_dims: dict[int, int] = {}
+        self._verdict: bool | None = None
+        # What the socle line needs of the verdict's elimination of the
+        # degree-s shift rows, kept until _socle has built the line: those
+        # rows, and their factorization mod PRIME or their exact kernel.
+        self._socle_source: tuple | None = None
         self._socle_line: tuple[list[int], Fraction] | None = None
 
     def ideal_dim(self, j: int) -> int:
@@ -117,11 +163,47 @@ class GradedQuotient:
         return tuple(self.quotient_dim(j) for j in range(self.socle_degree + 1))
 
     def is_complete_intersection(self) -> bool:
-        """Whether the ideal fills degree s + 1: then S/I is Artinian, so the
-        forms are a system of parameters of the Cohen-Macaulay S, hence a
-        regular sequence, whose quotient stops at s.  One rank, certified
-        when the mod-p rank reaches the column count."""
-        return self.quotient_dim(self.socle_degree + 1) == 0
+        """Whether the forms are a regular sequence, decided once: proven in
+        the socle degree when _socle_certificate holds, else by the ideal's
+        rank in degree s + 1, which alone ever reports that they are not."""
+        if self._verdict is None:
+            self._verdict = self._socle_certificate() or self.quotient_dim(self.socle_degree + 1) == 0
+        return self._verdict
+
+    def _socle_certificate(self) -> bool:
+        """Whether the degree-s shift rows M_s prove a complete intersection:
+        rank M_s = W - 1, and a nonzero 2 x 2 minor mod PRIME of the moment
+        matrix H_1 of the kernel line (module docstring).  Under the size
+        rule M_s is read by Bareiss, whose kernel gives both; past it, by
+        its factorization mod PRIME, whose rank W - 1 meets the bound and
+        whose kernel line mod p is a nonzero multiple of the primitive
+        integer one.  The minors of the binary Hankel matrix of the last
+        s + 1 entries, the monomials in x_{n-1} and x_n, are tried first, so
+        the whole line is back-substituted only when they all vanish.  The
+        elimination is kept for the socle line."""
+        import numpy as np
+
+        n, s = self.var_count, self.socle_degree
+        rows = _shift_rows(self.forms, s - self.degree)
+        width = rows.shape[1]
+        if rows.size <= linalg.EXACT_MAX_ENTRIES:
+            lines = _exact_kernel_numerators(rows.tolist(), width)
+            self._socle_source = rows, lines
+            self._ideal_dims[s] = width - len(lines)
+            if len(lines) != 1:
+                return False
+            line = (np.array(lines[0], dtype=object) % PRIME).astype(np.int64)
+        else:
+            lu = _factorization(rows)
+            self._socle_source = rows, lu
+            if len(lu.pivots) != width - 1:
+                return False
+            self._ideal_dims[s] = width - 1
+            tail = _line_residues(lu, width - s - 1)
+            if _rank_two(np.stack([tail[:-1], tail[1:]], axis=1)):
+                return True
+            line = _line_residues(lu)
+        return _rank_two(line[_shift_columns(n, s - 1, 1)])
 
     def ideal_piece(self, j: int) -> SubspaceBasis:
         """Reduced-echelon basis of the ideal's degree-j piece."""
@@ -137,11 +219,14 @@ class GradedQuotient:
         if self._socle_line is None:
             if not self.is_complete_intersection():
                 raise DegenerateTupleError("tuple is not a complete intersection")
-            # The socle is a line, so the shift matrix has corank one: past
-            # the smallest shapes, which Bareiss reads under the size rule,
-            # its kernel is lifted p-adically and verified exactly, with
-            # Bareiss as the fallback; the entries run to hundreds of bits.
-            lam = _kernel_numerators(_shift_rows(self.forms, self.socle_degree - self.degree))
+            # The socle is a line, so the shift matrix has corank one.  The
+            # verdict left its exact kernel under the size rule; past it, its
+            # factorization, from which the kernel is lifted p-adically and
+            # verified exactly, with Bareiss as the fallback; the entries run
+            # to hundreds of bits.
+            rows, read = self._socle_source
+            self._socle_source = None
+            lam = read if isinstance(read, list) else _kernel_numerators(rows, read)
             assert len(lam) == 1, "complete intersection socle must be a line"
             # The Jacobian determinant is its stored integer terms over its
             # factor, so its value on the integer vector is one integer dot
@@ -175,6 +260,20 @@ class GradedQuotient:
         basis = monomial_basis(self.var_count, self.socle_degree)
         terms = {mono: multinomial(mono) * c for mono, c in zip(basis, lam) if c}
         return Polynomial._from_integers(self.var_count, terms, den)
+
+
+def _rank_two(h) -> bool:
+    """Whether the residue matrix h has rank at least two mod PRIME:
+    with h[i, j] its first nonzero entry, whether some 2 x 2 minor
+    h[i, j] h[k, l] - h[k, j] h[i, l] is nonzero.  Products of residues stay
+    below 2^50."""
+    import numpy as np
+
+    first = np.flatnonzero(h)
+    if not first.size:
+        return False
+    i, j = divmod(int(first[0]), h.shape[1])
+    return bool(np.count_nonzero((h * h[i, j] - np.outer(h[:, j], h[i])) % PRIME))
 
 
 def ideal_piece(f: FormTuple, j: int) -> SubspaceBasis:

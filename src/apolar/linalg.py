@@ -27,16 +27,23 @@ _padic_kernel, which lifts it p-adically mod PRIME (Dixon 1982), tries the
 rational reconstruction at digits 1, 2, 4, ... and at the Hadamard cap only,
 and checks the result, integer numerators over one denominator per vector,
 exactly with _verify_kernel; Bareiss answers what it does not certify, and
-determinant, solve and inverse are exact.  A right kernel costs the lift one
-elimination, of [A^T | J] (J the reversed identity), whose pivots and
-transform give the row profile, the column profile and the inverse of the
-pivot block at once (Dumas, Pernet and Sultan 2017); a left kernel reuses
-the column profile behind the rank and reduces [A_R | I].  Every mod-p step
-runs one elimination loop, _echelon_mod_prime, with delayed reduction, over
-residues below 2^25.  A bound that is not met is never reported, so a
-certified answer is as exact as the Bareiss one.  Kernel vectors become
-fractions once, in _fraction_basis.  Nothing in this module touches floating
-point.
+determinant, solve and inverse are exact.
+
+Every mod-p step reads one factorization, P A = L U mod PRIME (_LU,
+_factorization), made by one forward elimination loop, _echelon_mod_prime,
+with delayed reduction over residues below 2^25, that keeps its multipliers
+(as in the rank-profile PLUQ of Dumas, Pernet and Sultan 2017).  Its pivots
+are the lex-first column profile C, so the mod-p rank is their count; its
+first r rows are an independent row set R; and the pivot block B = A[R][:, C]
+is L_R U_C, whose inverse _pivot_inverse forms on demand from two triangular
+inverses by halving, for the lift.  A right kernel costs one factorization of
+A, which a caller that has one already (the complete intersection verdict of
+ci) passes in; a left kernel reuses the column profile behind the rank and
+factors the rows A^T at it.  _line_residues back-substitutes the kernel line
+of a factorization of corank one off U.  A bound that is not met is never
+reported, so a certified answer is as exact as the Bareiss one.  Kernel
+vectors become fractions once, in _fraction_basis.  Nothing in this module
+touches floating point.
 """
 from __future__ import annotations
 
@@ -44,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Python int is the one big-integer type; no code here uses this name, which
 # bench/run.py reads to record the big-integer backend of a run.
@@ -52,14 +59,15 @@ mpz = int
 
 # The largest prime below 2^25.  Residues below it leave room in int64 for
 # (2^63 - p) // (p - 1)^2 = 8192 unreduced rank-one updates in the lazy
-# elimination (_echelon_mod_prime), and for the p-adic lift's sums of r
-# products of residues, r (p - 1)^2 < 2^63, for every r up to 8192.
+# elimination (_echelon_mod_prime), and for the sums of r products of
+# residues in the triangular inverses and the p-adic lift, r (p - 1)^2 <
+# 2^63, for every r up to 8192.
 PRIME = 33554393
 
 # Matrices of at most this many entries skip the modular route: on them an
-# exact Bareiss run costs less than that route's fixed cost (the elimination
-# of [A^T | J], lift set-up, exact check).  The README's exactness
-# notes give the measured crossover.
+# exact Bareiss run costs less than that route's fixed cost (the
+# factorization, the pivot block's inverse, lift set-up, exact check).  The
+# README's exactness notes give the measured crossover.
 EXACT_MAX_ENTRIES = 100
 
 Scalar = Fraction | int
@@ -245,10 +253,10 @@ def _certified_rank(a, upper: int) -> int:
     else a verified left kernel, lifted from the same column profile (the
     transpose's row profile), else Bareiss elimination."""
     if a.size > EXACT_MAX_ENTRIES:
-        profile = _column_profile(a)
+        profile = _factorization(a).pivots
         if len(profile) == upper:
             return upper
-        left = _padic_kernel(a.T, profile)
+        left = _padic_kernel(a.T, _factorization(a.T, profile))
         if left is not None:
             return a.shape[0] - len(left)
     return len(_triangularize(a.tolist(), a.shape[1]))
@@ -269,16 +277,17 @@ def _kernel(a) -> SubspaceBasis:
     return _fraction_basis(a.shape[1], _kernel_numerators(a))
 
 
-def _kernel_numerators(a) -> list[list[int]]:
+def _kernel_numerators(a, lu: _LU | None = None) -> list[list[int]]:
     """The reduced-echelon kernel basis of an integer array, each vector
     times the denominator of its entries, which it holds at its free column:
     by the exact reader, _exact_kernel_numerators, for at most
     EXACT_MAX_ENTRIES entries; else by the certified reader, _padic_kernel,
     when it gives a certificate, else by the exact reader.  The certificate
     (see _verify_kernel) pins the pivot columns, so both readers give the
-    same basis."""
+    same basis.  A caller that has factored `a` already passes the
+    factorization as `lu`."""
     if a.size > EXACT_MAX_ENTRIES:
-        vectors = _padic_kernel(a)
+        vectors = _padic_kernel(a, lu)
         if vectors is not None:
             return vectors
     return _exact_kernel_numerators(a.tolist(), a.shape[1])
@@ -336,7 +345,7 @@ def _exact_kernel_numerators(ints: Sequence[Sequence[int]], ncols: int) -> list[
     return vectors
 
 
-def _padic_kernel(a, profile: Sequence[int] | None = None) -> list[list[int]] | None:
+def _padic_kernel(a, lu: _LU | None = None) -> list[list[int]] | None:
     """The reduced-echelon kernel basis of the integer array `a`, lifted
     p-adically (Dixon 1982) and certified by _verify_kernel, each vector
     times the denominator of its entries, which it holds at its free column;
@@ -344,14 +353,15 @@ def _padic_kernel(a, profile: Sequence[int] | None = None) -> list[list[int]] | 
 
     The lift needs, mod PRIME, a row profile R (r rows independent mod p),
     the column profile C (the lex-first r columns independent mod p) and the
-    inverse of their r x r block B.  With no `profile`, one elimination of
-    [A^T | J] gives all three (_profiles_and_inverse); a caller that has R
-    already, as the column profile of the transpose, passes it as `profile`,
-    and the reduced form of [A_R | I] gives C and B^-1.  The k = ncols - r
-    solutions Y of B Y = -(A_R at the free columns) are lifted together, one
-    p-adic digit per pair of matrix products.  Reconstruction
-    (_reconstruct_vectors) is tried at digits 1, 2, 4, ... and at the
-    Hadamard cap, each time on every column.
+    inverse of their r x r block B.  One factorization P A = L U mod p gives
+    all three (_factorization): R is the first r rows of P A, C its pivot
+    columns, and B = L_R U_C, whose inverse _pivot_inverse forms as its two
+    triangular factors.  A caller that has factored `a` already passes `lu`,
+    or the factorization of a row subset of `a` that has the full mod-p rank.
+    The k = ncols - r solutions Y of B Y = -(A_R at the free columns) are
+    lifted together, one p-adic digit per three matrix products.
+    Reconstruction (_reconstruct_vectors) is tried at digits 1, 2, 4, ...
+    and at the Hadamard cap, each time on every column.
     Certificate: the mod-p rank r bounds the kernel dimension by k, so the k
     vectors, 1 at a free column and a column of Y at the pivots, once
     _verify_kernel checks their integer numerators exactly, are bit for bit
@@ -364,30 +374,24 @@ def _padic_kernel(a, profile: Sequence[int] | None = None) -> list[list[int]] | 
 
     p = PRIME
     ncols = a.shape[1]
-    if profile is None:
-        profile, pivots, inverse = _profiles_and_inverse(a)
-    else:
-        # The reduced echelon form of [A_R | I] mod p is [E | U] with
-        # U A_R = E, so U B = I at the pivot columns: U is B^-1 mod p, and
-        # the elimination reduces only that right block.
-        block = a[profile]
-        reduced = np.hstack([(block % p).astype(np.int64), np.eye(len(profile), dtype=np.int64)])
-        pivots = _echelon_mod_prime(reduced, p, reduce_from=ncols)
-        inverse = reduced[:, ncols:]
-    r, k = len(profile), ncols - len(profile)
+    if lu is None:
+        lu = _factorization(a)
+    pivots = lu.pivots
+    r, k = len(pivots), ncols - len(pivots)
     if k == 0:
         # Full column rank mod p, so over the rationals too: no kernel.
         return []
-    # Each digit is (B^-1 mod p)(res mod p), at most r (p-1)^2; the residual
-    # res stays within r top, and res - B digit within r top p.
+    # Each product sums at most r products of residues, r (p-1)^2; the
+    # residual stays within r top, and res - B digit within r top p.
     if r * (p - 1) ** 2 >= 2**63:
         return None
+    upper, lower = _pivot_inverse(lu)
     top = max(int(a.max()), -int(a.min()))
     if top * r * p >= 2**62:
         a = a.astype(object)
-    block = a[profile]
+    block = a[lu.order[:r]]
     free = sorted(set(range(ncols)) - set(pivots))
-    b, residual = block[:, pivots], -block[:, free]
+    b, residual = np.ascontiguousarray(block[:, pivots]), -block[:, free]
     # Cramer and Hadamard: Y's entries are ratios of r x r minors of [B | c],
     # c a column of the residual's start, each minor at most the product H of
     # B's column norms and the largest of c's, and a column of k nonzero
@@ -401,7 +405,7 @@ def _padic_kernel(a, profile: Sequence[int] | None = None) -> list[list[int]] | 
     cap = -(-(bits + 1) // (p.bit_length() - 1))
     lifted, modulus = np.zeros((r, k), dtype=object), 1
     for t in range(1, cap + 1):
-        digit = inverse @ (residual % p).astype(np.int64, copy=False) % p
+        digit = upper @ (lower @ (residual % p).astype(np.int64, copy=False) % p) % p
         residual = (residual - b @ digit) // p
         lifted += digit.astype(object) * modulus
         modulus *= p
@@ -419,36 +423,99 @@ def _padic_kernel(a, profile: Sequence[int] | None = None) -> list[list[int]] | 
     return None
 
 
-def _profiles_and_inverse(a) -> tuple[list[int], list[int], object]:
-    """A row profile R, the column profile C and B^-1 mod PRIME, B the r x r
-    block of the m x W integer array A = `a` at rows R and columns C, from
-    one elimination of [A^T | J], J the reversed W x W identity, reduced
-    from column m on.
+class _LU(NamedTuple):
+    """P A = L U mod PRIME for an m x n integer array A of mod-p rank r, as
+    _echelon_mod_prime leaves it.  Row i of `factors` is row order[i] of A.
+    `pivots` is the column profile C, the lex-first columns independent mod
+    p.  L is m x r: its column t is column C[t] of `factors` from row t down,
+    and L[t, t] is pivot t before it was normalized.  U is r x n: row t is
+    1 at C[t] and `factors` right of it, 0 left of it.  So the rows
+    R = order[:r] are independent mod p, and B = A[R][:, C] = L_R U_C with
+    L_R = L[:r] lower and U_C unit upper triangular."""
 
-    Its pivots left of m are R, the lex-first rows of A independent mod p,
-    and r = len(R) is the mod-p rank.  The right block is U J, U the
-    transform with U A^T = E, E the left block; read back in reverse, it is
-    U.  Rows r.. of E vanish, so rows r.. of U span the kernel of A mod p,
-    and reduced, each is 1 at its own free column and 0 at the other free
-    columns F.  J meets the columns of A last to first, and a kernel vector
-    can end at column f exactly when column f depends on the columns before
-    it, so F is the complement of C.  Rows ..r of E are the identity at R,
-    so X = U[:r]^T is a right inverse of A_R, and with K the kernel rows,
-    B (X - K^T X[F])[C] = I, since the difference vanishes at F; the right
-    block is reduced, so X[F] is already 0 and B^-1 = X[C].
-    """
+    factors: object
+    order: object
+    pivots: list[int]
+
+
+def _factorization(a, rows: Sequence[int] | None = None) -> _LU:
+    """P A = L U mod PRIME (_LU) of the integer array `a`, or of its rows
+    `rows`, with `order` in a's row numbers.  The rows are sorted by their
+    first nonzero column first, which changes no column profile: on a sparse
+    shift matrix each column's nonzeros then start in a short band of rows,
+    and the elimination updates only the rows from the first to the last."""
     import numpy as np
 
-    p = PRIME
-    m, w = a.shape
-    aug = np.hstack([(a.T % p).astype(np.int64, copy=False), np.eye(w, dtype=np.int64)[::-1]])
-    found = _echelon_mod_prime(aug, p, reduce_from=m)
-    r = bisect_left(found, m)
-    free = {m + w - 1 - c for c in found[r:]}
-    pivots = [c for c in range(w) if c not in free]
-    # Column c of U is column m + w - 1 - c of the reduced [A^T | J].
-    inverse = aug[:r, [m + w - 1 - c for c in pivots]].T
-    return found[:r], pivots, inverse
+    picked = a if rows is None else a[list(rows)]
+    residues = (picked % PRIME).astype(np.int64, copy=False)
+    nonzero = residues != 0
+    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), residues.shape[1])
+    order = np.argsort(lead, kind="stable")
+    factors = residues[order]
+    pivots, swaps = _echelon_mod_prime(factors, PRIME)
+    order = order[swaps]
+    return _LU(factors, order if rows is None else np.asarray(rows, dtype=np.intp)[order], pivots)
+
+
+def _pivot_inverse(lu: _LU) -> tuple[object, object]:
+    """B^-1 mod PRIME, B = L_R U_C the pivot block of `lu`, as its two
+    factors U_C^-1 and L_R^-1, each a triangular inverse (_lower_inverse,
+    the upper one through its transpose).  The lift multiplies by the two in
+    turn: its right-hand sides are fewer than the rows, so two products per
+    digit cost less than the product of the two inverses."""
+    import numpy as np
+
+    r = len(lu.pivots)
+    block = lu.factors[:r, lu.pivots]
+    upper = np.triu(block, 1).T
+    upper[np.diag_indices(r)] = 1
+    return np.ascontiguousarray(_lower_inverse(upper).T), _lower_inverse(np.tril(block))
+
+
+def _lower_inverse(t):
+    """The inverse mod PRIME of the lower triangular int64 residue matrix
+    `t`, whose diagonal is nonzero mod PRIME, by halving:
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]].  Blocks of at
+    most six rows are solved on Python ints, row by row.  Each product sums
+    fewer than 8192 products of residues, below 2^63 in int64."""
+    import numpy as np
+
+    p, n = PRIME, len(t)
+    if n <= 6:
+        rows, inverse = t.tolist(), [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            unit = pow(row[i], -1, p)
+            inverse[i][i] = unit
+            for j in range(i):
+                inverse[i][j] = -unit * sum(row[m] * inverse[m][j] for m in range(j, i)) % p
+        return np.array(inverse, dtype=np.int64).reshape(n, n)
+    h = n // 2
+    head, tail = _lower_inverse(t[:h, :h]), _lower_inverse(t[h:, h:])
+    out = np.zeros((n, n), dtype=np.int64)
+    out[:h, :h], out[h:, h:] = head, tail
+    out[h:, :h] = -(tail @ (t[h:, :h] @ head % p)) % p
+    return out
+
+
+def _line_residues(lu: _LU, start: int = 0):
+    """The kernel line mod PRIME of a factorization of corank one, 1 at its
+    free column f, at columns start.. only, as an array of residues.  It is
+    0 past f, and back substitution off U gives its entry at each pivot
+    column c from its entries right of c, so only the pivot rows at columns
+    from `start` on are read, bottom up.  Each step sums fewer than ncols
+    products of residues, in int64 when that stays below 2^63."""
+    import numpy as np
+
+    u, pivots = lu.factors, lu.pivots
+    ncols = u.shape[1]
+    free = next(c for c, q in enumerate([*pivots, ncols]) if c != q)
+    line = np.zeros(ncols - start, dtype=_dtype(ncols * (PRIME - 1) ** 2))
+    if free >= start:
+        line[free - start] = 1
+    for t in range(bisect_left(pivots, free) - 1, bisect_left(pivots, start) - 1, -1):
+        c = pivots[t]
+        line[c - start] = -int(u[t, c + 1 : free + 1] @ line[c + 1 - start : free + 1 - start]) % PRIME
+    return line
 
 
 def _reconstruct_vectors(
@@ -555,7 +622,7 @@ def rank_mod_prime(rows: Sequence[Sequence[int]]) -> int:
     """
     if not rows or not len(rows[0]):
         return 0
-    return len(_column_profile(_integer_array(rows, len(rows[0]))))
+    return len(_factorization(_integer_array(rows, len(rows[0]))).pivots)
 
 
 def _dtype(bound: int):
@@ -576,47 +643,26 @@ def _integer_array(rows: Sequence[Sequence[int]], ncols: int):
     return np.array(rows, dtype=_dtype(top)).reshape(len(rows), ncols)
 
 
-def _column_profile(a) -> list[int]:
-    """The pivot columns mod PRIME of the integer array `a`, the lex-first
-    columns independent mod PRIME.  The rows are sorted by their first
-    nonzero column first, which changes no column profile: on a sparse shift
-    matrix each column's nonzeros then start in a short band of rows, and
-    the elimination updates only the rows from the first to the last."""
-    import numpy as np
-
-    residues = (a % PRIME).astype(np.int64, copy=False)
-    nonzero = residues != 0
-    lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), residues.shape[1])
-    return _echelon_mod_prime(residues[np.argsort(lead, kind="stable")], PRIME)
-
-
-def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[int]:
-    """Pivot columns of the int64 residue matrix `a`, entries in [0, prime),
-    which is brought in place to row echelon form mod `prime` with unit
-    pivots in rows 0..rank-1 and every entry in [0, prime).  With
-    `reduce_from`, each pivot column is also cleared above its pivot in the
-    columns from `reduce_from` on, so those columns end as in the reduced
-    row echelon form; `reduce_from` = 0 gives that form.  The columns before
-    it are in row echelon form.
+def _echelon_mod_prime(a, prime: int) -> tuple[list[int], object]:
+    """LU factorization in place of the int64 residue matrix `a`, entries in
+    [0, prime): returns the pivot columns and the row order, with row i of
+    the result holding row order[i] of `a`.  Each pivot is the first row
+    below the pivots found so far that is nonzero mod `prime` in the column,
+    so the pivot columns are the lex-first columns independent mod `prime`.
+    Whole rows move on a swap.  The pivot keeps its value; right of it the
+    pivot row is divided by it, a row of U; below it the column keeps each
+    row's multiplier of that row of U, a column of L (see _LU).  Every entry
+    ends in [0, prime).
 
     A pivot row changes only the rows from the first to the last nonzero of
     its column, and only in the columns from the pivot to the row's last
-    nonzero.  The forward pass clears below each pivot, in two column ranges
-    when there is a `reduce_from`: before it, and from the row's first
-    nonzero past it.  With `reduce_from`, a back pass then takes the pivots
-    last to first and subtracts each pivot row, final by then, from the rows
-    above it, in the columns from `reduce_from` on only.  It reads its
-    multipliers as the forward pass left them, since no later pivot row has
-    an entry in an earlier pivot's column, so it never touches the columns
-    before `reduce_from`.
-
-    Reduction is delayed (as in FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008):
-    the rank-one updates are left unreduced, and only the pivot column and
-    the pivot row are reduced, as they are read.  An update subtracts at most
-    (prime - 1)^2, so the rows still to be updated are reduced once every
-    `budget` pivots, the most that int64 holds, and the whole matrix once at
-    the end of each pass.  ValueError when the prime leaves no room for one
-    update.
+    nonzero.  Reduction is delayed (as in FFLAS-FFPACK, Dumas, Giorgi and
+    Pernet 2008): the rank-one updates are left unreduced, and only the pivot
+    column and the pivot row are reduced, as they are read.  An update
+    subtracts at most (prime - 1)^2, so the rows still to be updated are
+    reduced once every `budget` pivots, the most that int64 holds, and the
+    whole matrix once at the end.  ValueError when the prime leaves no room
+    for one update.
     """
     import numpy as np
 
@@ -624,7 +670,7 @@ def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[in
     if budget < 1:
         raise ValueError(f"residues mod {prime} are too wide for an int64 update")
     nrows, ncols = a.shape
-    split = ncols if reduce_from is None else reduce_from
+    order = list(range(nrows))
     pivots: list[int] = []
     pending = 0
     for c in range(ncols):
@@ -638,53 +684,27 @@ def _echelon_mod_prime(a, prime: int, reduce_from: int | None = None) -> list[in
             continue
         i = r + int(nz[0])
         if i != r:
-            # Both rows are zero left of column c.
-            a[r, c:], a[i, c:] = a[i, c:], a[r, c:].copy()
+            a[r], a[i] = a[i], a[r].copy()
+            order[r], order[i] = order[i], order[r]
         if pending == budget:
             a[r:, c + 1 :] %= prime
             pending = 0
-        row = a[r, c:] % prime * pow(int(a[r, c]), -1, prime) % prime
-        # The band is read off the pivot column's nonzeros before the swap,
-        # which leaves a zero where the pivot was; the pivot row itself is
-        # written back reduced at the end.
-        band = a[r + int(nz[0]) : r + int(nz[-1]) + 1]
-        factors = band[:, c : c + 1]
-        cols = row.nonzero()[0]
-        cut = cols.size if cols[-1] < split - c else int(np.searchsorted(cols, split - c))
-        # The range past `split` first: the range before it starts at the
-        # pivot column, so its update clears the factors as it goes.
-        if cut < cols.size:
-            lo, hi = int(cols[cut]), int(cols[-1]) + 1
-            band[:, c + lo : c + hi] -= factors * row[lo:hi]
-        if cut:
-            hi = int(cols[cut - 1]) + 1
-            band[:, c : c + hi] -= factors * row[:hi]
-        a[r, c:] = row
         pending += 1
         pivots.append(c)
+        row = a[r, c + 1 :]
+        row %= prime
+        row *= pow(int(a[r, c]), -1, prime)
+        row %= prime
+        cols = row.nonzero()[0] if nz.size > 1 else ()
+        if len(cols):
+            # The rows below the pivot with a nonzero in its column, read off
+            # the column before the swap, which left a zero where the pivot
+            # was; each keeps its multiplier there.
+            band = a[r + int(nz[1]) : r + int(nz[-1]) + 1]
+            lo, hi = int(cols[0]), int(cols[-1]) + 1
+            band[:, c + 1 + lo : c + 1 + hi] -= band[:, c : c + 1] * row[lo:hi]
     a %= prime
-    if split == ncols:
-        return pivots
-    pending = 0
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        above = a[:k, c]
-        hits = above.nonzero()[0]
-        if hits.size == 0:
-            continue
-        start = max(c, split)
-        row = a[k, start:] % prime
-        cols = row.nonzero()[0]
-        if cols.size == 0:
-            continue
-        if pending == budget:
-            a[:k, split:] %= prime
-            pending = 0
-        top, lo, hi = int(hits[0]), int(cols[0]), int(cols[-1]) + 1
-        a[top:k, start + lo : start + hi] -= above[top:, None] * row[lo:hi]
-        pending += 1
-    a[:, split:] %= prime
-    return pivots
+    return pivots, np.array(order, dtype=np.intp)
 
 
 def _rational_reconstruction(u: int, modulus: int, bound: int) -> Fraction | None:

@@ -209,36 +209,42 @@ def test_one_degree_verdict_on_the_sampler_rejected_draws(n, d):
 
 @pytest.fixture
 def ci_passes(monkeypatch):
-    """Counts the certified ranks the complete intersection checks take, one
-    per GradedQuotient pass (the degree s + 1 ideal piece)."""
+    """Records each complete intersection pass, one per GradedQuotient, as
+    "socle" (its socle-degree certificate), and each ideal rank a quotient
+    takes, as the shape of its rows (the degree s + 1 rank of a fallback)."""
     import apolar.ci as ci
 
     calls = []
-    certified_rank = ci._certified_rank
+    certificate, certified_rank = GradedQuotient._socle_certificate, ci._certified_rank
 
-    def counted(rows, upper):
-        calls.append(len(rows))
+    def counted_certificate(self):
+        calls.append("socle")
+        return certificate(self)
+
+    def counted_rank(rows, upper):
+        calls.append(rows.shape)
         return certified_rank(rows, upper)
 
-    monkeypatch.setattr(ci, "_certified_rank", counted)
+    monkeypatch.setattr(GradedQuotient, "_socle_certificate", counted_certificate)
+    monkeypatch.setattr(ci, "_certified_rank", counted_rank)
     return calls
 
 
 def test_one_complete_intersection_pass_per_tuple_object(ci_passes):
     f = random_ci_tuple(3, 3, seed=7)
-    # The sampler's pass ranks degree s + 1 only.
-    per_pass = 1
-    assert len(ci_passes) == per_pass
+    # The sampler's pass proves the tuple in the socle degree, with no rank.
+    per_pass = ["socle"]
+    assert ci_passes == per_pass
     assert is_complete_intersection(f)
     associated_form(f)
-    assert len(ci_passes) == per_pass
+    assert ci_passes == per_pass
     # An equal but distinct tuple shares nothing with the first one.
     twin = FormTuple(f.var_count, f.degree, f.forms)
     assert twin == f and twin is not f
     assert is_complete_intersection(twin)
-    assert len(ci_passes) == 2 * per_pass
+    assert ci_passes == 2 * per_pass
     assert associated_form(twin) == associated_form(f)
-    assert len(ci_passes) == 2 * per_pass
+    assert ci_passes == 2 * per_pass
 
 
 def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
@@ -249,13 +255,174 @@ def test_tangent_trial_runs_one_ci_pass_per_tuple(ci_passes):
     (record,) = _sampled_trial(task)
     assert record["pass"] and record["dim_R_bruteforce"] == 0
     # One pass for the sampled tuple, shared by the sampler, the associated
-    # form and the relation count; one for the annihilator's g_i.
-    per_pass = 1
-    assert len(ci_passes) == 2 * per_pass
+    # form and the relation count; one for the annihilator's g_i.  Both are
+    # proven in the socle degree: no ideal rank, in degree s + 1 or any other.
+    per_pass = ["socle"]
+    assert ci_passes == 2 * per_pass
     # The same seed again builds fresh tuples and repeats both passes:
     # nothing carries over from one trial to the next.
     assert _sampled_trial(task) == [record]
-    assert len(ci_passes) == 4 * per_pass
+    assert ci_passes == 4 * per_pass
+
+
+def test_tangent_trial_eliminates_each_socle_matrix_once(monkeypatch):
+    # A (3,5) trial: the tuple's and the g_i's degree-s shift rows, 108 x 91,
+    # are each factored once mod p, for the verdict and (the tuple's) for
+    # the socle lift; nothing of degree s + 1 (135 x 105) is eliminated, mod
+    # p or by Bareiss.
+    import apolar.linalg as linalg
+    from apolar.cli import RunConfig, _sampled_trial, trial_seeds
+
+    shapes, bareiss = [], []
+    echelon, triangularize = linalg._echelon_mod_prime, linalg._triangularize
+
+    def spy_echelon(a, prime):
+        shapes.append(a.shape)
+        return echelon(a, prime)
+
+    def spy_bareiss(rows, ncols):
+        bareiss.append((len(rows), ncols))
+        return triangularize(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
+    monkeypatch.setattr(linalg, "_triangularize", spy_bareiss)
+    task = (RunConfig("tangent", n=3, d=5, coeff_bound=5), 0, trial_seeds(1, 1)[0])
+    (record,) = _sampled_trial(task)
+    assert record["pass"]
+    assert shapes.count((108, 91)) == 2
+    assert not {(135, 105), (105, 135)} & {*shapes, *bareiss}
+    assert bareiss == []
+
+
+def through_point(n, d, seed):
+    """n random forms of degree d with no x_n^d term, so all vanish at
+    e_n = (0, ..., 0, 1); redrawn while a form is zero."""
+    stream = SplitMix64(seed)
+    top = (0,) * (n - 1) + (d,)
+    forms = []
+    while len(forms) < n:
+        terms = {m: c for m, c in random_form(n, d, stream, 5).terms() if m != top}
+        if terms:
+            forms.append(Polynomial(n, terms))
+    return FormTuple(n, d, tuple(forms))
+
+
+@pytest.fixture
+def verdict_route(monkeypatch):
+    """Records the verdict's route: each 2 x 2 minor test mod p as its
+    result, and each rank the quotient takes as "rank"."""
+    import apolar.ci as ci
+
+    route = []
+    rank_two, certified_rank = ci._rank_two, ci._certified_rank
+
+    def spy_minor(h):
+        route.append(rank_two(h))
+        return route[-1]
+
+    def spy_rank(rows, upper):
+        route.append("rank")
+        return certified_rank(rows, upper)
+
+    monkeypatch.setattr(ci, "_rank_two", spy_minor)
+    monkeypatch.setattr(ci, "_certified_rank", spy_rank)
+    return route
+
+
+def assert_refused_by_the_minor(f, route):
+    """The rank of the socle-degree shift rows meets its bound W - 1, the
+    kernel line's form is a pure power, whose minors all vanish, and the
+    degree s + 1 rank then finds no complete intersection."""
+    route.clear()
+    assert not is_complete_intersection(f)
+    assert f.quotient.quotient_dim(f.socle_degree) == 1
+    assert route[-1] == "rank" and route[:-1] and not any(route[:-1])
+    with pytest.raises(DegenerateTupleError):
+        associated_form(f)
+
+
+@pytest.mark.parametrize("cutoff", [None, 0])
+def test_shared_factor_is_refused_by_the_pure_power_minor(verdict_route, monkeypatch, cutoff):
+    # (x1^2, x1 x2) vanish on x1 = 0: I_2 is the perp of y2^2, a pure power.
+    import apolar.linalg as linalg
+
+    if cutoff is not None:
+        monkeypatch.setattr(linalg, "EXACT_MAX_ENTRIES", cutoff)
+    f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
+    assert_refused_by_the_minor(f, verdict_route)
+
+
+@pytest.mark.parametrize("cutoff", [None, 0])
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_tuples_through_a_common_point_are_refused_by_the_pure_power_minor(
+    verdict_route, monkeypatch, n, d, cutoff
+):
+    # Forms through e_n have quotient dimension 1 in degree s, from the form
+    # y_n^s; under the size rule (the default cutoff) the shapes up to (3,2)
+    # are read by Bareiss and the rest mod p, and at cutoff 0 all mod p.
+    import apolar.linalg as linalg
+
+    if cutoff is not None:
+        monkeypatch.setattr(linalg, "EXACT_MAX_ENTRIES", cutoff)
+    for seed in range(3):
+        assert_refused_by_the_minor(through_point(n, d, seed), verdict_route)
+
+
+GOLDEN_CUBIC = (
+    "953/6396*y1^3 - 27/4264*y1^2*y2 + 515/2132*y1^2*y3 + 9/2132*y1*y2^2 + 6/533*y1*y2*y3"
+    " + 565/4264*y1*y3^2 + 417/123656*y2^3 + 69/123656*y2^2*y3 - 441/123656*y2*y3^2"
+    " + 9539/370968*y3^3"
+)
+
+
+@pytest.mark.parametrize(
+    "text, n, d, certified",
+    [("y1^2", 2, 2, False), ("y1^2*y2^2*y3^2", 3, 3, True), (GOLDEN_CUBIC, 3, 2, True)],
+)
+def test_stratify_proves_u_res_in_the_socle_degree(verdict_route, text, n, d, certified):
+    # The golden stratify forms' U_Res flags (tests/golden/stratify_*.jsonl),
+    # and the route behind them:
+    # the g_i of a form in U_Res are proven by a minor in the socle degree,
+    # and those of y1^2, whose moments are a pure power, are refused there
+    # and by the degree s + 1 rank.
+    from apolar import stratify
+
+    report = stratify(parse_polynomial(text, n), n, d)
+    assert report.in_URes == certified and report.in_Z == (not certified)
+    assert ("rank" in verdict_route) != certified
+    assert verdict_route[-1] if certified else not any(verdict_route[:-1])
+
+
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+    st.sampled_from([None, 0]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_socle_degree_verdict_matches_the_degree_s_plus_1_rank(shape, cutoff, through, data):
+    # Coefficients in {-1, 0, 1}, and with `through` no x_n^d term, so that
+    # degenerate draws are frequent; at cutoff 0 every verdict is read mod p.
+    from unittest import mock
+
+    import apolar.linalg as linalg
+
+    n, d = shape
+    top = (0,) * (n - 1) + (d,)
+    basis = monomial_basis(n, d)
+    coeffs = st.lists(st.integers(-1, 1), min_size=len(basis), max_size=len(basis))
+    forms = []
+    for _ in range(n):
+        vec = data.draw(coeffs.filter(lambda v: any(c for m, c in zip(basis, v) if m != top)))
+        terms = {m: c for m, c in zip(basis, vec) if c and not (through and m == top)}
+        forms.append(Polynomial(n, terms))
+    f = FormTuple(n, d, tuple(forms))
+    cutoff = linalg.EXACT_MAX_ENTRIES if cutoff is None else cutoff
+    with mock.patch.object(linalg, "EXACT_MAX_ENTRIES", cutoff):
+        verdict = is_complete_intersection(f)
+        assert verdict == (GradedQuotient(f).quotient_dim(f.socle_degree + 1) == 0)
+    if n * d < 9:
+        assert_verdict_matches_full_hilbert_definition(f)
 
 
 @st.composite

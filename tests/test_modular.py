@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DM
 
@@ -214,22 +214,40 @@ def rref_pivots(rows, domain) -> tuple:
     return DM(rows, domain).rref()[1]
 
 
+def lu_factors(lu):
+    """L (m x r) and U (r x n) of a factorization, as object arrays: column
+    t of L is column C[t] of the factors from row t down, with the pivot on
+    the diagonal, and row t of U is 1 at C[t] and the factors right of it."""
+    factors, pivots = lu.factors, lu.pivots
+    (m, n), r = factors.shape, len(pivots)
+    lower, upper = np.zeros((m, r), dtype=object), np.zeros((r, n), dtype=object)
+    for t, c in enumerate(pivots):
+        lower[t:, t] = factors[t:, c]
+        upper[t, c] = 1
+        upper[t, c + 1 :] = factors[t, c + 1 :]
+    return lower, upper
+
+
 @given(st.one_of(kernel_matrices(), matrices(unlucky_int), low_rank_matrices(max_entry=2**40)))
 @example([[P, 1]])
 @example([[1, 0, 0], [1, P, 0], [0, 1, 0]])
 @settings(deadline=None)
 def test_one_elimination_gives_both_profiles_and_the_pivot_inverse(m):
-    # The row profile is the transpose's pivot columns mod PRIME, the column
-    # profile the complement of the free columns, and the derived inverse
-    # inverts the pivot block mod PRIME.
+    # One factorization P A = L U mod PRIME: its pivots are the lex-first
+    # column profile, its first r rows are independent mod PRIME, and the
+    # inverse derived from it inverts the pivot block mod PRIME.
     a = array(m)
-    rows, cols, inverse = linalg._profiles_and_inverse(a)
-    gf = sympy.GF(P)
-    assert tuple(rows) == rref_pivots([list(r) for r in zip(*m)], gf)
-    assert tuple(cols) == rref_pivots(m, gf)
-    block = np.array(m, dtype=object)[np.ix_(rows, cols)]
-    product = block.dot(inverse.astype(object)) % P
-    assert product.tolist() == np.eye(len(rows), dtype=int).tolist()
+    lu = linalg._factorization(a)
+    lower, upper = lu_factors(lu)
+    assert ((lower.dot(upper) - np.array(m, dtype=object)[lu.order]) % P == 0).all()
+    assert tuple(lu.pivots) == rref_pivots(m, sympy.GF(P))
+    rows = lu.order[: len(lu.pivots)].tolist()
+    assert lift_rank([m[i] for i in rows]) == len(rows)
+    if rows:
+        up, low = linalg._pivot_inverse(lu)
+        block = np.array(m, dtype=object)[np.ix_(rows, lu.pivots)]
+        product = block.dot(up.astype(object)).dot(low.astype(object)) % P
+        assert product.tolist() == np.eye(len(rows), dtype=int).tolist()
 
 
 @pytest.fixture
@@ -314,7 +332,7 @@ def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
 def test_left_kernel_certificate_costs_one_elimination_beyond_the_rank(paths, eliminations):
     # The degenerate tuple above: the column profile that gives the mod-p
     # rank is the left kernel's row profile, so the lift adds only the
-    # reduced [A_R | I].
+    # factorization of A^T at those rows.
     f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
     assert _certified_rank(_shift_rows(f.forms, 1), 4) == 3
     assert paths == ["p-adic"]
@@ -399,13 +417,15 @@ def test_solves_and_the_socle_functional_stay_exact(paths, default_cutoff):
     paths.clear()
     assert matrix_inverse([[2, 1], [1, 1]]).entries == ((1, -1), (-1, 2))
     assert paths == ["bareiss"]
+    # Each socle matrix is read once, by the verdict of a fresh tuple, for
+    # the verdict and the socle line both.
     f = random_ci_tuple(2, 3, SplitMix64(5).next_u64())
     paths.clear()
-    f.quotient.socle_functional()
+    FormTuple(2, 3, f.forms).quotient.socle_functional()
     assert paths == ["bareiss"]
     f = random_ci_tuple(3, 3, SplitMix64(5).next_u64())
     paths.clear()
-    f.quotient.socle_functional()
+    FormTuple(3, 3, f.forms).quotient.socle_functional()
     assert paths == ["p-adic"]
 
 
@@ -601,26 +621,27 @@ def test_bareiss_reads_an_int64_array_as_python_ints(paths, default_cutoff):
     assert paths == ["bareiss"] * 2
 
 
-def test_socle_lift_runs_one_elimination_of_the_transpose_beside_j(monkeypatch):
-    # The (3,5) socle matrix, m = 108 rows by W = 91 columns: its kernel
-    # costs one mod-p elimination, of the W x (m + W) array [A^T | J], and no
-    # separate column profile.
+def test_socle_line_reuses_the_verdicts_factorization(monkeypatch):
+    # The (3,5) socle matrix, m = 108 rows by W = 91 columns: the verdict
+    # factors it once mod p, and the socle line is lifted from that
+    # factorization, with no second elimination.
     f = random_ci_tuple(3, 5, SplitMix64(5).next_u64())
-    rows = _shift_rows(f.forms, f.socle_degree - f.degree)
-    m, w = rows.shape
-    assert (m, w) == (108, 91)
+    fresh = FormTuple(f.var_count, f.degree, f.forms)
     shapes = []
     echelon = linalg._echelon_mod_prime
 
-    def spy_echelon(a, *args, **kwargs):
+    def spy_echelon(a, *args):
         shapes.append(a.shape)
-        return echelon(a, *args, **kwargs)
+        return echelon(a, *args)
 
     monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
-    with mock.patch.object(linalg, "_column_profile", side_effect=AssertionError):
-        vectors = _kernel(rows).vectors
-    assert shapes == [(w, m + w)]
-    assert vectors == bareiss_socle_kernel(f)
+    assert fresh.quotient.is_complete_intersection()
+    assert shapes == [(108, 91)]
+    functional = fresh.quotient.socle_functional()
+    assert shapes == [(108, 91)]
+    # The Bareiss line is 1 at its free column, its last nonzero entry.
+    scale = next(x for x in reversed(functional) if x)
+    assert bareiss_socle_kernel(f) == (tuple(x / scale for x in functional),)
 
 
 def test_catalecticant_kernel_of_an_associated_form_is_lifted(paths):
@@ -728,34 +749,69 @@ def residue_matrices(draw, max_side=8):
 M = 2**31 - 2
 
 
-@given(residue_matrices(), st.booleans())
-@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]), True)
-@example((P, [[P - 1] * 3] * 2), False)
+@given(residue_matrices())
+@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]))
+@example((P, [[P - 1] * 3] * 2))
+@example((P, [[0, 1], [1, 0], [P - 1, 1]]))
 @settings(deadline=None, max_examples=200)
-def test_lazy_echelon_matches_the_eager_reference(pm, reduced):
+def test_lazy_echelon_matches_the_eager_reference(pm):
+    # The same pivots as the eager loop, U its echelon rows, and P A = L U.
     p, m = pm
     lazy, eager = np.array(m, dtype=np.int64), np.array(m, dtype=np.int64)
-    pivots = linalg._echelon_mod_prime(lazy, p, 0 if reduced else None)
-    assert pivots == eager_echelon_mod_prime(eager, p, reduced)
-    assert lazy.tolist() == eager.tolist()
+    pivots, order = linalg._echelon_mod_prime(lazy, p)
+    assert pivots == eager_echelon_mod_prime(eager, p, False)
+    lower, upper = lu_factors(linalg._LU(lazy, order, pivots))
+    assert upper.tolist() == eager[: len(pivots)].tolist()
+    assert ((lower.dot(upper) - np.array(m, dtype=object)[order]) % p == 0).all()
+    assert 0 <= lazy.min() and lazy.max() < p
 
 
-@given(residue_matrices(), st.integers(0, 8))
-@example((M + 1, [[M, M, M, M], [M, 1, 2, 3], [5, M, 1, 1], [1, 1, M, 2]]), 0)
-@example((P, [[1, 2, 0, 0, 1], [0, 1, 0, 1, 0], [2, 0, 1, 0, 0]]), 3)
-@settings(deadline=None, max_examples=200)
-def test_reduction_from_a_column_matches_the_eager_forms(pm, start):
-    # Columns from `start` on as in the reduced row echelon form, the
-    # columns before it as in the row echelon form.
-    p, m = pm
-    start = min(start, len(m[0]))
-    a = np.array(m, dtype=np.int64)
-    echelon, reduced = a.copy(), a.copy()
-    pivots = eager_echelon_mod_prime(echelon, p, False)
-    assert eager_echelon_mod_prime(reduced, p, True) == pivots
-    assert linalg._echelon_mod_prime(a, p, start) == pivots
-    assert a[:, start:].tolist() == reduced[:, start:].tolist()
-    assert a[:, :start].tolist() == echelon[:, :start].tolist()
+@st.composite
+def invertible_residue_matrices(draw):
+    """An r x r matrix mod PRIME that is invertible mod PRIME, for r at 1, at
+    the halving threshold of linalg._lower_inverse (six rows) and past it,
+    and at odd sizes: a random one, or one of residues at p - 1 bar a few
+    entries."""
+    r = draw(st.sampled_from([1, 2, 5, 6, 7, 11, 13, 25]))
+    if draw(st.booleans()):
+        m = [[P - 1] * r for _ in range(r)]
+        for i in range(r):
+            m[i][i] = draw(st.integers(0, P - 2))
+    else:
+        entry = st.one_of(st.integers(0, P - 1), st.sampled_from([0, 1, P - 1]))
+        m = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(lift_rank(m) == r)
+    return m
+
+
+@given(invertible_residue_matrices())
+@example([[P - 1]])
+@settings(deadline=None, max_examples=100)
+def test_pivot_inverse_inverts_the_pivot_block(m):
+    # B B^-1 = I mod PRIME, with B^-1 formed from the factorization's two
+    # triangular inverses, each by halving.
+    lu = linalg._factorization(array(m))
+    up, low = linalg._pivot_inverse(lu)
+    assert up.dtype == low.dtype == np.int64
+    block = np.array(m, dtype=object)[np.ix_(lu.order.tolist(), lu.pivots)]
+    product = block.dot(up.astype(object)).dot(low.astype(object)) % P
+    assert product.tolist() == np.eye(len(m), dtype=int).tolist()
+
+
+@given(corank_one_matrices())
+@example([[1, 2, 3], [2, 4, 7]])
+@example([[0, 0, 1], [0, 1, 0]])
+@settings(deadline=None)
+def test_line_residues_are_the_kernel_line_mod_p(m):
+    # Back substitution off U, from any starting column, against the exact
+    # kernel line, 1 at its free column, reduced mod PRIME.
+    lu = linalg._factorization(array(m))
+    ncols = len(m[0])
+    assume(len(lu.pivots) == ncols - 1 and rref_pivots(m, sympy.QQ) == tuple(lu.pivots))
+    (line,) = _exact_kernel_basis(m, ncols).vectors
+    want = [x.numerator * pow(x.denominator, -1, P) % P for x in line]
+    for start in range(ncols):
+        assert linalg._line_residues(lu, start).tolist() == want[start:]
 
 
 @given(st.one_of(matrices(unlucky_int), low_rank_matrices()))
