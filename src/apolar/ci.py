@@ -171,16 +171,13 @@ class GradedQuotient:
         return self._verdict
 
     def _socle_certificate(self) -> bool:
-        """Whether the degree-s shift rows M_s prove a complete intersection:
-        rank M_s = W - 1, and a nonzero 2 x 2 minor mod PRIME of the moment
-        matrix H_1 of the kernel line (module docstring).  Under the size
-        rule M_s is read by Bareiss, whose kernel gives both; past it, by
-        its factorization mod PRIME, whose rank W - 1 meets the bound and
-        whose kernel line mod p is a nonzero multiple of the primitive
-        integer one.  The minors of the binary Hankel matrix of the last
-        s + 1 entries, the monomials in x_{n-1} and x_n, are tried first, so
-        the whole line is back-substituted only when they all vanish.  The
-        elimination is kept for the socle line."""
+        """Whether the degree-s shift rows M_s prove a complete intersection
+        (module docstring): rank M_s = W - 1, read by Bareiss under the size
+        rule and else from the factorization mod PRIME, and a nonzero 2 x 2
+        minor mod PRIME of H_1 of the kernel line.  The minors of the binary
+        Hankel matrix of the last s + 1 entries, the monomials in x_{n-1}
+        and x_n, are tried first, so the whole line is back-substituted only
+        when they all vanish.  The elimination is kept for the socle line."""
         import numpy as np
 
         n, s = self.var_count, self.socle_degree

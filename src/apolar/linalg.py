@@ -403,6 +403,9 @@ def _padic_kernel(a, lu: _LU | None = None) -> list[list[int]] | None:
     norms = [2 * t.bit_length() + nz.bit_length() for t, nz in zip(sizes, counts)]
     bits = sum(norms[c] for c in pivots) + max(norms[f] for f in free)
     cap = -(-(bits + 1) // (p.bit_length() - 1))
+    # Nothing below reads `block`: free it before the exact check, where the
+    # lift's memory peaks.
+    del block
     lifted, modulus = np.zeros((r, k), dtype=object), 1
     for t in range(1, cap + 1):
         digit = upper @ (lower @ (residual % p).astype(np.int64, copy=False) % p) % p
@@ -461,15 +464,17 @@ def _pivot_inverse(lu: _LU) -> tuple[object, object]:
     """B^-1 mod PRIME, B = L_R U_C the pivot block of `lu`, as its two
     factors U_C^-1 and L_R^-1, each a triangular inverse (_lower_inverse,
     the upper one through its transpose).  The lift multiplies by the two in
-    turn: its right-hand sides are fewer than the rows, so two products per
-    digit cost less than the product of the two inverses."""
+    turn: its kernels have few right-hand sides next to their rows (one for
+    a socle line), so two products per digit cost less than the r^3 product
+    of the two inverses."""
     import numpy as np
 
     r = len(lu.pivots)
     block = lu.factors[:r, lu.pivots]
-    upper = np.triu(block, 1).T
-    upper[np.diag_indices(r)] = 1
-    return np.ascontiguousarray(_lower_inverse(upper).T), _lower_inverse(np.tril(block))
+    lower = _lower_inverse(np.tril(block))
+    block = np.triu(block, 1).T
+    block[np.diag_indices(r)] = 1
+    return np.ascontiguousarray(_lower_inverse(block).T), lower
 
 
 def _lower_inverse(t):

@@ -77,11 +77,12 @@ def list_moment_rows(f: Polynomial, i: int) -> tuple[list[list[int]], Fraction]:
     return rows, factor * content
 
 
-def eager_echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
-    """linalg._echelon_mod_prime's contract, with every entry reduced mod
-    `prime` after every pivot: the pivot row is scaled to a unit pivot, and
-    each row with a nonzero in the pivot column, below the pivot or, with
-    `reduced`, above it too, has the pivot row's multiple subtracted."""
+def eager_echelon_mod_prime(a, prime: int) -> list[int]:
+    """The pivots of linalg._echelon_mod_prime, and the row echelon form
+    whose nonzero rows are its U, with every entry reduced mod `prime` after
+    every pivot: the pivot row is scaled to a unit pivot, and each row below
+    it with a nonzero in the pivot column has the pivot row's multiple
+    subtracted."""
     nrows, ncols = a.shape
     pivots: list[int] = []
     for c in range(ncols):
@@ -95,9 +96,7 @@ def eager_echelon_mod_prime(a, prime: int, reduced: bool) -> list[int]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, prime)) % prime
-        first = 0 if reduced else r + 1
-        hits = first + np.flatnonzero(a[first:, c])
-        hits = hits[hits != r]
+        hits = r + 1 + np.flatnonzero(a[r + 1 :, c])
         if hits.size:
             a[hits, c:] = (a[hits, c:] - np.outer(a[hits, c], a[r, c:])) % prime
         pivots.append(c)

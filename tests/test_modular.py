@@ -759,7 +759,7 @@ def test_lazy_echelon_matches_the_eager_reference(pm):
     p, m = pm
     lazy, eager = np.array(m, dtype=np.int64), np.array(m, dtype=np.int64)
     pivots, order = linalg._echelon_mod_prime(lazy, p)
-    assert pivots == eager_echelon_mod_prime(eager, p, False)
+    assert pivots == eager_echelon_mod_prime(eager, p)
     lower, upper = lu_factors(linalg._LU(lazy, order, pivots))
     assert upper.tolist() == eager[: len(pivots)].tolist()
     assert ((lower.dot(upper) - np.array(m, dtype=object)[order]) % p == 0).all()
