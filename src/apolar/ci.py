@@ -54,6 +54,7 @@ for the size rule go to Bareiss directly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -75,6 +76,7 @@ from .poly import (
     Monomial,
     Polynomial,
     _jacobian_det,
+    _row_terms,
     _shift_columns,
     _substituted,
     apply_polar,
@@ -314,9 +316,17 @@ def roundtrip_span(f: FormTuple) -> bool:
 
 def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
     """All degree-ell monomials in the forms, in grlex order on exponents:
-    the monomials x^e substituted at the forms, over the integers."""
+    the rows of the identity substituted at the forms' stored integer terms
+    G_i (poly._substituted, which forms the power rows G^e once), row e
+    divided by prod_i c_i^e_i, c_i the forms' factors."""
     if ell < 0:
         raise ValueError("exponent must be nonnegative")
     n = f.var_count
-    monomials = [Polynomial._from_integers(n, {e: 1}) for e in monomial_basis(n, ell)]
-    return _substituted(monomials, f.forms)
+    exponents = monomial_basis(n, ell)
+    identity = [[int(i == j) for j in range(len(exponents))] for i in range(len(exponents))]
+    out = _substituted({ell: identity}, [g._ints for g in f.forms], n)
+    scales = [g._factor for g in f.forms]
+    return [
+        Polynomial._from_integers(n, _row_terms(out, j, n), prod(map(pow, scales, e)))
+        for j, e in enumerate(exponents)
+    ]

@@ -572,10 +572,11 @@ def span_dim(vectors: Iterable[Sequence[Scalar]]) -> int:
     return rank(list(vectors))
 
 
-def block_solve(a, b) -> MatrixQ:
-    """Return -A^{-1} B for invertible A, read off the exact kernel of
-    [A | B]: column j of -A^{-1} B is the first n entries of the kernel
-    vector of free column n + j."""
+def _solved(a, b) -> tuple[list[list[int]], int]:
+    """-A^{-1} B for invertible A as integer numerators over one nonzero
+    denominator, read off the exact kernel of [A | B]: column j is the first
+    n entries of the kernel vector of free column n + j, and every vector of
+    _exact_kernel_numerators holds the same denominator at its free column."""
     a_rows = _entry_rows(a)
     b_rows = _entry_rows(b)
     n = len(a_rows)
@@ -585,19 +586,36 @@ def block_solve(a, b) -> MatrixQ:
         raise ValueError("right block has wrong row count")
     width = len(b_rows[0]) if n else 0
     aug = _integer_rows([[*ar, *br] for ar, br in zip(a_rows, b_rows)])
-    kernel = _exact_kernel_basis(aug, n + width).vectors
+    kernel = _exact_kernel_numerators(aug, n + width)
     # A is invertible exactly when the free columns are n .. n + width - 1,
     # and the kernel vector of free column f ends at f.
     if [max(j for j, x in enumerate(v) if x) for v in kernel] != list(range(n, n + width)):
         raise ValueError("singular matrix")
-    return MatrixQ(tuple(tuple(v[i] for v in kernel) for i in range(n)))
+    den = kernel[0][n] if kernel else 1
+    return [[v[i] for v in kernel] for i in range(n)], den
+
+
+def _fraction_matrix(nums: Sequence[Sequence[int]], den: int) -> MatrixQ:
+    """The MatrixQ nums / den."""
+    return MatrixQ(tuple(tuple(Fraction(x, den) for x in row) for row in nums))
+
+
+def block_solve(a, b) -> MatrixQ:
+    """Return -A^{-1} B for invertible A: the Fraction view of _solved."""
+    return _fraction_matrix(*_solved(a, b))
+
+
+def _inverse_numerators(a) -> tuple[list[list[int]], int]:
+    """A^{-1} for a square invertible A as integer numerators over one
+    nonzero denominator: _solved on [A | -I]."""
+    n = len(_entry_rows(a))
+    return _solved(a, [[-1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def matrix_inverse(a) -> MatrixQ:
-    """Exact inverse of a square rational matrix."""
-    n = len(_entry_rows(a))
-    neg_id = [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return block_solve(a, neg_id)
+    """Exact inverse of a square rational matrix: the Fraction view of
+    _inverse_numerators."""
+    return _fraction_matrix(*_inverse_numerators(a))
 
 
 def determinant(a) -> Fraction:

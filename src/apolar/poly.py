@@ -28,6 +28,15 @@ product, summed into degree e + k by the sort order and run starts cached per
 caller proves one bound per call on every coefficient and partial sum it will
 form (_norm); below 2^63 the kernel runs in int64, otherwise on Python ints
 in numpy object arrays.  numpy is imported on first use.
+
+Substitution is linear in the coefficients, so it is one matrix product per
+degree.  Polynomials in m variables evaluated at integer images G_1..G_m are
+their coefficient rows times the power rows G^e, over every degree-t
+exponent e in grlex order (_power_rows: the degree-t rows are degree-(t - 1)
+rows times one image, one _times call per image on a stack of rows), all
+multiplied at once (_substituted), in int64 when ||c||_1 M^top is below 2^63,
+M = max_i max(||G_i||_1, 1).  substitute, act_gl (whose matrix is
+Sym^d(g1^{-1}) on integer numerators) and ci.form_power_products use it.
 """
 from __future__ import annotations
 
@@ -36,11 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
-from .linalg import MatrixQ, _dtype, _primitive_row, matrix_inverse
+from .linalg import MatrixQ, _dtype, _inverse_numerators, _primitive_row
 
 if TYPE_CHECKING:
     from .ci import GradedQuotient
@@ -475,17 +484,22 @@ def _product_runs(n: int, e: int, k: int):
 
 
 def _times(p: Mapping, q: Mapping, nvars: int, acc: dict | None = None, sign: int = 1) -> dict:
-    """Add sign * p * q into the graded arrays acc (a new dict by default)
-    and return it.  Each pair of degree pieces is one outer product, summed
-    into its degree by one np.add.reduceat over the cached _product_runs;
-    the caller has chosen the dtype for a bound on the whole sum."""
+    """Add sign * p * q, sign = ±1, into the graded arrays acc (a new dict
+    by default) and return it.  Each pair of degree pieces is one outer
+    product, summed into its degree by one np.add.reduceat over the cached
+    _product_runs; the caller has chosen the dtype for a bound on the whole
+    sum.  p's arrays may be stacks of rows, one polynomial a row, each
+    multiplied by q."""
     import numpy as np
 
     acc = {} if acc is None else acc
     for e, a in p.items():
         for k, b in q.items():
             order, starts = _product_runs(nvars, e, k)
-            c = sign * np.add.reduceat(np.multiply.outer(a, b).ravel()[order], starts)
+            outer = np.multiply.outer(a, b).reshape(*a.shape[:-1], -1)
+            c = np.add.reduceat(np.take(outer, order, axis=-1), starts, axis=-1)
+            if sign < 0:
+                c = -c
             acc[e + k] = acc[e + k] + c if e + k in acc else c
     return acc
 
@@ -536,74 +550,128 @@ def _integer_det(mat: list[list[dict[Monomial, int]]], nvars: int) -> dict[Monom
 
 
 def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Evaluate p at the given images of its variables."""
+    """Evaluate p at the given images of its variables.
+
+    Image i is read as its stored primitive integer terms G_i over its
+    factor num_i / den_i, so that a term c x^e of p is c prod_i den_i^e_i G^e
+    over prod_i num_i^e_i.  Over the lcm L of those denominators each term's
+    weight c prod_i den_i^e_i L / prod_i num_i^e_i is an integer, and p's
+    weighted coefficient rows, one per degree, are multiplied into the
+    matrix of power products G^e once (_substituted), in int64 when
+    ||w||_1 max_i max(||G_i||_1, 1)^deg p is below 2^63.  The sum is divided
+    by p's factor times L on the way out."""
     if len(images) != p.nvars:
         raise ValueError("need one image per variable")
     out_nvars = images[0].nvars
     for g in images:
         if g.nvars != out_nvars:
             raise ValueError("mismatched variable counts among images")
-    return _substituted([p], images)[0]
+    return _evaluated(p, [g._ints for g in images], [g._factor for g in images], out_nvars)
 
 
-def _substituted(ps: Sequence[Polynomial], images: Sequence[Polynomial]) -> list[Polynomial]:
-    """Each p in ps evaluated at the images, summed over the integers and
-    divided once on the way out.
+def _evaluated(
+    p: Polynomial, images: Sequence[Mapping[Monomial, int]], scales: Sequence, nvars: int
+) -> Polynomial:
+    """p at the images G_i / scales_i, for integer polynomials G_i in nvars
+    variables and nonzero rational scales: substitute's weighting, one
+    coefficient row per degree of p."""
+    nums = [s.numerator for s in scales]
+    dens = [s.denominator for s in scales]
+    unders = {e: prod(map(pow, nums, e)) for e in p._ints}
+    common = lcm(*unders.values())
+    rows: dict[int, list[int]] = {}
+    for e, c in p._ints.items():
+        t = sum(e)
+        if t not in rows:
+            rows[t] = [0] * len(monomial_basis(p.nvars, t))
+        rows[t][monomial_index(p.nvars, t)[e]] = c * prod(map(pow, dens, e)) * (common // unders[e])
+    out = _substituted({t: [row] for t, row in rows.items()}, images, nvars)
+    return Polynomial._from_integers(nvars, _row_terms(out, 0, nvars), p._factor * common)
 
-    Image i is read as its stored primitive integer terms G_i, so that it is
-    G_i times den_i / num_i, and each power of G_i is formed once for all of
-    ps.  With p read the same way and t_i its largest exponent of variable i,
-    each term c x^e of p adds c prod_i den_i^e_i num_i^(t_i - e_i) G^e to
-    an integer sum, which is divided by p's factor times prod_i num_i^t_i.
+
+def _row_terms(stack: Mapping[int, object], j: int, nvars: int) -> dict[Monomial, int]:
+    """Row j of a graded stack of rows as monomial -> Python int terms."""
+    return _terms({k: a[j] for k, a in stack.items()}, nvars)
+
+
+def _substituted(
+    rows: Mapping[int, Sequence[Sequence[int]]],
+    images: Sequence[Mapping[Monomial, int]],
+    nvars: int,
+) -> dict:
+    """Polynomials in m = len(images) variables evaluated at the integer
+    polynomials G_1..G_m in nvars variables, as one matrix product per
+    degree: rows[t] holds the polynomials' degree-t coefficient rows over the
+    grlex basis, one row a polynomial and the same polynomials at every t,
+    and the result is the graded stack sum_t rows[t] P_t, whose row j is
+    polynomial j at the images, P_t the degree-t power rows (_power_rows).
+
+    Every entry of P_t, and every partial sum that forms it, is bounded by
+    prod_i max(||G_i||_1, 1)^e_i <= M^t, M = max_i max(||G_i||_1, 1), so
+    M^top chooses the dtype of the power rows; every partial sum of the
+    product is bounded by ||c||_1 M^top, ||c||_1 the sum over t of the
+    largest L1 norm of a row of rows[t] (floored at 1), which chooses the
+    dtype of the product.  So all of it runs in int64 when ||c||_1 M^top is
+    below 2^63, and past that the power rows may still be formed in int64
+    and only the product run on Python ints.
     """
-    nvars = images[0].nvars
-    scales = [g._factor for g in images]
-    exponents = list(dict.fromkeys(e for p in ps for e in p._ints))
-    bases = [g._ints for g in images]
-    products = dict(zip(exponents, _integer_power_products(bases, exponents, nvars)))
-    out = []
-    for p in ps:
-        top = [max((e[i] for e in p._ints), default=0) for i in range(len(images))]
-        acc: dict = {}
-        for e, c in p._ints.items():
-            for s, k, t in zip(scales, e, top):
-                c *= s.denominator**k * s.numerator ** (t - k)
-            for deg, a in products[e].items():
-                a = a.astype(object) * c
-                acc[deg] = acc[deg] + a if deg in acc else a
-        den = p._factor * prod(s.numerator**t for s, t in zip(scales, top))
-        out.append(Polynomial._from_integers(nvars, _terms(acc, nvars), den))
-    return out
+    import numpy as np
+
+    top = max(rows, default=0)
+    norm = max(sum(max(sum(map(abs, r)) for r in c) for c in rows.values()), 1)
+    power = max(map(_norm, images)) ** top
+    stacks = _power_rows(images, top, nvars, _dtype(power))
+    dtype = _dtype(norm * power)
+    acc: dict = {}
+    for t, c in rows.items():
+        c = np.array(c, dtype=dtype)
+        for k, a in stacks[t].items():
+            p = c @ a.astype(dtype, copy=False)
+            acc[k] = acc[k] + p if k in acc else p
+    return acc
 
 
-def _integer_power_products(
-    bases: Sequence[Mapping[Monomial, int]], exponents: Iterable[Monomial], nvars: int
+def _power_rows(
+    images: Sequence[Mapping[Monomial, int]], top: int, nvars: int, dtype
 ) -> list[dict]:
-    """prod_i bases[i]^e_i for each exponent tuple e, over integer
-    polynomials in nvars variables, as graded arrays (_graded), each power
-    of a base formed once.
+    """The power products G^e of integer polynomials G_1..G_m in nvars
+    variables, for every exponent e of degree 0..top: entry t is a graded
+    stack (one 2-D array per degree of the products) whose row j is G^e for
+    the j-th degree-t monomial x^e in m variables, in grlex order.
 
-    With t_i the largest exponent of base i, every power and product formed,
-    and every partial sum of one, is bounded by prod_i _norm(bases[i])^t_i,
-    which chooses the dtype; the norm's floor at 1 keeps a zero base from
-    zeroing the bound of the products that do not involve it.
+    The degree-t monomials whose first nonzero exponent is at i are x_i
+    times the degree-(t - 1) monomials in x_i..x_m, in order, and those are
+    the last comb(t + m - i - 2, m - i - 1) degree-(t - 1) monomials; so the
+    degree-t stack is block i after block i, each the tail of the degree-(t -
+    1) stack times G_i, one _times call per image.  The caller has chosen
+    the dtype for the bound M^top that _substituted states.
     """
-    exponents = list(exponents)
-    top = [max((e[i] for e in exponents), default=0) for i in range(len(bases))]
-    dtype = _dtype(prod(_norm(g) ** t for g, t in zip(bases, top)))
-    one = _graded({(0,) * nvars: 1}, nvars, dtype)
-    # A base that no exponent uses is not converted: it need not fit.
-    powers = [[one, _graded(g, nvars, dtype)] if t else [one] for g, t in zip(bases, top)]
-    out = []
-    for e in exponents:
-        acc = one
-        for i, k in enumerate(e):
-            if k:
-                while len(powers[i]) <= k:
-                    powers[i].append(_times(powers[i][-1], powers[i][1], nvars))
-                acc = powers[i][k] if acc is one else _times(acc, powers[i][k], nvars)
-        out.append(acc)
-    return out
+    import numpy as np
+
+    def stacked(blocks):
+        degrees = sorted({k for _, b in blocks for k in b})
+        return {
+            k: np.concatenate([
+                b[k] if k in b else np.zeros((size, len(monomial_basis(nvars, k))), dtype=dtype)
+                for size, b in blocks
+            ])
+            for k in degrees
+        }
+
+    m = len(images)
+    stacks = [{0: np.ones((1, 1), dtype=dtype)}]
+    if not top:
+        # No power uses an image, so none is converted: it need not fit.
+        return stacks
+    graded = [_graded(g, nvars, dtype) for g in images]
+    stacks.append(stacked([(1, {k: a[None] for k, a in g.items()}) for g in graded]))
+    for t in range(2, top + 1):
+        blocks = []
+        for i, g in enumerate(graded):
+            size = comb(t + m - i - 2, m - i - 1)
+            blocks.append((size, _times({k: a[-size:] for k, a in stacks[-1].items()}, g, nvars)))
+        stacks.append(stacked(blocks))
+    return stacks
 
 
 def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
@@ -611,10 +679,21 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
 
     On a form F: (g1 F)(y) = F(y . g1^{-t}).  On a tuple f: substitute
     x . g1^{-t} into every form, then mix the tuple by g2^{-1} on the right
-    (g2 = None skips the mix).  act(g, act(h, F)) = act(g h, F).  The mix is
-    a substitution too, run first (substitution is a ring map, so the two
-    commute): form j is sum_i (g2^{-1})_{ij} f_i, the tuple substituted into
-    column j of g2^{-1} read as a linear form.  Both run on integer sums.
+    (g2 = None skips the mix).  act(g, act(h, F)) = act(g h, F).
+
+    Both inverses are read as integer numerators over one denominator
+    (linalg._inverse_numerators), g1^{-1} = A / a and g2^{-1} = B / b, and
+    variable j goes to the linear form G_j = row j of A over a.  On a form,
+    the degree-t piece of F is weighted by a^(top - t) and the sum divided by
+    a^top (substitute's weighting).  On a tuple, whose forms share the degree
+    d, the mix comes first (substitution is a ring map, so the two commute):
+    over the lcm L of the forms' factor numerators, form j is sum_i B_ij w_i
+    F_i / (b L), F_i the stored integer terms and w_i integer weights, one
+    integer product of B^T with the weighted coefficient rows.  Those rows
+    are multiplied once into Sym^d(A), the degree-d power rows of the G_j
+    (_substituted), in int64 when ||c||_1 max_j max(||G_j||_1, 1)^d is below
+    2^63, ||c||_1 the largest L1 norm of a mixed row, and each result row is
+    divided by b L a^d.
     """
     if isinstance(target, Polynomial):
         if g2 is not None:
@@ -626,17 +705,40 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
         raise TypeError("act_gl expects a Polynomial or FormTuple target")
     if g1.nrows != g1.ncols or g1.nrows != n:
         raise ValueError("matrix size does not match the variable count")
-    # Variable j goes to row j of g1^{-1}, read as a linear form.
-    images = polynomials_from_vectors(n, 1, matrix_inverse(g1).entries)
+    inverse, den = _inverse_numerators(g1)
+    images = [dict(zip(monomial_basis(n, 1), row)) for row in inverse]
     if isinstance(target, Polynomial):
-        return substitute(target, images)
-    forms = target.forms
+        return _evaluated(target, images, [den] * n, n)
+    d, forms = target.degree, target.forms
+    basis = monomial_basis(n, d)
+    rows = [[f._ints.get(b, 0) for b in basis] for f in forms]
+    scales = [f._factor for f in forms]
     if g2 is not None:
         if g2.nrows != g2.ncols or g2.nrows != n:
             raise ValueError("matrix size does not match the tuple length")
-        mix = polynomials_from_vectors(n, 1, matrix_inverse(g2).transpose().entries)
-        forms = _substituted(mix, forms)
-    return FormTuple(n, target.degree, tuple(_substituted(forms, images)))
+        mix, mix_den = _inverse_numerators(g2)
+        common = lcm(*(s.numerator for s in scales))
+        weights = [s.denominator * (common // s.numerator) for s in scales]
+        rows = _mixed(mix, weights, rows)
+        scales = [mix_den * common] * n
+    out = _substituted({d: rows}, images, n)
+    moved = (_row_terms(out, j, n) for j in range(n))
+    return FormTuple(n, d, tuple(
+        Polynomial._from_integers(n, terms, s * den**d) for terms, s in zip(moved, scales)
+    ))
+
+
+def _mixed(mix: Sequence[Sequence[int]], weights: Sequence[int], rows: Sequence[Sequence[int]]):
+    """mix^T diag(weights) rows, for integer matrices given and returned as
+    lists of Python ints: one product in the dtype _dtype chooses for the
+    largest sum_i |mix_ij| times the largest |weights_i rows_ik|, which
+    bounds every partial sum."""
+    import numpy as np
+
+    scaled = [[w * x for x in row] for w, row in zip(weights, rows)]
+    top = max(abs(x) for row in scaled for x in row)
+    dtype = _dtype(max(sum(map(abs, col)) for col in zip(*mix)) * top)
+    return (np.array(mix, dtype=dtype).T @ np.array(scaled, dtype=dtype)).tolist()
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")

@@ -4,11 +4,15 @@ Every operation that hands the Polynomial constructor raw (monomial,
 coefficient) pairs is checked here on inputs with repeated monomials and
 exact cancellations, by comparing the resulting terms with sympy's
 Poly.as_dict().  partial is checked against sympy's diff.  The GL action act_gl is checked against sympy's own
-matrix inverse and simultaneous substitution, and jacobian_det against
+matrix inverse and simultaneous substitution, on random draws and on inputs
+that reach each dtype of its integer kernels, and jacobian_det against
 sympy's Jacobian determinant on tuples that act_gl has moved.
 """
+import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +27,7 @@ from apolar import (
     monomial_basis,
     parse_polynomial,
     partial,
+    poly,
     substitute,
 )
 
@@ -157,11 +162,17 @@ def test_act_gl_on_a_form_matches_sympy(data):
     assert terms(got) == sympy_terms(sympy_linear_change(sympy_expr(n, pairs), n, g), n)
 
 
+def sympy_moved_tuple(n, forms, g1, g2):
+    """Each form moved by g1 as a single form is; then form j of the result
+    is sum_i f_i (g2^{-1})_{ij}."""
+    moved = [sympy_linear_change(sympy_expr(n, pairs), n, g1) for pairs in forms]
+    inv2 = sympy.Matrix(g2).inv()
+    return [sum(moved[i] * inv2[i, j] for i in range(n)) for j in range(n)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_act_gl_on_a_tuple_matches_sympy(data):
-    """Each form moves by g1 as a single form does; then form j of the
-    result is sum_i f_i (g2^{-1})_{ij}."""
     n, d = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
     basis = monomial_basis(n, d)
     coefficient_rows = st.lists(
@@ -170,12 +181,62 @@ def test_act_gl_on_a_tuple_matches_sympy(data):
     rows = data.draw(coefficient_rows.filter(lambda r: sympy.Matrix(r).rank() == n))
     g1, g2 = data.draw(invertible_matrices(n)), data.draw(invertible_matrices(n))
     forms = [list(zip(basis, row)) for row in rows]
-    moved = [sympy_linear_change(sympy_expr(n, pairs), n, g1) for pairs in forms]
-    inv2 = sympy.Matrix(g2).inv()
-    expected = [sum(moved[i] * inv2[i, j] for i in range(n)) for j in range(n)]
     f = FormTuple(n, d, tuple(Polynomial(n, pairs) for pairs in forms))
     got = act_gl(MatrixQ.from_rows(g1), MatrixQ.from_rows(g2), f)
+    expected = sympy_moved_tuple(n, forms, g1, g2)
     assert [terms(p) for p in got.forms] == [sympy_terms(e, n) for e in expected]
+
+
+def chosen_dtypes(monkeypatch):
+    """The dtypes poly's integer kernels choose from here on, in order."""
+    chosen, choose = [], poly._dtype
+
+    def spy(bound):
+        chosen.append(choose(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(poly, "_dtype", spy)
+    return chosen
+
+
+def test_act_gl_past_the_int64_edge_matches_sympy(monkeypatch):
+    """62-bit coefficients, the size `apolar tangent --coeff-bound
+    4000000000000000000` draws, moved by matrices with entries +-3: the mix
+    by g2^{-1} runs on Python ints, the power rows of g1^{-1} in int64, and
+    their product with the mixed rows on Python ints."""
+    rng = random.Random(62)
+    n, d = 3, 2
+    basis = monomial_basis(n, d)
+    bound = 4 * 10**18
+    forms = [[(m, Fraction(rng.randint(-bound, bound))) for m in basis] for _ in range(n)]
+    g1 = [[3, 3, 3], [3, -3, 3], [3, 3, -3]]
+    g2 = [[3, -3, 3], [3, 3, -3], [-3, 3, 3]]
+    f = FormTuple(n, d, tuple(Polynomial(n, pairs) for pairs in forms))
+    chosen = chosen_dtypes(monkeypatch)
+    got = act_gl(MatrixQ.from_rows(g1), MatrixQ.from_rows(g2), f)
+    assert chosen == [object, np.int64, object]
+    expected = sympy_moved_tuple(n, forms, g1, g2)
+    assert [terms(p) for p in got.forms] == [sympy_terms(e, n) for e in expected]
+
+
+@pytest.mark.parametrize(
+    "text, g",
+    [
+        ("0", [[0, 1], [1, 0]]),
+        ("x1^3 - 2/3*x1*x2 + 5*x2 + 7/2", [[2, -3], [1, 3]]),
+    ],
+    ids=["zero", "non-homogeneous"],
+)
+def test_act_gl_on_graded_pieces_matches_sympy(monkeypatch, text, g):
+    """A form is substituted degree piece by degree piece, each weighted to
+    the top degree's denominator; the zero form has no piece.  The power
+    rows and the product both run in int64."""
+    form = parse_polynomial(text, 2)
+    chosen = chosen_dtypes(monkeypatch)
+    got = act_gl(MatrixQ.from_rows(g), None, form)
+    assert chosen == [np.int64, np.int64]
+    expected = sympy_linear_change(sympy_expr(2, form.terms()), 2, g)
+    assert terms(got) == sympy_terms(expected, 2)
 
 
 @settings(max_examples=25, deadline=None)
