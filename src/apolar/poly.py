@@ -496,8 +496,8 @@ def _times(p: Mapping, q: Mapping, nvars: int, acc: dict | None = None, sign: in
     for e, a in p.items():
         for k, b in q.items():
             order, starts = _product_runs(nvars, e, k)
-            outer = np.multiply.outer(a, b).reshape(*a.shape[:-1], -1)
-            c = np.add.reduceat(np.take(outer, order, axis=-1), starts, axis=-1)
+            outer = np.multiply.outer(a, b).reshape(a.shape[:-1] + (-1,))
+            c = np.add.reduceat(outer.take(order, axis=-1), starts, axis=-1)
             if sign < 0:
                 c = -c
             acc[e + k] = acc[e + k] + c if e + k in acc else c
