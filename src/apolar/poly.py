@@ -34,9 +34,10 @@ degree.  Polynomials in m variables evaluated at integer images G_1..G_m are
 their coefficient rows times the power rows G^e, over every degree-t
 exponent e in grlex order (_power_rows: the degree-t rows are degree-(t - 1)
 rows times one image, one _times call per image on a stack of rows), all
-multiplied at once (_substituted), in int64 when ||c||_1 M^top is below 2^63,
-M = max_i max(||G_i||_1, 1).  substitute, act_gl (whose matrix is
-Sym^d(g1^{-1}) on integer numerators) and ci.form_power_products use it.
+multiplied at once (_substituted).  With M = max_i max(||G_i||_1, 1) the
+power rows run in int64 when M^top is below 2^63, and the product when
+||c||_1 M^top is.  substitute, act_gl (whose matrix is Sym^d(g1^{-1}) on
+integer numerators) and ci.form_power_products use it.
 """
 from __future__ import annotations
 
@@ -557,9 +558,10 @@ def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
     over prod_i num_i^e_i.  Over the lcm L of those denominators each term's
     weight c prod_i den_i^e_i L / prod_i num_i^e_i is an integer, and p's
     weighted coefficient rows, one per degree, are multiplied into the
-    matrix of power products G^e once (_substituted), in int64 when
-    ||w||_1 max_i max(||G_i||_1, 1)^deg p is below 2^63.  The sum is divided
-    by p's factor times L on the way out."""
+    matrix of power products G^e once (_substituted): the power rows run in
+    int64 when M^deg p is below 2^63, M = max_i max(||G_i||_1, 1), and the
+    product when ||w||_1 M^deg p is.  The sum is divided by p's factor times
+    L on the way out."""
     if len(images) != p.nvars:
         raise ValueError("need one image per variable")
     out_nvars = images[0].nvars
@@ -626,8 +628,8 @@ def _substituted(
     for t, c in rows.items():
         c = np.array(c, dtype=dtype)
         for k, a in stacks[t].items():
-            p = c @ a.astype(dtype, copy=False)
-            acc[k] = acc[k] + p if k in acc else p
+            part = c @ a.astype(dtype, copy=False)
+            acc[k] = acc[k] + part if k in acc else part
     return acc
 
 
@@ -691,9 +693,10 @@ def act_gl(g1: MatrixQ, g2: MatrixQ | None, target):
     F_i / (b L), F_i the stored integer terms and w_i integer weights, one
     integer product of B^T with the weighted coefficient rows.  Those rows
     are multiplied once into Sym^d(A), the degree-d power rows of the G_j
-    (_substituted), in int64 when ||c||_1 max_j max(||G_j||_1, 1)^d is below
-    2^63, ||c||_1 the largest L1 norm of a mixed row, and each result row is
-    divided by b L a^d.
+    (_substituted): the power rows run in int64 when M^d is below 2^63, M =
+    max_j max(||G_j||_1, 1), and the product when ||c||_1 M^d is, ||c||_1
+    the largest L1 norm of a mixed row.  Each result row is divided by
+    b L a^d.
     """
     if isinstance(target, Polynomial):
         if g2 is not None:
@@ -736,8 +739,8 @@ def _mixed(mix: Sequence[Sequence[int]], weights: Sequence[int], rows: Sequence[
     import numpy as np
 
     scaled = [[w * x for x in row] for w, row in zip(weights, rows)]
-    top = max(abs(x) for row in scaled for x in row)
-    dtype = _dtype(max(sum(map(abs, col)) for col in zip(*mix)) * top)
+    largest = max(abs(x) for row in scaled for x in row)
+    dtype = _dtype(max(sum(map(abs, col)) for col in zip(*mix)) * largest)
     return (np.array(mix, dtype=dtype).T @ np.array(scaled, dtype=dtype)).tolist()
 
 
