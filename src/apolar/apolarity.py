@@ -46,9 +46,9 @@ from .poly import (
     FormTuple,
     Polynomial,
     _factorials,
+    _moment_vectors,
     _shift_columns,
     monomial_basis,
-    monomial_index,
     polynomials_from_vectors,
 )
 
@@ -58,18 +58,11 @@ def _moments(f: Polynomial) -> tuple[object, int, Fraction]:
     degree-e monomials, scaled to coprime integers as one array in the dtype
     _dtype chooses for its largest entry; e; and the factor it was scaled
     by.  It reads f's stored integer terms, so the scaling is one gcd."""
-    import numpy as np
-
     e = f.homogeneous_degree()
-    index, weights = monomial_index(f.nvars, e), _factorials(f.nvars, e)
-    phi = [0] * len(index)
-    for b, c in f._ints.items():
-        i = index[b]
-        phi[i] = c * weights[i]
+    phi = _moment_vectors(f._ints, f.nvars)[e]
     content = gcd(*phi)
-    if content > 1:
-        phi = [x // content for x in phi]
-    return np.array(phi, dtype=_dtype(max(map(abs, phi)))), e, f._factor / content
+    phi = phi // content
+    return phi.astype(_dtype(max(map(abs, phi)))), e, f._factor / content
 
 
 def _moment_rows(f: Polynomial, i: int) -> tuple[object, Fraction]:
@@ -165,13 +158,13 @@ def _ures_generators(f: Polynomial, d: int) -> list[Polynomial] | None:
 def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     """Catalecticant ranks for every contraction degree 0..deg f.
 
-    This is the Hilbert function of the apolar algebra; it is symmetric, and
-    that symmetry is asserted on every call.
+    This is the Hilbert function of the apolar algebra.  H_{e-i} is H_i
+    transposed, so only the wide one, H_{e-i} for i <= e/2, is ranked.
     """
     phi, e, _ = _moments(f)
-    moments = (phi[_shift_columns(f.nvars, e - i, i)] for i in range(e + 1))
-    ranks = tuple(_certified_rank(rows, min(rows.shape)) for rows in moments)
-    assert ranks == ranks[::-1], "apolar Hilbert function must be symmetric"
+    wide = (phi[_shift_columns(f.nvars, i, e - i)] for i in range(e // 2 + 1))
+    half = [_certified_rank(rows, len(rows)) for rows in wide]
+    ranks = tuple(half[min(i, e - i)] for i in range(e + 1))
     assert ranks[0] == 1
     return ranks
 

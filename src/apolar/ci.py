@@ -10,9 +10,9 @@ system of parameters of the Cohen-Macaulay ring S, hence a regular sequence
 with one-dimensional socle generated by the Jacobian determinant, and the
 associated form
 
-    A(f) = sum multinomial(a) * socle_coordinate(x^a) * y^a
+    A(f) = sum (s!/a!) * socle_coordinate(x^a) * y^a
 
-over degree-n(d-1) monomials is a Macaulay inverse system for the ideal.
+over degree-s monomials is a Macaulay inverse system for the ideal.
 
 The verdict is proven in degree s (Macaulay's inverse system,
 Iarrobino-Kanev, LNM 1721), from the degree-s shift matrix M_s:
@@ -54,12 +54,12 @@ for the size rule go to Bareiss directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from . import linalg
 from .apolarity import _moment_rows, apolar_hilbert
-from .combinat import ci_hilbert, dim_forms, multinomial
+from .combinat import ci_hilbert, dim_forms
 from .linalg import (
     PRIME,
     SubspaceBasis,
@@ -75,10 +75,12 @@ from .poly import (
     FormTuple,
     Monomial,
     Polynomial,
+    _factorials,
     _jacobian_det,
+    _norm,
+    _power_rows,
     _row_terms,
     _shift_columns,
-    _substituted,
     apply_polar,
     monomial_basis,
     monomial_index,
@@ -199,7 +201,7 @@ class GradedQuotient:
                 return False
             self._ideal_dims[s] = width - 1
             tail = _line_residues(lu, width - s - 1)
-            if _rank_two(np.stack([tail[:-1], tail[1:]], axis=1)):
+            if _rank_two(tail[_shift_columns(2, s - 1, 1)]):
                 return True
             line = _line_residues(lu)
         return _rank_two(line[_shift_columns(n, s - 1, 1)])
@@ -254,11 +256,14 @@ class GradedQuotient:
 
     def associated_form(self) -> Polynomial:
         """Macaulay inverse system generator of the ideal, a form of degree
-        n(d-1) in the dual variables."""
+        s = n(d-1) in the dual variables: its coefficient at y^a is s!/a!
+        times the socle functional's at x^a."""
         lam, den = self._socle()
-        basis = monomial_basis(self.var_count, self.socle_degree)
-        terms = {mono: multinomial(mono) * c for mono, c in zip(basis, lam) if c}
-        return Polynomial._from_integers(self.var_count, terms, den)
+        n, s = self.var_count, self.socle_degree
+        top = factorial(s)
+        weights = zip(monomial_basis(n, s), _factorials(n, s), lam)
+        terms = {mono: top // w * c for mono, w, c in weights if c}
+        return Polynomial._from_integers(n, terms, den)
 
 
 def _rank_two(h) -> bool:
@@ -316,17 +321,16 @@ def roundtrip_span(f: FormTuple) -> bool:
 
 def form_power_products(f: FormTuple, ell: int) -> list[Polynomial]:
     """All degree-ell monomials in the forms, in grlex order on exponents:
-    the rows of the identity substituted at the forms' stored integer terms
-    G_i (poly._substituted, which forms the power rows G^e once), row e
-    divided by prod_i c_i^e_i, c_i the forms' factors."""
+    the degree-ell power rows G^e of the forms' stored integer terms G_i
+    (poly._power_rows, in the dtype M^ell chooses, M their largest _norm),
+    row e divided by prod_i c_i^e_i, c_i the forms' factors."""
     if ell < 0:
         raise ValueError("exponent must be nonnegative")
     n = f.var_count
-    exponents = monomial_basis(n, ell)
-    identity = [[int(i == j) for j in range(len(exponents))] for i in range(len(exponents))]
-    out = _substituted({ell: identity}, [g._ints for g in f.forms], n)
+    images = [g._ints for g in f.forms]
+    out = _power_rows(images, ell, n, _dtype(max(map(_norm, images)) ** ell))[ell]
     scales = [g._factor for g in f.forms]
     return [
         Polynomial._from_integers(n, _row_terms(out, j, n), prod(map(pow, scales, e)))
-        for j, e in enumerate(exponents)
+        for j, e in enumerate(monomial_basis(n, ell))
     ]

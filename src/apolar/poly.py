@@ -5,7 +5,8 @@ is graded lexicographic with x1 > x2 > ... > xn, descending within a degree
 (so the degree-2 basis in two variables reads x1^2, x1*x2, x2^2).
 
 The polar pairing lets a polynomial in x act on one in y as a constant
-coefficient differential operator: apply_polar(h, F) = h(d/dy1,...,d/dyn) F.
+coefficient differential operator: apply_polar(h, F) = h(d/dy1,...,d/dyn) F,
+read off phi_b = b! F_b, built by _moment_vectors, as apolarity's ranks are.
 Variable letters are a printing concern only; the algebra never records them.
 
 A Polynomial stores its primitive form: integer terms with gcd 1 and one
@@ -36,8 +37,8 @@ exponent e in grlex order (_power_rows: the degree-t rows are degree-(t - 1)
 rows times one image, one _times call per image on a stack of rows), all
 multiplied at once (_substituted).  With M = max_i max(||G_i||_1, 1) the
 power rows run in int64 when M^top is below 2^63, and the product when
-||c||_1 M^top is.  substitute, act_gl (whose matrix is Sym^d(g1^{-1}) on
-integer numerators) and ci.form_power_products use it.
+||c||_1 M^top is.  substitute and act_gl (whose matrix is Sym^d(g1^{-1})
+on integer numerators) use it; ci.form_power_products reads the power rows.
 """
 from __future__ import annotations
 
@@ -333,6 +334,12 @@ def _factorial_array(n: int, e: int):
     return out
 
 
+def _moment_vectors(p: Mapping[Monomial, int], nvars: int) -> dict:
+    """The divided-power coefficients phi_b = b! c_b of an integer
+    polynomial: per degree, its _graded array of Python ints times b!."""
+    return {e: a * _factorial_array(nvars, e) for e, a in _graded(p, nvars, object).items()}
+
+
 def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     """Apply h as a differential operator to f (the polar pairing).
 
@@ -348,25 +355,17 @@ def apply_polar(h: Polynomial, f: Polynomial) -> Polynomial:
     f, in the dtype _dtype chooses for ||h||_1 max |phi|, which bounds every
     partial sum, and the result is divided once by the two factors.
     """
-    import numpy as np
-
     if h.nvars != f.nvars:
         raise ValueError("mismatched variable counts")
     n = f.nvars
-    phis: dict[int, list[int]] = {}
-    for b, c in f._ints.items():
-        e = sum(b)
-        if e not in phis:
-            phis[e] = [0] * len(monomial_basis(n, e))
-        i = monomial_index(n, e)[b]
-        phis[e][i] = c * _factorials(n, e)[i]
+    phis = _moment_vectors(f._ints, n)
     # Floored at 1, like _norm, so that the bound covers h's own terms.
     top = max((max(map(abs, phi)) for phi in phis.values()), default=1)
     dtype = _dtype(_norm(h._ints) * top)
     hs = _graded(h._ints, n, dtype)
     acc: dict[int, object] = {}
     for e, phi in phis.items():
-        phi = np.array(phi, dtype=dtype)
+        phi = phi.astype(dtype)
         for j, v in hs.items():
             if j <= e:
                 c = (phi[_shift_columns(n, e - j, j)] @ v) // _factorial_array(n, e - j)

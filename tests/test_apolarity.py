@@ -414,3 +414,55 @@ def test_moment_rows_array_matches_the_list_oracle(f):
         top = max(abs(x) for row in want for x in row)
         assert rows.dtype == (np.int64 if top < 2**63 else object)
         assert (rows.tolist(), factor) == (want, want_factor)
+
+
+def assert_hilbert_is_the_bareiss_rank_both_ways(f):
+    # The apolar Hilbert function ranks one member of each transpose pair;
+    # here every H_i and its transpose are ranked by Bareiss from the list
+    # oracle, so the symmetry it relies on is checked, not assumed.
+    ranks = apolar_hilbert(f)
+    assert len(ranks) == f.homogeneous_degree() + 1
+    for i, r in enumerate(ranks):
+        rows = list_moment_rows(f, i)[0]
+        assert len(_triangularize(rows, len(rows[0]))) == r
+        assert len(_triangularize([list(col) for col in zip(*rows)], len(rows))) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_forms())
+def test_apolar_hilbert_is_the_bareiss_rank_of_each_moment_matrix_and_transpose(f):
+    assert_hilbert_is_the_bareiss_rank_both_ways(f)
+
+
+# Odd and even degrees; the last two have moment matrices past the size rule
+# (linalg.EXACT_MAX_ENTRIES), so their ranks take the modular route.
+FIXED_FORMS = [
+    ("y1^2", 1),
+    ("y1^2*y2 - 3*y2^3", 2),
+    ("y1^4 + y1*y2*y3^2 - 2/3*y2^4", 3),
+    ("y1^3*y2^3*y3^3", 3),
+    ("y1^8 + y1^2*y2^2*y3^2*y4^2 - 3*y2^5*y4^3", 4),
+]
+
+
+@pytest.mark.parametrize("text, n", FIXED_FORMS)
+def test_apolar_hilbert_of_fixed_forms_is_the_bareiss_rank_both_ways(text, n):
+    assert_hilbert_is_the_bareiss_rank_both_ways(parse_polynomial(text, n))
+
+
+@pytest.mark.parametrize("text, n", FIXED_FORMS)
+def test_apolar_hilbert_ranks_one_wide_matrix_per_transpose_pair(text, n, monkeypatch):
+    import apolar.apolarity as apolarity
+
+    shapes = []
+
+    def spy(rows, upper):
+        shapes.append(rows.shape)
+        return _certified_rank(rows, upper)
+
+    monkeypatch.setattr(apolarity, "_certified_rank", spy)
+    f = parse_polynomial(text, n)
+    e = f.homogeneous_degree()
+    apolar_hilbert(f)
+    assert len(shapes) == e // 2 + 1
+    assert all(r <= c for r, c in shapes)

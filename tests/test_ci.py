@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +31,7 @@ from apolar import (
 from apolar.ci import _term_rows
 from apolar.poly import monomial_basis
 from bareiss_reference import bareiss_quotient_dims, list_term_rows
+from poly_reference import integer_power_products
 
 
 def power_tuple(n, d):
@@ -109,6 +113,33 @@ def test_form_power_products_counts():
     f = power_tuple(3, 2)
     assert len(form_power_products(f, 2)) == 6
     assert len(form_power_products(f, 3)) == 10
+
+
+# Rational coefficients give the forms factors other than 1; 40-bit ones
+# push the power rows past 2^63, onto Python ints.
+power_coeffs = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(-(2**40), 2**40),
+)
+
+
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_form_power_products_match_the_term_loop(shape, ell, data):
+    """Each product g^e, e in grlex order, is the term-pair product of the
+    forms' stored integer terms G_i divided by prod_i c_i^e_i."""
+    n, d = shape
+    basis = monomial_basis(n, d)
+    forms = []
+    for _ in range(n):
+        terms = data.draw(st.dictionaries(st.sampled_from(basis), power_coeffs, min_size=1))
+        forms.append(Polynomial(n, terms) if any(terms.values()) else Polynomial(n, {basis[0]: 1}))
+    f = FormTuple(n, d, tuple(forms))
+    exponents = monomial_basis(n, ell)
+    want = integer_power_products([g._ints for g in forms], exponents, n)
+    for got, terms, e in zip(form_power_products(f, ell), want, exponents, strict=True):
+        scale = prod(g._factor**k for g, k in zip(forms, e))
+        assert got == Polynomial(n, {m: Fraction(c) / scale for m, c in terms.items()})
 
 
 def test_rational_coefficients_are_accepted():
