@@ -452,15 +452,13 @@ def test_apolar_hilbert_of_fixed_forms_is_the_bareiss_rank_both_ways(text, n):
 
 @pytest.mark.parametrize("text, n", FIXED_FORMS)
 def test_apolar_hilbert_ranks_one_wide_matrix_per_transpose_pair(text, n, monkeypatch):
-    import apolar.apolarity as apolarity
-
     shapes = []
 
     def spy(rows, upper):
         shapes.append(rows.shape)
         return _certified_rank(rows, upper)
 
-    monkeypatch.setattr(apolarity, "_certified_rank", spy)
+    monkeypatch.setattr("apolar.apolarity._certified_rank", spy)
     f = parse_polynomial(text, n)
     e = f.homogeneous_degree()
     apolar_hilbert(f)
