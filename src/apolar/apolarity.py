@@ -159,11 +159,12 @@ def apolar_hilbert(f: Polynomial) -> tuple[int, ...]:
     """Catalecticant ranks for every contraction degree 0..deg f.
 
     This is the Hilbert function of the apolar algebra.  H_{e-i} is H_i
-    transposed, so only the wide one, H_{e-i} for i <= e/2, is ranked.
+    transposed, so only the tall one, H_i for i <= e/2, is ranked; a deficit
+    is proven by its right kernel, Ann(f)_i.
     """
     phi, e, _ = _moments(f)
-    wide = (phi[_shift_columns(f.nvars, i, e - i)] for i in range(e // 2 + 1))
-    half = [_certified_rank(rows, len(rows)) for rows in wide]
+    tall = (phi[_shift_columns(f.nvars, e - i, i)] for i in range(e // 2 + 1))
+    half = [_certified_rank(rows, rows.shape[1]) for rows in tall]
     ranks = tuple(half[min(i, e - i)] for i in range(e + 1))
     assert ranks[0] == 1
     return ranks

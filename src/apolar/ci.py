@@ -48,8 +48,8 @@ from the same factorization of M_s.
 Dimensions: each ideal rank is linalg._certified_rank of the shifted rows.
 Its lower bound is the rank mod a prime.  Its upper bound is the complete
 intersection value, by the same semicontinuity.  When the two bounds differ,
-a verified left kernel or Bareiss elimination decides; matrices small enough
-for the size rule go to Bareiss directly.
+the rows' verified right kernel, (I_j)^perp, or Bareiss elimination decides;
+matrices small enough for the size rule go to Bareiss directly.
 """
 from __future__ import annotations
 

@@ -11,9 +11,8 @@ ints, and is handed lists of them, never numpy scalars, whose products would
 overflow silently; results come back as fractions.Fraction.
 
 Every rank goes through _certified_rank, given the integer rows as one 2-D
-numpy array and an upper bound the caller has proven (rank passes
-min(rows, cols)), and every kernel basis (kernel_basis,
-SubspaceBasis.from_spanning, the socle functional) through
+numpy array and an upper bound the caller has proven, and every kernel basis
+(kernel_basis, SubspaceBasis.from_spanning, the socle functional) through
 _kernel_numerators.  The array is int64 when its entries fit, else an array
 of Python ints (_integer_array, or the caller's own builder, chooses by
 _dtype, once per matrix), and stays an array up to the exact check.  A
@@ -21,13 +20,13 @@ matrix of at most EXACT_MAX_ENTRIES entries is answered by Bareiss alone,
 which costs less there than the modular route's set-up.  On a larger one the
 lower bound is the rank mod the word-size prime PRIME, since specialization
 can only drop rank; when the two bounds meet, that is the rank.  Otherwise a
-verified left kernel bounds the rank from above by rows minus its dimension.
-Every such kernel, left or right, is read by one certified reader,
-_padic_kernel, which lifts it p-adically mod PRIME (Dixon 1982), tries the
-rational reconstruction at digits 1, 2, 4, ... and at the Hadamard cap only,
-and checks the result, integer numerators over one denominator per vector,
-exactly with _verify_kernel; Bareiss answers what it does not certify, and
-determinant, solve and inverse are exact.
+verified right kernel bounds it by ncols minus its dimension, so each caller
+passes A or A^T, whichever has the short kernel.  Every kernel is read by
+one certified reader, _padic_kernel, which lifts it p-adically mod PRIME
+(Dixon 1982), tries the rational reconstruction at digits 1, 2, 4, ... and
+at the Hadamard cap only, and checks the result, integer numerators over one
+denominator per vector, exactly with _verify_kernel; Bareiss answers what it
+does not certify, and determinant, solve and inverse are exact.
 
 Every mod-p step reads one factorization, P A = L U mod PRIME (_LU,
 _factorization), made by one forward elimination loop, _echelon_mod_prime,
@@ -36,14 +35,13 @@ with delayed reduction over residues below 2^25, that keeps its multipliers
 are the lex-first column profile C, so the mod-p rank is their count; its
 first r rows are an independent row set R; and the pivot block B = A[R][:, C]
 is L_R U_C, whose inverse _pivot_inverse forms on demand from two triangular
-inverses by halving, for the lift.  A right kernel costs one factorization of
-A, which a caller that has one already (the complete intersection verdict of
-ci) passes in; a left kernel reuses the column profile behind the rank and
-factors the rows A^T at it.  _line_residues back-substitutes the kernel line
-of a factorization of corank one off U.  A bound that is not met is never
-reported, so a certified answer is as exact as the Bareiss one.  Kernel
-vectors become fractions once, in _fraction_basis.  Nothing in this module
-touches floating point.
+inverses by halving, for the lift.  So a rank, its certificate and a kernel
+cost one factorization of A, which a caller that has one already (the
+complete intersection verdict of ci) passes in.  _line_residues
+back-substitutes the kernel line of a factorization of corank one off U.  A
+bound that is not met is never reported, so a certified answer is as exact
+as the Bareiss one.  Kernel vectors become fractions once, in
+_fraction_basis.  Nothing in this module touches floating point.
 """
 from __future__ import annotations
 
@@ -238,28 +236,28 @@ def _entry_rows(m) -> RowSeq:
 
 def rank(m) -> int:
     """Exact rank of a rational matrix: _certified_rank of its integer rows,
-    with min(rows, cols) as the upper bound."""
+    or of their transpose if taller, with min(rows, cols) as the bound."""
     rows = _entry_rows(m)
     if not rows or not rows[0]:
         return 0
     a = _integer_array(_integer_rows(rows), len(rows[0]))
-    return _certified_rank(a, min(a.shape))
+    return _certified_rank(a if a.shape[0] >= a.shape[1] else a.T, min(a.shape))
 
 
 def _certified_rank(a, upper: int) -> int:
     """Exact rank of a nonempty integer array whose rank is at most `upper`,
-    a bound the caller has proven: Bareiss elimination for at most
-    EXACT_MAX_ENTRIES entries; else the mod-p rank when it meets the bound,
-    else a verified left kernel, lifted from the same column profile (the
-    transpose's row profile), else Bareiss elimination."""
-    if a.size > EXACT_MAX_ENTRIES:
-        profile = _factorization(a).pivots
-        if len(profile) == upper:
-            return upper
-        left = _padic_kernel(a.T, _factorization(a.T, profile))
-        if left is not None:
-            return a.shape[0] - len(left)
-    return len(_triangularize(a.tolist(), a.shape[1]))
+    a bound the caller has proven: for at most EXACT_MAX_ENTRIES entries,
+    Bareiss elimination of a or a^T, whichever has fewer rows; else the rank
+    of one factorization of a mod PRIME when it meets the bound, else ncols
+    minus the dimension of a's right kernel, read from that factorization by
+    _kernel_numerators."""
+    if a.size <= EXACT_MAX_ENTRIES:
+        side = a if a.shape[0] <= a.shape[1] else a.T
+        return len(_triangularize(side.tolist(), side.shape[1]))
+    lu = _factorization(a)
+    if len(lu.pivots) == upper:
+        return upper
+    return a.shape[1] - len(_kernel_numerators(a, lu))
 
 
 def kernel_basis(m) -> SubspaceBasis:
@@ -284,10 +282,9 @@ def _kernel_numerators(a, lu: _LU | None = None) -> list[list[int]]:
     EXACT_MAX_ENTRIES entries; else by the certified reader, _padic_kernel,
     when it gives a certificate, else by the exact reader.  The certificate
     (see _verify_kernel) pins the pivot columns, so both readers give the
-    same basis.  A caller that has factored `a` already passes the
-    factorization as `lu`."""
+    same basis.  A caller that has factored `a` already passes it as `lu`."""
     if a.size > EXACT_MAX_ENTRIES:
-        vectors = _padic_kernel(a, lu)
+        vectors = _padic_kernel(a, lu if lu is not None else _factorization(a))
         if vectors is not None:
             return vectors
     return _exact_kernel_numerators(a.tolist(), a.shape[1])
@@ -345,7 +342,7 @@ def _exact_kernel_numerators(ints: Sequence[Sequence[int]], ncols: int) -> list[
     return vectors
 
 
-def _padic_kernel(a, lu: _LU | None = None) -> list[list[int]] | None:
+def _padic_kernel(a, lu: _LU) -> list[list[int]] | None:
     """The reduced-echelon kernel basis of the integer array `a`, lifted
     p-adically (Dixon 1982) and certified by _verify_kernel, each vector
     times the denominator of its entries, which it holds at its free column;
@@ -356,8 +353,7 @@ def _padic_kernel(a, lu: _LU | None = None) -> list[list[int]] | None:
     inverse of their r x r block B.  One factorization P A = L U mod p gives
     all three (_factorization): R is the first r rows of P A, C its pivot
     columns, and B = L_R U_C, whose inverse _pivot_inverse forms as its two
-    triangular factors.  A caller that has factored `a` already passes `lu`,
-    or the factorization of a row subset of `a` that has the full mod-p rank.
+    triangular factors; the caller passes that factorization of `a` as `lu`.
     The k = ncols - r solutions Y of B Y = -(A_R at the free columns) are
     lifted together, one p-adic digit per three matrix products.
     Reconstruction (_reconstruct_vectors) is tried at digits 1, 2, 4, ...
@@ -374,8 +370,6 @@ def _padic_kernel(a, lu: _LU | None = None) -> list[list[int]] | None:
 
     p = PRIME
     ncols = a.shape[1]
-    if lu is None:
-        lu = _factorization(a)
     pivots = lu.pivots
     r, k = len(pivots), ncols - len(pivots)
     if k == 0:
@@ -441,23 +435,21 @@ class _LU(NamedTuple):
     pivots: list[int]
 
 
-def _factorization(a, rows: Sequence[int] | None = None) -> _LU:
-    """P A = L U mod PRIME (_LU) of the integer array `a`, or of its rows
-    `rows`, with `order` in a's row numbers.  The rows are sorted by their
-    first nonzero column first, which changes no column profile: on a sparse
-    shift matrix each column's nonzeros then start in a short band of rows,
-    and the elimination updates only the rows from the first to the last."""
+def _factorization(a) -> _LU:
+    """P A = L U mod PRIME (_LU) of the integer array `a`.  The rows are
+    sorted by their first nonzero column first, which changes no column
+    profile: on a sparse shift matrix each column's nonzeros then start in a
+    short band of rows, and the elimination updates only the rows from the
+    first to the last."""
     import numpy as np
 
-    picked = a if rows is None else a[list(rows)]
-    residues = (picked % PRIME).astype(np.int64, copy=False)
+    residues = (a % PRIME).astype(np.int64, copy=False)
     nonzero = residues != 0
     lead = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), residues.shape[1])
     order = np.argsort(lead, kind="stable")
     factors = residues[order]
     pivots, swaps = _echelon_mod_prime(factors, PRIME)
-    order = order[swaps]
-    return _LU(factors, order if rows is None else np.asarray(rows, dtype=np.intp)[order], pivots)
+    return _LU(factors, order[swaps], pivots)
 
 
 def _pivot_inverse(lu: _LU) -> tuple[object, object]:
@@ -760,7 +752,7 @@ def _verify_kernel(a, pivots: Sequence[int], vectors) -> bool:
     each vector, divided by its entry at f, is the one kernel vector that is
     1 at f and 0 at the other free columns: the vector the exact reduced row
     echelon form gives.  Nothing here relies on how the vectors were
-    computed.  A V = 0 is checked as one exact product over the nonzero
+    computed.  A V = 0 is checked as exact products over the nonzero
     entries of A: in int64 when no partial sum can pass it, else on Python
     ints (numpy object arrays).
     """
@@ -788,8 +780,10 @@ def _verify_kernel(a, pivots: Sequence[int], vectors) -> bool:
         v = v.astype(np.int64)
     else:
         a = a.astype(object)
-    # The nonzeros come row by row: terms[t, e] is nonzero e times vector t
-    # at its column, and each row's terms are one run, summed by reduceat.
-    terms = a[i, j] * v[:, j]
-    runs = np.flatnonzero(np.diff(i, prepend=-1))
-    return not np.count_nonzero(np.add.reduceat(terms, runs, axis=1))
+    # The nonzeros come row by row: vector t's terms are each nonzero e times
+    # v[t] at its column, one run per row, summed by reduceat, in blocks of
+    # vectors of about 2^22 terms, which bound the memory of the products.
+    entries, runs = a[i, j], np.flatnonzero(np.diff(i, prepend=-1))
+    step = max(1, 2**22 // i.size)
+    blocks = (entries * v[t : t + step, j] for t in range(0, len(v), step))
+    return not any(np.count_nonzero(np.add.reduceat(b, runs, axis=1)) for b in blocks)

@@ -16,10 +16,11 @@ computation and a closed alternating-sum formula, and the two are compared as
 independent routes.
 
 The tangent and relation counts take their product ranks from
-linalg._certified_rank: the mod-p rank is its lower bound, and when that falls
-short of full rank an exactly verified left kernel is its upper bound, with
-Bareiss elimination as the fallback.  That certificate reads only the matrix,
-never relation_space_dim_formula or N, so the routes stay independent.
+linalg._certified_rank of the transposed rows: the mod-p rank is its lower
+bound, and when that falls short, the relations among the rows, verified
+exactly, bound it above, with Bareiss as the fallback.  That certificate
+reads only the matrix, never relation_space_dim_formula or N, so the routes
+stay independent.
 """
 from __future__ import annotations
 
@@ -78,7 +79,8 @@ def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     """Exact rank of the rows m * g_i * g_j, i <= j, over the forms g and
     every degree-`shift` monomial m.  The products are formed from each
     form's stored primitive integer terms, since scaling a form changes no
-    span, as coefficient arrays, which are shifted as they are."""
+    span, as coefficient arrays, which are shifted as they are.  The
+    transpose is ranked, so a deficit is proven by the rows' relations."""
     import numpy as np
 
     n, e = forms[0].nvars, 2 * forms[0].homogeneous_degree()
@@ -86,7 +88,7 @@ def _pairwise_product_rank(forms: Sequence[Polynomial], shift: int) -> int:
     pairs = [(g, h) for i, g in enumerate(ints) for h in ints[i:]]
     products = np.stack([p[e] for p in _graded_products(pairs, n)])
     rows = _shifted_rows(products, n, e, shift)
-    return _certified_rank(rows, min(rows.shape))
+    return _certified_rank(rows.T, min(rows.shape))
 
 
 def tangent_dim(f: Polynomial) -> TangentReport:
@@ -129,9 +131,10 @@ def relation_space_dim_bruteforce(f: FormTuple) -> int:
     """Kernel dimension of (a_ij) -> sum a_ij f_i f_j: the number of
     coefficients minus the rank of the products m * f_i * f_j.
 
-    That rank is linalg._certified_rank, bounded below by its mod-p rank and
-    above by the rows minus an exactly verified left kernel, with Bareiss when
-    the two do not meet.  The certificate reads only the product matrix, never
+    That rank is linalg._certified_rank of the transposed rows, bounded
+    below by its mod-p rank and above by the rows minus their exactly
+    verified relations, with Bareiss when the two do not meet.  The
+    certificate reads only the product matrix, never
     relation_space_dim_formula or N, so this stays the independent route
     against the formula."""
     n, d = f.var_count, f.degree
@@ -170,5 +173,6 @@ def koszul_kernel_check(f: FormTuple, rho: int) -> bool:
     for t, (i, j) in enumerate(pairs):
         koszul[t, :, i] = low[j]
         koszul[t, :, j] = -low[i]
+    # Transposed, so that a deficit is proven by the second syzygies.
     rows = koszul.reshape(-1, n * block)
-    return kernel_dim == _certified_rank(rows, min(rows.shape))
+    return kernel_dim == _certified_rank(rows.T, min(rows.shape))

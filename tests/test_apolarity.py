@@ -462,5 +462,6 @@ def test_apolar_hilbert_ranks_one_wide_matrix_per_transpose_pair(text, n, monkey
     f = parse_polynomial(text, n)
     e = f.homogeneous_degree()
     apolar_hilbert(f)
+    # The tall member H_i, i <= e/2, whose right kernel is Ann(f)_i.
     assert len(shapes) == e // 2 + 1
-    assert all(r <= c for r, c in shapes)
+    assert all(r >= c for r, c in shapes)

@@ -338,6 +338,39 @@ def through_point(n, d, seed):
     return FormTuple(n, d, tuple(forms))
 
 
+def test_a_common_point_rank_past_the_socle_lifts_one_vector(monkeypatch):
+    # A (4,3) tuple through e_4: its degree-9 ideal misses only y4^9, so the
+    # rank of its 336 x 220 shift rows falls one short of the columns, and
+    # one factorization and a right kernel of one vector prove it.
+    import apolar.linalg as linalg
+
+    shapes, lifted, bareiss = [], [], []
+    echelon, lift, triangularize = (
+        linalg._echelon_mod_prime, linalg._padic_kernel, linalg._triangularize
+    )
+
+    def spy_echelon(a, prime):
+        shapes.append(a.shape)
+        return echelon(a, prime)
+
+    def spy_lift(*args):
+        lifted.append(lift(*args))
+        return lifted[-1]
+
+    def spy_bareiss(rows, ncols):
+        bareiss.append((len(rows), ncols))
+        return triangularize(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon_mod_prime", spy_echelon)
+    monkeypatch.setattr(linalg, "_padic_kernel", spy_lift)
+    monkeypatch.setattr(linalg, "_triangularize", spy_bareiss)
+    f = through_point(4, 3, 0)
+    assert f.quotient.ideal_dim(9) == 219
+    assert shapes == [(336, 220)]
+    assert [len(v) for v in lifted] == [1]
+    assert bareiss == []
+
+
 @pytest.fixture
 def verdict_route(monkeypatch):
     """Records the verdict's route: each 2 x 2 minor test mod p as its

@@ -1,5 +1,5 @@
 """The one certified modular kernel reader, the p-adic lift behind
-linalg.rank's left kernels, linalg.kernel_basis, SubspaceBasis.from_spanning
+linalg.rank's kernels, linalg.kernel_basis, SubspaceBasis.from_spanning
 and the socle line, checked against the Bareiss core and against sympy,
 including the cases where the certificate must fail and the exact fallback
 must answer, and the exact route that solves keep.
@@ -8,7 +8,9 @@ Matrices of at most linalg.EXACT_MAX_ENTRIES entries skip the modular route.
 This module sets that cutoff to 0, so every rank and kernel here, however
 small its crafted matrix, drives the modular route; the tests that take the
 `default_cutoff` fixture check the size rule itself."""
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 from unittest import mock
@@ -80,11 +82,11 @@ def matrices(draw, entries, max_side=6):
 
 
 @st.composite
-def low_rank_matrices(draw, max_side=7, max_entry=7):
+def low_rank_matrices(draw, max_side=7, max_entry=7, min_side=2):
     """B * C with an inner dimension below both sides, so the kernels on
     both sides are nonzero and the p-adic lift is exercised."""
-    nrows = draw(st.integers(2, max_side))
-    ncols = draw(st.integers(2, max_side))
+    nrows = draw(st.integers(min_side, max_side))
+    ncols = draw(st.integers(min_side, max_side))
     inner = draw(st.integers(1, min(nrows, ncols) - 1))
     entry = st.integers(-max_entry, max_entry)
     b = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner), min_size=nrows,
@@ -175,6 +177,39 @@ def test_certified_rank_matches_sympy_under_loose_and_tight_bounds(m):
     assert _certified_rank(ints, exact) == exact
 
 
+@given(low_rank_matrices(max_side=14, min_side=11))
+@settings(deadline=None, max_examples=30)
+def test_rank_of_a_product_is_certified_on_either_side_by_one_factorization(m):
+    # B C past the default cutoff has rank below both sides, so A and A^T
+    # each need a certificate: the right kernel of the array passed, read
+    # from the one factorization behind its mod-p rank, by the one lift,
+    # which only the kernel reader calls.
+    a, eliminations, callers = array(m), [], []
+    echelon, lift = linalg._echelon_mod_prime, linalg._padic_kernel
+
+    def spy_echelon(*args):
+        eliminations[-1] += 1
+        return echelon(*args)
+
+    def spy_lift(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return lift(*args)
+
+    with mock.patch.multiple(
+        linalg,
+        EXACT_MAX_ENTRIES=DEFAULT_CUTOFF,
+        _echelon_mod_prime=spy_echelon,
+        _padic_kernel=spy_lift,
+    ):
+        ranks = []
+        for side in (a, a.T):
+            eliminations.append(0)
+            ranks.append(_certified_rank(side, min(a.shape)))
+    assert ranks == [sympy_matrix(m).rank()] * 2
+    assert eliminations == [1, 1]
+    assert callers == ["_kernel_numerators"] * 2
+
+
 @st.composite
 def kernel_matrices(draw, max_side=6):
     """Wide, tall and square integer matrices: a drawn block of small
@@ -203,7 +238,8 @@ def kernel_matrices(draw, max_side=6):
 @settings(deadline=None)
 def test_padic_kernel_matches_bareiss_and_sympy(m):
     ncols = len(m[0])
-    vectors = linalg._padic_kernel(array(m))
+    a = array(m)
+    vectors = linalg._padic_kernel(a, linalg._factorization(a))
     assert vectors is not None
     lifted = linalg._fraction_basis(ncols, vectors).vectors
     assert lifted == _exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
@@ -280,17 +316,17 @@ def test_full_rank_mod_p_needs_no_kernel(paths):
 
 def test_rank_drop_mod_p_falls_back_to_bareiss(paths):
     # Mod PRIME both rows end in the same residues, so the rank mod p is 1;
-    # the left kernel lifted from it fails the exact check up to the step
-    # cap, and Bareiss decides.
+    # the kernel lifted from it fails the exact check up to the step cap,
+    # and Bareiss decides.
     m = [[P, 1], [0, 1]]
     assert rank(m) == 2 == sympy_matrix(m).rank()
     assert paths == ["p-adic", "bareiss"]
 
 
 def test_rank_drop_mod_p_with_unreconstructible_kernel_falls_back(paths):
-    # The left kernel is spanned by (1/p, -1/p, 1): a denominator p, which
-    # no lift mod p reconstructs.
-    m = [[1, 0, 0], [1, P, 0], [0, 1, 0]]
+    # The kernel is spanned by (1/p, -1/p, 1): a denominator p, which no
+    # lift mod p reconstructs.
+    m = [[1, 1, 0], [0, P, 1], [0, 0, 0]]
     assert rank(m) == 2 == sympy_matrix(m).rank()
     assert paths == ["p-adic", "bareiss"]
 
@@ -320,43 +356,54 @@ def test_tight_bound_is_not_reported_after_a_rank_drop_mod_p(paths):
     assert paths == ["p-adic", "bareiss"]
 
 
-def test_degenerate_tuple_ideal_rank_is_certified_by_its_left_kernel(paths):
+def test_degenerate_tuple_ideal_rank_is_certified_by_its_right_kernel(paths):
     # (x1^2, x1 x2) shares the factor x1: its degree-3 ideal misses x2^3, so
-    # the mod-p rank 3 falls short of the column count, and the left kernel
-    # (the repeated row x1^2 x2) proves the rank without Bareiss.
+    # the mod-p rank 3 falls short of the column count, and the right kernel
+    # (the line of y2^3, the ideal's perp) proves the rank without Bareiss.
     f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
     assert f.quotient.ideal_dim(3) == 3
     assert paths == ["p-adic"]
 
 
-def test_left_kernel_certificate_costs_one_elimination_beyond_the_rank(paths, eliminations):
-    # The degenerate tuple above: the column profile that gives the mod-p
-    # rank is the left kernel's row profile, so the lift adds only the
-    # factorization of A^T at those rows.
+def test_kernel_certificate_costs_no_elimination_beyond_the_rank(paths, eliminations):
+    # The degenerate tuple above: the right kernel is lifted from the one
+    # factorization that gives the mod-p rank.
     f = FormTuple(2, 2, (parse_polynomial("x1^2", 2), parse_polynomial("x1*x2", 2)))
     assert _certified_rank(_shift_rows(f.forms, 1), 4) == 3
     assert paths == ["p-adic"]
-    assert eliminations == [2]
+    assert eliminations == [1]
+    assert list(inspect.signature(linalg._factorization).parameters) == ["a"]
 
 
 @pytest.mark.parametrize("n, d, want", [(4, 4, 20), (6, 2, 70)])
-def test_relation_rank_is_certified_by_its_left_kernel(paths, n, d, want):
+def test_relation_rank_is_certified_by_the_relation_space(monkeypatch, paths, n, d, want):
     # Acceptance criterion 2's first seed at each shape with a nonzero
-    # relation space: the product rank falls short of the row count, and a
-    # left kernel verified exactly proves it, with no Bareiss.
+    # relation space: the product rank falls short of the row count, and the
+    # relation space R, verified exactly, proves it, with no Bareiss.  It is
+    # the kernel of the transposed products: dim R vectors (20 at (4,4)),
+    # where the products' own kernel would be W - rank (125).
+    lifted, lift = [], linalg._padic_kernel
+
+    def spy_lift(*args):
+        lifted.append(lift(*args))
+        return lifted[-1]
+
     f = random_ci_tuple(n, d, trial_seeds(200 + 10 * n + d, 3)[0], coeff_bound=2)
     paths.clear()
+    monkeypatch.setattr(linalg, "_padic_kernel", spy_lift)
     assert relation_space_dim_bruteforce(f) == want
     assert paths == ["p-adic"]
+    assert [len(v) for v in lifted] == [want]
 
 
-def test_left_kernel_reconstructs_each_column_once(monkeypatch):
-    # Criterion 2's first (6,2) seed: the product rank's left kernel has 70
-    # columns over 371 pivots.  The first p-adic digit reconstructs some
-    # columns before an entry has no fraction small enough; the second
-    # reconstructs all 70.  Within a column, an entry is a Euclid call only
-    # where it brings a new factor into the column's denominator; the rest
-    # are integers over it.  One call per entry was 70 * 371 calls and more.
+def test_relation_space_reconstructs_each_column_once(monkeypatch):
+    # Criterion 2's first (6,2) seed: the relation space, the right kernel
+    # of the transposed products, has 70 columns over 371 pivots.  The first
+    # p-adic digit reconstructs some columns before an entry has no fraction
+    # small enough; the second reconstructs all 70.  Within a column, an
+    # entry is a Euclid call only where it brings a new factor into the
+    # column's denominator; the rest are integers over it.  One call per
+    # entry was 70 * 371 calls and more.
     calls, lifted = [0], []
     reconstruct, lift = linalg._rational_reconstruction, linalg._padic_kernel
 
@@ -374,9 +421,10 @@ def test_left_kernel_reconstructs_each_column_once(monkeypatch):
     assert relation_space_dim_bruteforce(f) == 70
     assert calls[0] < 3 * 70
     # Bareiss on the whole 462 x 441 transpose takes about 25 s on a 2-core
-    # Xeon VM, so the oracle reads the columns before 105 (under a second).  A reduced-echelon kernel vector
-    # ends at its free column, and the leading columns' own reduced-echelon
-    # kernel is the vectors whose free column lies among them, cut there.
+    # Xeon VM, so the oracle reads the columns before 105 (under a second).
+    # A reduced-echelon kernel vector ends at its free column, and the
+    # leading columns' own reduced-echelon kernel is the vectors whose free
+    # column lies among them, cut there.
     ((a, vectors),) = lifted
     assert a.shape == (462, 441) and len(vectors) == 70
     basis = linalg._fraction_basis(441, vectors).vectors
@@ -496,6 +544,19 @@ def test_verify_kernel_rejects_a_product_that_wraps_in_int64():
 
 def test_verify_kernel_rejects_a_wrong_count():
     assert not _verify_kernel(array([[1, 2, 0]]), [0], [(-2, 1, 0)])
+
+
+def test_verify_kernel_checks_every_block_of_vectors():
+    # A row of 2^11 + 1 ones has 2^11 kernel vectors e_f - e_0, more than
+    # one block of about 2^22 terms holds; a wrong last vector, in the last
+    # block, must still be found.
+    ncols = 2**11 + 1
+    vectors = np.eye(ncols, dtype=np.int64)[1:]
+    vectors[:, 0] = -1
+    a = np.ones((1, ncols), dtype=np.int64)
+    assert _verify_kernel(a, [0], vectors)
+    vectors[-1, 0] = -2
+    assert not _verify_kernel(a, [0], vectors)
 
 
 def lift_rank(rows) -> int:
