@@ -219,7 +219,7 @@ def emit_report(
     opened without truncating it and emptied once both are open; when
     out_path cannot be opened, a CSV file the call created is removed, and
     one that was there already is left as it was."""
-    payload = "".join(json.dumps(record) + "\n" for record in results)
+    payload = "".join([json.dumps(record) + "\n" for record in results])
     with ExitStack() as files:
         out = sys.stdout
         if csv_path:

@@ -13,15 +13,15 @@ kept per n and only extended as m grows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+from typing import NamedTuple
 
 from .combinat import binom, dim_forms, pascal_column, pascal_row, tangent_band_sum
 from .tangent import relation_space_dim_formula
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     identity_id: str
     params: tuple[int, ...]
     lhs: int
@@ -32,7 +32,13 @@ class IdentityResult:
         return self.lhs == self.rhs
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "pass": self.passed}
+        return {
+            "identity_id": self.identity_id,
+            "params": self.params,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "pass": self.passed,
+        }
 
 
 def delta(s: int, n: int) -> int:
@@ -61,7 +67,11 @@ def _a12_lhs(p: int, r: int, k: int) -> int:
     A1 left side at k = p-1, the A2 one at k = p.  Term m reads column k
     at p(r-1) - mr: every r-th entry from p(r-1) down to the last one >= 0."""
     col = pascal_column(k, p * r - p + k)
-    terms = [b * c for b, c in zip(pascal_row(k + 1), col[p * (r - 1)::-r])]
+    return _alternating(list(map(mul, pascal_row(k + 1), col[p * (r - 1)::-r])))
+
+
+def _alternating(terms: list[int]) -> int:
+    """terms[0] - terms[1] + terms[2] - ..., as two slice sums."""
     return sum(terms[::2]) - sum(terms[1::2])
 
 
@@ -116,19 +126,16 @@ def check_aux(n: int, m: int) -> tuple[IdentityResult, IdentityResult]:
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     # Term p is C(n+1, m-p) C(n-1+p, n-1): row n+1 read backwards from m,
-    # column n-1 forwards from 0; the row runs out below p = m-n-1.
+    # column n-1 forwards; the row runs out below p = first, so the terms
+    # run over first <= p <= m and term p's sign is (-1)^p.
     row = pascal_row(n + 1)
     col = pascal_column(n - 1, n - 1 + m)
-    s_plain = 0
-    s_weighted = 0
-    for p in range(max(0, m - n - 1), m + 1):
-        term = row[m - p] * col[p]
-        if p % 2:
-            s_plain -= term
-            s_weighted -= p * term
-        else:
-            s_plain += term
-            s_weighted += p * term
+    first = max(0, m - n - 1)
+    terms = list(map(mul, row[m - first :: -1], col[first:]))
+    s_plain = _alternating(terms)
+    s_weighted = _alternating(list(map(mul, range(first, m + 1), terms)))
+    if first % 2:
+        s_plain, s_weighted = -s_plain, -s_weighted
     rhs_plain = 1 if m <= 1 else 0
     rhs_weighted = -n if m == 1 else 0
     return (

@@ -23,10 +23,11 @@ can only drop rank; when the two bounds meet, that is the rank.  Otherwise a
 verified right kernel bounds it by ncols minus its dimension, so each caller
 passes A or A^T, whichever has the short kernel.  Every kernel is read by
 one certified reader, _padic_kernel, which lifts it p-adically mod PRIME
-(Dixon 1982), tries the rational reconstruction at digits 1, 2, 4, ... and
-at the Hadamard cap only, and checks the result, integer numerators over one
-denominator per vector, exactly with _verify_kernel; Bareiss answers what it
-does not certify, and determinant, solve and inverse are exact.
+(Dixon 1982), tries the rational reconstruction at digits 1, 2, 4, 8, then
+a quarter further each time, and at the Hadamard cap, and checks the
+result, integer numerators over one denominator per vector, exactly with
+_verify_kernel; Bareiss answers what it does not certify, and determinant,
+solve and inverse are exact.
 
 Every mod-p step reads one factorization, P A = L U mod PRIME (_LU,
 _factorization), made by one forward elimination loop, _echelon_mod_prime,
@@ -356,8 +357,10 @@ def _padic_kernel(a, lu: _LU) -> list[list[int]] | None:
     triangular factors; the caller passes that factorization of `a` as `lu`.
     The k = ncols - r solutions Y of B Y = -(A_R at the free columns) are
     lifted together, one p-adic digit per three matrix products.
-    Reconstruction (_reconstruct_vectors) is tried at digits 1, 2, 4, ...
-    and at the Hadamard cap, each time on every column.
+    Reconstruction (_reconstruct_vectors) is tried at digits 1, 2, 4 and 8,
+    then at t + floor(t/4) after a try at t, and at the Hadamard cap, each
+    time on every column: doubling would lift up to twice the digits a
+    kernel needs.
     Certificate: the mod-p rank r bounds the kernel dimension by k, so the k
     vectors, 1 at a free column and a column of Y at the pivots, once
     _verify_kernel checks their integer numerators exactly, are bit for bit
@@ -400,14 +403,15 @@ def _padic_kernel(a, lu: _LU) -> list[list[int]] | None:
     # Nothing below reads `block`: free it before the exact check, where the
     # lift's memory peaks.
     del block
-    lifted, modulus = np.zeros((r, k), dtype=object), 1
+    lifted, modulus, attempt = np.zeros((r, k), dtype=object), 1, 1
     for t in range(1, cap + 1):
         digit = upper @ (lower @ (residual % p).astype(np.int64, copy=False) % p) % p
         residual = (residual - b @ digit) // p
         lifted += digit.astype(object) * modulus
         modulus *= p
-        if t & (t - 1) and t < cap:
+        if t < attempt and t < cap:
             continue
+        attempt = 2 * t if t < 8 else t + t // 4
         columns = _reconstruct_vectors(lifted.T.tolist(), modulus)
         if columns is None:
             continue

@@ -164,6 +164,47 @@ def test_left_sides_read_the_tables_and_right_sides_never_do(monkeypatch):
                 assert not any(res.passed for res in after), (name, after)
 
 
+def test_sums_sign_and_weigh_every_table_entry(monkeypatch):
+    # Arbitrary tables make every sum nonzero, so a wrong sign, weight or
+    # starting term shows even where the true sums vanish, as the auxiliary
+    # sums do for m >= 2.  The reference sums the same tables term by term.
+    import apolar.identities
+
+    rng = random.Random(29)
+    rows = {a: tuple(rng.randint(-99, 99) for _ in range(a + 1)) for a in range(1, 12)}
+    cols = {k: tuple(rng.randint(-99, 99) for _ in range(80)) for k in range(10)}
+    monkeypatch.setattr(apolar.identities, "pascal_row", rows.__getitem__)
+    monkeypatch.setattr(apolar.identities, "pascal_column", lambda k, top: cols[k])
+
+    def a12(p, r, k):
+        return sum(
+            (-1) ** m * rows[k + 1][m] * cols[k][p * (r - 1) - m * r]
+            for m in range(p * (r - 1) // r + 1)
+        )
+
+    for p in range(1, 9):
+        for r in range(1, 9):
+            assert check_a1(p, r).lhs == a12(p, r, p - 1), (p, r)
+            assert check_a2(p, r).lhs == a12(p, r, p), (p, r)
+    for n in range(2, 10):
+        for m in range(1, 16):
+            terms = {
+                p: (-1) ** p * rows[n + 1][m - p] * cols[n - 1][p]
+                for p in range(m + 1)
+                if m - p <= n + 1
+            }
+            expected = (sum(terms.values()), sum(p * t for p, t in terms.items()))
+            assert tuple(res.lhs for res in check_aux(n, m)) == expected, (n, m)
+
+
+def test_identity_result_is_immutable_and_hashable():
+    res = check_a1(2, 3)
+    with pytest.raises(AttributeError):
+        res.lhs = 0
+    assert repr(res) == "IdentityResult(identity_id='A1', params=(2, 3), lhs=1, rhs=1)"
+    assert len({res, check_a1(2, 3), check_a2(2, 3)}) == 2
+
+
 def test_identity_result_json_shape():
     rec = check_a1(2, 3).to_json_dict()
     assert json.dumps(rec) == (

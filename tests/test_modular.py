@@ -628,9 +628,9 @@ def test_kernel_line_lifts_the_socle_kernel(paths, n, d):
 
 def test_socle_lift_reconstructs_on_a_schedule(monkeypatch):
     # The (3,5) socle line, 90 entries over about 17 p-adic digits: the
-    # reconstruction is tried at digits 1, 2, 4, ... and at the cap, and
-    # within the line only an entry that brings a new factor into its
-    # denominator is a Euclid call.  One try per digit made 132 calls.
+    # reconstruction is tried on the schedule of the next test, and within
+    # the line only an entry that brings a new factor into its denominator
+    # is a Euclid call.  One try per digit made 132 calls.
     calls = [0]
     reconstruct = linalg._rational_reconstruction
 
@@ -643,6 +643,25 @@ def test_socle_lift_reconstructs_on_a_schedule(monkeypatch):
     monkeypatch.setattr(linalg, "_rational_reconstruction", spy)
     assert _kernel(rows).vectors == bareiss_socle_kernel(f)
     assert 0 < calls[0] <= 40
+
+
+def test_socle_lift_stops_within_a_quarter_of_the_digits_it_needs(monkeypatch):
+    # Tries at 1, 2, 4 and 8 digits, then at t + t // 4: the sampled (3,5)
+    # socle line first reconstructs at 18 digits, where doubling lifted 32.
+    tries = []
+    reconstruct = linalg._reconstruct_vectors
+
+    def spy(lifted, modulus):
+        columns = reconstruct(lifted, modulus)
+        tries.append((modulus, columns is not None))
+        return columns
+
+    f = random_ci_tuple(3, 5, trial_seeds(1, 1)[0], 5)
+    rows = _shift_rows(f.forms, f.socle_degree - f.degree)
+    monkeypatch.setattr(linalg, "_reconstruct_vectors", spy)
+    assert _kernel(rows).vectors == bareiss_socle_kernel(f)
+    digits = [1, 2, 4, 8, 10, 12, 15, 18]
+    assert tries == [(P**t, t == 18) for t in digits]
 
 
 def test_reconstruction_that_first_succeeds_at_the_cap_is_lifted(paths, monkeypatch):
