@@ -45,7 +45,7 @@ from .linalg import (
 from .poly import (
     FormTuple,
     Polynomial,
-    _factorials,
+    _factorial_array,
     _moment_vectors,
     _shift_columns,
     monomial_basis,
@@ -85,7 +85,7 @@ def catalecticant(f: Polynomial, i: int) -> MatrixQ:
     monomials y^c, and entry (c, a) is phi_{a+c}/c!, the coefficient of
     y^(a+c) in f times prod_k (a_k+c_k)!/c_k!: the moment rows scaled."""
     rows, factor = _moment_rows(f, i)
-    weights = (factor * w for w in _factorials(f.nvars, f.homogeneous_degree() - i))
+    weights = (factor * w for w in _factorial_array(f.nvars, f.homogeneous_degree() - i).tolist())
     return MatrixQ.from_rows([[x / w for x in row] for row, w in zip(rows.tolist(), weights)])
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .apolarity import _moment_rows, apolar_hilbert
@@ -67,15 +67,15 @@ from .linalg import (
     _dtype,
     _exact_kernel_numerators,
     _factorization,
+    _integer_array,
     _kernel_numerators,
     _line_residues,
     span_dim,
 )
 from .poly import (
     FormTuple,
-    Monomial,
     Polynomial,
-    _factorials,
+    _factorial_array,
     _jacobian_det,
     _norm,
     _power_rows,
@@ -92,22 +92,12 @@ class DegenerateTupleError(ValueError):
 
 
 def _shift_rows(forms: Sequence[Polynomial], k: int):
-    """The _term_rows of the forms' stored primitive integer terms: scaling
-    a form changes no span."""
-    return _term_rows([g._ints for g in forms], k)
-
-
-def _term_rows(forms: Sequence[Mapping[Monomial, int]], k: int):
-    """The _shifted_rows of integer polynomials given as monomial ->
-    coefficient dicts, all of one degree e, in the dtype _dtype chooses for
-    their largest coefficient."""
-    import numpy as np
-
-    first = next(iter(forms[0]))
-    n, e = len(first), sum(first)
+    """The _shifted_rows of the forms' stored primitive integer terms, all
+    of one degree e, in the dtype _integer_array chooses for their largest
+    coefficient: scaling a form changes no span."""
+    n, e = forms[0].nvars, sum(next(iter(forms[0]._ints)))
     basis = monomial_basis(n, e)
-    top = max(abs(c) for g in forms for c in g.values())
-    coefficients = np.array([[g.get(b, 0) for b in basis] for g in forms], dtype=_dtype(top))
+    coefficients = _integer_array([[g._ints.get(b, 0) for b in basis] for g in forms], len(basis))
     return _shifted_rows(coefficients, n, e, k)
 
 
@@ -261,7 +251,7 @@ class GradedQuotient:
         lam, den = self._socle()
         n, s = self.var_count, self.socle_degree
         top = factorial(s)
-        weights = zip(monomial_basis(n, s), _factorials(n, s), lam)
+        weights = zip(monomial_basis(n, s), _factorial_array(n, s).tolist(), lam)
         terms = {mono: top // w * c for mono, w, c in weights if c}
         return Polynomial._from_integers(n, terms, den)
 
@@ -314,8 +304,7 @@ def roundtrip_span(f: FormTuple) -> bool:
     are read as integer vectors, the kernel's numerators and the forms'
     stored terms, since scaling a vector changes no span."""
     ann = _kernel_numerators(_moment_rows(associated_form(f), f.degree)[0])
-    basis = monomial_basis(f.var_count, f.degree)
-    rows = [[g._ints.get(b, 0) for b in basis] for g in f.forms]
+    rows = _shift_rows(f.forms, 0).tolist()
     return len(ann) == f.var_count == span_dim(rows) == span_dim([*ann, *rows])
 
 

@@ -5,9 +5,16 @@ them as JSON lines (stdout or --out), prints a human summary to stderr, and
 exits 0 exactly when no record carries "pass": false.  Output depends only
 on the configuration, so identical invocations produce identical bytes.
 
+run_suite enforces each suite's input contract: trials >= 0, jobs >= 1 and
+a seed in [0, 2^64) for the sampled suites, the relation band for
+relations, and each identity range >= 0.  It raises ValueError on any input
+outside it, so a library caller is refused every input that main is, with
+the message that main prints.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 a usage or input
-error, 3 an internal error (a failed invariant or any other unexpected
-exception), reported as one "internal error: ..." line.
+error, reported as one "error: ..." line, 3 an internal error (a failed
+invariant or any other unexpected exception), reported as one "internal
+error: ..." line.
 """
 from __future__ import annotations
 
@@ -116,6 +123,14 @@ def _sampled_trial(task: tuple[RunConfig, int, int]) -> list[dict]:
 def run_sampled(cfg: RunConfig) -> list[dict]:
     """Every trial's records, in order of trial index regardless of how many
     workers run them."""
+    if cfg.trials < 0:
+        raise ValueError("--trials must be nonnegative")
+    if cfg.jobs < 1:
+        raise ValueError("--jobs must be positive")
+    # SplitMix64 reads its seed mod 2^64, so a seed outside [0, 2^64) would
+    # repeat the report of the one inside that it wraps to.
+    if not 0 <= cfg.seed < 1 << 64:
+        raise ValueError("--seed must lie in [0, 2^64)")
     if cfg.command == "relations" and not relation_band(cfg.n, cfg.d):
         raise ValueError(f"relations needs {RELATION_BAND}; got n={cfg.n} d={cfg.d}")
     tasks = [(cfg, i, s) for i, s in enumerate(trial_seeds(cfg.seed, cfg.trials))]
@@ -128,7 +143,13 @@ def run_sampled(cfg: RunConfig) -> list[dict]:
     return [record for batch in batches for record in batch]
 
 
+_IDENTITY_RANGES = ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd")
+
+
 def run_identities(cfg: RunConfig) -> list[dict]:
+    for flag in _IDENTITY_RANGES:
+        if getattr(cfg, flag[2:].replace("-", "_")) < 0:
+            raise ValueError(f"{flag} must be nonnegative")
     results = []
     for p in range(1, cfg.max_p + 1):
         for r in range(1, cfg.max_r + 1):
@@ -269,9 +290,6 @@ def _summarize(results: list[dict]) -> int:
     return failed
 
 
-_IDENTITY_RANGES = ("--max-p", "--max-r", "--max-n", "--max-m", "--max-nd")
-
-
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: parsing leaves it unchanged, and an
@@ -303,23 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(flag, type=int)
     add_output(sp)
 
-    sp = sub.add_parser(
-        "tangent", help="tangent dimension of sampled associated forms vs N"
-    )
-    add_sampling(sp)
-    add_output(sp)
-
-    sp = sub.add_parser(
-        "relations", help="relation space dimension, brute force vs closed form"
-    )
-    add_sampling(sp)
-    add_output(sp)
-
-    sp = sub.add_parser(
-        "koszul", help="syzygies in the middle degrees vs the Koszul ones"
-    )
-    add_sampling(sp)
-    add_output(sp)
+    for command, text in [
+        ("tangent", "tangent dimension of sampled associated forms vs N"),
+        ("relations", "relation space dimension, brute force vs closed form"),
+        ("koszul", "syzygies in the middle degrees vs the Koszul ones"),
+    ]:
+        sp = sub.add_parser(command, help=text)
+        add_sampling(sp)
+        add_output(sp)
 
     sp = sub.add_parser("stratify", help="locate a form in the catalecticant strata")
     sp.add_argument("path", help="file: header 'n d', then one form of degree n(d-1)")
@@ -341,23 +350,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = config_from_args(args)
-    if cfg.command in _SAMPLED_SUITES:
-        if cfg.trials < 0:
-            print("error: --trials must be nonnegative", file=sys.stderr)
-            return 2
-        if cfg.jobs < 1:
-            print("error: --jobs must be positive", file=sys.stderr)
-            return 2
-        # SplitMix64 reads its seed mod 2^64, so a seed outside [0, 2^64)
-        # would repeat the report of the one inside that it wraps to.
-        if not 0 <= cfg.seed < 1 << 64:
-            print("error: --seed must lie in [0, 2^64)", file=sys.stderr)
-            return 2
-    if cfg.command == "identities":
-        for flag in _IDENTITY_RANGES:
-            if getattr(cfg, flag[2:].replace("-", "_")) < 0:
-                print(f"error: {flag} must be nonnegative", file=sys.stderr)
-                return 2
     try:
         results = run_suite(cfg)
         emit_report(results, cfg.out, cfg.csv_path)

@@ -302,12 +302,6 @@ def _fraction_basis(ncols: int, vectors: Sequence[Sequence[int]]) -> SubspaceBas
     return SubspaceBasis(ncols, tuple(basis))
 
 
-def _exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
-    """The reduced-echelon kernel basis of integer rows, by Bareiss
-    elimination alone: _exact_kernel_numerators as fractions."""
-    return _fraction_basis(ncols, _exact_kernel_numerators(ints, ncols))
-
-
 def _exact_kernel_numerators(ints: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     """The reduced-echelon kernel basis of integer rows, each vector times
     the last Bareiss pivot `den`, by Bareiss elimination and exact back
@@ -359,8 +353,7 @@ def _padic_kernel(a, lu: _LU) -> list[list[int]] | None:
     lifted together, one p-adic digit per three matrix products.
     Reconstruction (_reconstruct_vectors) is tried at digits 1, 2, 4 and 8,
     then at t + floor(t/4) after a try at t, and at the Hadamard cap, each
-    time on every column: doubling would lift up to twice the digits a
-    kernel needs.
+    time on every column.
     Certificate: the mod-p rank r bounds the kernel dimension by k, so the k
     vectors, 1 at a free column and a column of Y at the pivots, once
     _verify_kernel checks their integer numerators exactly, are bit for bit

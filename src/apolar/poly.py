@@ -317,18 +317,12 @@ def polynomials_from_vectors(nvars: int, degree: int, vectors) -> list[Polynomia
 
 
 @lru_cache(maxsize=None)
-def _factorials(n: int, e: int) -> tuple[int, ...]:
-    """b! = prod_k b_k! for every degree-e monomial b in n variables, in
-    grlex order."""
-    return tuple(prod(map(factorial, b)) for b in monomial_basis(n, e))
-
-
-@lru_cache(maxsize=None)
 def _factorial_array(n: int, e: int):
-    """_factorials as a read-only array, int64 when they fit."""
+    """b! = prod_k b_k! for every degree-e monomial b in n variables, in
+    grlex order, as a read-only array, int64 when they fit."""
     import numpy as np
 
-    weights = _factorials(n, e)
+    weights = [prod(map(factorial, b)) for b in monomial_basis(n, e)]
     out = np.array(weights, dtype=_dtype(max(weights)))
     out.flags.writeable = False
     return out

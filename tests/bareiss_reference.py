@@ -1,10 +1,11 @@
-"""Reference constructions with no shortcut: quotient dimensions and socle
-kernels by Bareiss elimination alone, with no modular shortcut and no upper
-bound, the oracle for GradedQuotient's certified ranks and its p-adically
-lifted socle line; the shift and moment matrices built as Python lists one
-entry at a time, the oracle for the array builders; and the eager mod-p
-elimination, which reduces the whole trailing block after every pivot, the
-oracle for linalg's lazy one.
+"""Reference constructions with no shortcut: kernel bases, quotient
+dimensions and socle kernels by Bareiss elimination alone, with no modular
+shortcut and no upper bound, the oracle for the certified kernel readers,
+GradedQuotient's certified ranks and its p-adically lifted socle line; the
+shift and moment matrices built as Python lists one entry at a time, the
+oracle for the array builders; and the eager mod-p elimination, which
+reduces the whole trailing block after every pivot, the oracle for linalg's
+lazy one.
 
 Bareiss runs on Python ints only, so the shift arrays reach it as lists."""
 from fractions import Fraction
@@ -16,9 +17,21 @@ import numpy as np
 
 from apolar import FormTuple, Polynomial, dim_forms
 from apolar.ci import _shift_rows
-from apolar.linalg import _exact_kernel_basis, _primitive_row, _triangularize
+from apolar.linalg import (
+    SubspaceBasis,
+    _exact_kernel_numerators,
+    _fraction_basis,
+    _primitive_row,
+    _triangularize,
+)
 from apolar.poly import Monomial, monomial_basis, monomial_index
 from poly_reference import primitive_terms
+
+
+def exact_kernel_basis(ints: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
+    """The reduced-echelon kernel basis of integer rows, by Bareiss
+    elimination alone: _exact_kernel_numerators as fractions."""
+    return _fraction_basis(ncols, _exact_kernel_numerators(ints, ncols))
 
 
 def bareiss_quotient_dims(f: FormTuple, top: int) -> tuple[int, ...]:
@@ -36,7 +49,7 @@ def bareiss_socle_kernel(f: FormTuple) -> tuple:
     """The reduced-echelon kernel basis of the tuple's degree-s shift matrix,
     s = n(d-1): one vector, the socle functional before normalization."""
     rows = _shift_rows(f.forms, f.socle_degree - f.degree).tolist()
-    return _exact_kernel_basis(rows, dim_forms(f.var_count, f.socle_degree)).vectors
+    return exact_kernel_basis(rows, dim_forms(f.var_count, f.socle_degree)).vectors
 
 
 def list_term_rows(forms: Sequence[Mapping[Monomial, int]], k: int) -> list[list[int]]:

@@ -28,7 +28,7 @@ from apolar import (
     roundtrip_span,
     verify_inverse_system,
 )
-from apolar.ci import _term_rows
+from apolar.ci import _shift_rows
 from apolar.poly import monomial_basis
 from bareiss_reference import bareiss_quotient_dims, list_term_rows
 from poly_reference import integer_power_products
@@ -491,58 +491,66 @@ def test_socle_degree_verdict_matches_the_degree_s_plus_1_rank(shape, cutoff, th
         assert_verdict_matches_full_hilbert_definition(f)
 
 
+def primitive_forms(n, e, *terms):
+    """n, e and the forms Polynomial._from_integers makes of the integer
+    terms, each stored primitive."""
+    return n, e, [Polynomial._from_integers(n, g) for g in terms]
+
+
 @st.composite
 def integer_forms(draw):
     """n, e and one to three nonzero integer forms of degree e in n variables,
-    as monomial -> coefficient dicts."""
+    each entered by Polynomial._from_integers, which stores it primitive."""
     n, e = draw(st.integers(1, 4)), draw(st.integers(0, 3))
     terms = st.dictionaries(
         st.sampled_from(monomial_basis(n, e)), st.integers(-5, 5).filter(bool), min_size=1
     )
-    return n, e, draw(st.lists(terms, min_size=1, max_size=3))
+    return primitive_forms(n, e, *draw(st.lists(terms, min_size=1, max_size=3)))
 
 
 @given(integer_forms(), st.integers(0, 3))
 @settings(deadline=None)
-def test_term_rows_are_the_coefficients_of_every_shifted_form(forms, k):
+def test_shift_rows_are_the_coefficients_of_every_shifted_form(forms, k):
     # The rows read their columns from a cached table; the oracle multiplies
-    # each form by each shift monomial and reads the product's coordinates.
+    # each form's stored terms by each shift monomial and reads the
+    # product's coordinates.
     n, e, gs = forms
     want = [
-        list((Polynomial(n, {m: 1}) * Polynomial(n, g)).coefficient_vector(e + k))
+        list((Polynomial(n, {m: 1}) * Polynomial(n, g._ints)).coefficient_vector(e + k))
         for g in gs
         for m in monomial_basis(n, k)
     ]
-    assert _term_rows(gs, k).tolist() == want
+    assert _shift_rows(gs, k).tolist() == want
 
 
 # 2^63 - 1 is the largest size int64 holds; 2^63 and past it need Python ints.
 edge_int = st.one_of(
     st.integers(-5, 5), st.sampled_from([2**63 - 1, -(2**63 - 1), 2**63, -(2**63), 2**70])
-)
+).filter(bool)
 
 
 @st.composite
 def edge_integer_forms(draw):
     """n <= 4, e <= 5 and one to three integer forms of degree e in n
-    variables as monomial -> coefficient dicts, with zero coefficients and
-    coefficients on both sides of the int64 edge."""
+    variables, entered by Polynomial._from_integers, with coefficients on
+    both sides of the int64 edge before the gcd is divided out."""
     n, e = draw(st.integers(1, 4)), draw(st.integers(0, 5))
     terms = st.dictionaries(st.sampled_from(monomial_basis(n, e)), edge_int, min_size=1)
-    return n, e, draw(st.lists(terms, min_size=1, max_size=3))
+    return primitive_forms(n, e, *draw(st.lists(terms, min_size=1, max_size=3)))
 
 
 @given(edge_integer_forms(), st.integers(0, 4))
-@example((2, 1, [{(1, 0): 2**63 - 1, (0, 1): 0}]), 0)
-@example((2, 1, [{(1, 0): 2**63}, {(0, 1): -(2**63 - 1)}]), 2)
-@example((3, 2, [{(2, 0, 0): 0}]), 1)
+@example(primitive_forms(2, 1, {(1, 0): 2**63 - 1, (0, 1): 1}), 0)
+@example(primitive_forms(2, 1, {(1, 0): 2**63 - 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 2**63}), 2)
+@example(primitive_forms(3, 2, {(2, 0, 0): -(2**63), (0, 1, 1): 3}), 1)
 @settings(deadline=None)
-def test_term_rows_array_matches_the_list_oracle(forms, k):
-    # One scatter into one array, int64 exactly when every coefficient is
-    # below 2^63 in size, against the rows written one entry at a time.
+def test_shift_rows_array_matches_the_list_oracle(forms, k):
+    # One scatter into one array, int64 exactly when every stored
+    # coefficient is below 2^63 in size, against the rows written one entry
+    # at a time.
     n, e, gs = forms
-    rows = _term_rows(gs, k)
-    top = max(abs(c) for g in gs for c in g.values())
+    rows = _shift_rows(gs, k)
+    top = max(abs(c) for g in gs for c in g._ints.values())
     assert rows.dtype == (np.int64 if top < 2**63 else object)
     assert rows.shape == (len(gs) * dim_forms(n, k), dim_forms(n, e + k))
-    assert rows.tolist() == list_term_rows(gs, k)
+    assert rows.tolist() == list_term_rows([g._ints for g in gs], k)

@@ -269,6 +269,32 @@ def test_run_suite_dispatch_matches_main(tmp_path):
     assert all(r["suite"] == "tangent" for r in records)
 
 
+IDENTITY_RANGES = ["--max-p", "--max-r", "--max-n", "--max-m", "--max-nd"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("tangent", "--trials", -1),
+        ("relations", "--jobs", 0),
+        ("koszul", "--seed", -1),
+        ("tangent", "--seed", 2**64),
+        *[("identities", flag, -1) for flag in IDENTITY_RANGES],
+    ],
+)
+def test_run_suite_refuses_what_main_refuses(capsys, command, flag, value):
+    # The library call raises the error that main reports as its one
+    # usage-error line, so the two share one contract and one message.
+    flags = {} if command == "identities" else {"--n": 4, "--d": 2, "--trials": 1}
+    flags[flag] = value
+    cfg = RunConfig(command, **{f[2:].replace("-", "_"): v for f, v in flags.items()})
+    with pytest.raises(ValueError) as refused:
+        run_suite(cfg)
+    assert flag in str(refused.value)
+    args = [command] + [str(x) for item in flags.items() for x in item]
+    assert run_main(args, capsys) == (2, "", f"error: {refused.value}\n")
+
+
 def test_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     import apolar.cli as cli
 

@@ -42,14 +42,17 @@ from apolar.cli import RunConfig, run_suite, trial_seeds
 from apolar.linalg import (
     PRIME,
     _certified_rank,
-    _exact_kernel_basis,
     _integer_rows,
     _kernel,
     _triangularize,
     _verify_kernel,
     rank_mod_prime,
 )
-from bareiss_reference import bareiss_socle_kernel, eager_echelon_mod_prime
+from bareiss_reference import (
+    bareiss_socle_kernel,
+    eager_echelon_mod_prime,
+    exact_kernel_basis,
+)
 
 P = PRIME
 DEFAULT_CUTOFF = linalg.EXACT_MAX_ENTRIES
@@ -127,7 +130,7 @@ def check_against_oracles(m):
     assert rank(m) == bareiss_rank(m) == sympy_matrix(m).rank()
     ncols = len(m[0])
     vectors = kernel_basis(m).vectors
-    assert vectors == _exact_kernel_basis(_integer_rows(m), ncols).vectors == sympy_nullspace(m)
+    assert vectors == exact_kernel_basis(_integer_rows(m), ncols).vectors == sympy_nullspace(m)
     assert SubspaceBasis.from_spanning(m, ncols).vectors == sympy_rref_rows(m)
 
 
@@ -242,7 +245,7 @@ def test_padic_kernel_matches_bareiss_and_sympy(m):
     vectors = linalg._padic_kernel(a, linalg._factorization(a))
     assert vectors is not None
     lifted = linalg._fraction_basis(ncols, vectors).vectors
-    assert lifted == _exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
+    assert lifted == exact_kernel_basis(m, ncols).vectors == sympy_nullspace(m)
 
 
 def rref_pivots(rows, domain) -> tuple:
@@ -430,7 +433,7 @@ def test_relation_space_reconstructs_each_column_once(monkeypatch):
     basis = linalg._fraction_basis(441, vectors).vectors
     leading = tuple(v[:105] for v in basis if not any(v[105:]))
     assert len(leading) == 10
-    assert leading == _exact_kernel_basis(a[:, :105].tolist(), 105).vectors
+    assert leading == exact_kernel_basis(a[:, :105].tolist(), 105).vectors
 
 
 def test_from_spanning_takes_the_certified_route(paths):
@@ -592,7 +595,7 @@ def corank_one_matrices(draw, at_guard_edge=False, max_side=6):
 @settings(deadline=None)
 def test_kernel_line_matches_bareiss_and_sympy(m):
     vectors = _kernel(array(m)).vectors
-    assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
+    assert vectors == exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
 
 
 @given(corank_one_matrices(at_guard_edge=True))
@@ -613,7 +616,7 @@ def test_kernel_line_at_the_guard_edge_matches_bareiss_and_sympy(m):
         assert bareiss.called
     if m == [[P, 1]]:
         assert not same_profile
-    assert vectors == _exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
+    assert vectors == exact_kernel_basis(m, len(m[0])).vectors == sympy_nullspace(m)
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 5), (4, 3)])
@@ -888,7 +891,7 @@ def test_line_residues_are_the_kernel_line_mod_p(m):
     lu = linalg._factorization(array(m))
     ncols = len(m[0])
     assume(len(lu.pivots) == ncols - 1 and rref_pivots(m, sympy.QQ) == tuple(lu.pivots))
-    (line,) = _exact_kernel_basis(m, ncols).vectors
+    (line,) = exact_kernel_basis(m, ncols).vectors
     want = [x.numerator * pow(x.denominator, -1, P) % P for x in line]
     for start in range(ncols):
         assert linalg._line_residues(lu, start).tolist() == want[start:]
