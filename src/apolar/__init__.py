@@ -27,7 +27,7 @@ from .ci import (
     roundtrip_span,
     verify_inverse_system,
 )
-from .combinat import binom, ci_hilbert, dim_forms, multinomial
+from .combinat import binom, ci_hilbert, dim_forms
 from .identities import (
     IdentityResult,
     check_a1,
@@ -122,7 +122,6 @@ __all__ = [
     "koszul_kernel_check",
     "matrix_inverse",
     "monomial_basis",
-    "multinomial",
     "parse_polynomial",
     "partial",
     "polynomials_from_vectors",

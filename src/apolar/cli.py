@@ -5,11 +5,12 @@ them as JSON lines (stdout or --out), prints a human summary to stderr, and
 exits 0 exactly when no record carries "pass": false.  Output depends only
 on the configuration, so identical invocations produce identical bytes.
 
-run_suite enforces each suite's input contract: trials >= 0, jobs >= 1 and
-a seed in [0, 2^64) for the sampled suites, the relation band for
-relations, and each identity range >= 0.  It raises ValueError on any input
-outside it, so a library caller is refused every input that main is, with
-the message that main prints.
+run_suite enforces each suite's input contract: n >= 2, d >= 2,
+trials >= 0, a coefficient bound in [1, 2^63), jobs >= 1 and a seed in
+[0, 2^64) for the sampled suites, the relation band for relations, and
+each identity range >= 0.  It raises ValueError on any input outside it,
+so a library caller is refused every input that main is, with the message
+that main prints.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 a usage or input
 error, reported as one "error: ..." line, 3 an internal error (a failed
@@ -131,6 +132,12 @@ def run_sampled(cfg: RunConfig) -> list[dict]:
     # repeat the report of the one inside that it wraps to.
     if not 0 <= cfg.seed < 1 << 64:
         raise ValueError("--seed must lie in [0, 2^64)")
+    for flag, value in (("--n", cfg.n), ("--d", cfg.d)):
+        if value < 2:
+            raise ValueError(f"{flag} must be at least 2")
+    # One 64-bit draw covers the 2 bound + 1 coefficients only below 2^63.
+    if not 1 <= cfg.coeff_bound < 1 << 63:
+        raise ValueError("--coeff-bound must lie in [1, 2^63)")
     if cfg.command == "relations" and not relation_band(cfg.n, cfg.d):
         raise ValueError(f"relations needs {RELATION_BAND}; got n={cfg.n} d={cfg.d}")
     tasks = [(cfg, i, s) for i, s in enumerate(trial_seeds(cfg.seed, cfg.trials))]
@@ -235,12 +242,27 @@ def emit_report(
     results: list[dict], out_path: str | None = None, csv_path: str | None = None
 ) -> None:
     """JSON lines to out_path or stdout; optional per-suite CSV summary.
+
+    Each record is a flat JSON object, nesting no object, whose first key
+    is "suite", as every runner builds it.  The list is encoded by one
+    json.dumps call and cut into lines at each ', {"suite": ': JSON escapes
+    every quote inside a string, so that text can only start a record.  A
+    list that does not cut into one line per record is refused with
+    ValueError before any file is opened.
+
     Both files are opened, the CSV first, before anything is written, so an
     unwritable path stops the call before any record is written.  The CSV is
     opened without truncating it and emptied once both are open; when
     out_path cannot be opened, a CSV file the call created is removed, and
     one that was there already is left as it was."""
-    payload = "".join([json.dumps(record) + "\n" for record in results])
+    # One encoding of the list, [A, B], cut into the lines A\nB\n.  Each
+    # step drops its input once it returns, so at most two copies of the
+    # report are alive at a time.
+    payload = json.dumps(results)[1:-1].replace(', {"suite": ', '\n{"suite": ')
+    if results:
+        if not payload.startswith('{"suite": ') or payload.count("\n") != len(results) - 1:
+            raise ValueError('every record must be a flat object whose first key is "suite"')
+        payload += "\n"
     with ExitStack() as files:
         out = sys.stdout
         if csv_path:

@@ -2,9 +2,10 @@
 
 Everything here is integer arithmetic; binomials follow the vanishing
 convention C(a, b) = 0 for b < 0 or b > a.  Negative upper arguments are
-rejected because no caller has a meaning for them.  Rows and columns of
-Pascal's triangle are built by the exact one-step recurrences of Graham,
-Knuth and Patashnik, Concrete Mathematics, ch. 5.
+rejected because no caller has a meaning for them.  Rows of Pascal's
+triangle are built by the one-step product recurrence, and columns by the
+hockey-stick identity C(k+i, k) = sum_{j<=i} C(k-1+j, k-1), the parallel
+summation of Graham, Knuth and Patashnik, Concrete Mathematics, ch. 5.
 """
 from __future__ import annotations
 
@@ -33,28 +34,39 @@ def pascal_row(a: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=4)
-def _column_store(k: int) -> list[tuple[int, ...]]:
-    """One slot holding the longest column k computed so far."""
-    return [(1,)]
+# The longest column computed so far for each of the last _COLUMN_SLOTS
+# values of k asked for, least recently asked first.
+_COLUMN_SLOTS = 4
+_columns: dict[int, tuple[int, ...]] = {}
 
 
 def pascal_column(k: int, top: int) -> tuple[int, ...]:
     """Entry i is C(k+i, k), for i = 0 .. top-k at least.
 
-    The column is grown on demand by C(k+i, k) = C(k+i-1, k) (k+i) / i, at
-    least doubling its length, and cached for a few k.  Growing builds a new
-    tuple, so a tuple once returned never changes.
+    Columns are kept for the last four k asked for.  Column k is the
+    partial sums of column k-1, so entry i is C(k+i-1, k) + C(k+i-1, k-1):
+    a column grows by additions as far as column k-1 is kept, and past
+    that, or at k = 0, by C(k+i, k) = C(k+i-1, k) (k+i) / i.  It grows to
+    the length asked for, or further, up to twice its old length, where
+    additions reach: an entry made early costs one addition and spares a
+    rebuild of the tuple.  Growing builds a new tuple, so a tuple once
+    returned never changes.
     """
     if k < 0:
         raise ValueError(f"binomial lower argument must be nonnegative, got {k}")
-    store = _column_store(k)
-    col = store[0]
+    col = _columns.pop(k, (1,))
     if top - k >= len(col):
+        prev = _columns.get(k - 1, ())
+        stop = max(top - k + 1, min(2 * len(col), len(prev)))
         entries = list(col)
-        for i in range(len(col), max(top - k + 1, 2 * len(col))):
+        # accumulate yields its initial value first: the entry popped here.
+        entries += accumulate(prev[len(col) : stop], initial=entries.pop())
+        for i in range(len(entries), stop):
             entries.append(entries[-1] * (k + i) // i)
-        store[0] = col = tuple(entries)
+        col = tuple(entries)
+    _columns[k] = col
+    if len(_columns) > _COLUMN_SLOTS:
+        del _columns[next(iter(_columns))]
     return col
 
 
@@ -69,17 +81,6 @@ def dim_forms(nvars: int, degree: int) -> int:
     if degree < 0:
         return 0
     return math.comb(degree + nvars - 1, nvars - 1)
-
-
-def multinomial(exponents: tuple[int, ...]) -> int:
-    """Multinomial coefficient (sum a_i)! / prod(a_i!)."""
-    if any(a < 0 for a in exponents):
-        raise ValueError("exponents must be nonnegative")
-    total = sum(exponents)
-    out = math.factorial(total)
-    for a in exponents:
-        out //= math.factorial(a)
-    return out
 
 
 @lru_cache(maxsize=None)

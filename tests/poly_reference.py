@@ -2,14 +2,15 @@
 oracle for poly's product kernel, which multiplies coefficient arrays by one
 outer product and one scatter-add.  Also the Fraction-first primitive form
 of a polynomial and the term-pair loop of the polar pairing, the oracles for
-the stored primitive form and for apply_polar's moment-row product.
+the stored primitive form and for apply_polar's moment-row product, and the
+multinomial coefficient that relates a socle functional to its form.
 
 Integer polynomials are monomial -> coefficient dicts; cancelled terms stay
 as zeros.  Nothing here is shared with apolar.poly but the data layout and
 linalg._primitive_row; Fraction terms are monomial -> Fraction dicts.
 """
 from fractions import Fraction
-from math import perm
+from math import factorial, perm
 from operator import add
 
 from apolar.linalg import _primitive_row
@@ -53,6 +54,16 @@ def integer_power_products(bases, exponents, nvars):
             for _ in range(k):
                 acc = add_product({}, acc, base)
         out.append(acc)
+    return out
+
+
+def multinomial(exponents):
+    """Multinomial coefficient (sum a_i)! / prod(a_i!)."""
+    if any(a < 0 for a in exponents):
+        raise ValueError("exponents must be nonnegative")
+    out = factorial(sum(exponents))
+    for a in exponents:
+        out //= factorial(a)
     return out
 
 

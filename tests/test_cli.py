@@ -1,6 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from apolar import relation_space_dim_formula
 from apolar.cli import (
@@ -238,6 +242,51 @@ def test_emit_report_without_checks(capsys):
     assert json.loads(out)["suite"] == "assoc"
 
 
+# Text that a line cut could trip on: quotes, backslashes, newlines,
+# non-ASCII, and the very text at which the report is cut into lines.
+TRICKY_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\u00e9\u2211\U0001d54a", '}, {"suite": ', '", {"suite": "']),
+)
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**200), 2**200),
+    TRICKY_TEXT,
+    st.lists(st.one_of(st.none(), st.booleans(), st.integers(), TRICKY_TEXT), max_size=4),
+)
+RECORDS = st.lists(
+    st.builds(
+        lambda suite, rest: {"suite": suite, **rest},
+        TRICKY_TEXT,
+        st.dictionaries(TRICKY_TEXT.filter(lambda key: key != "suite"), VALUES, max_size=4),
+    ),
+    max_size=5,
+)
+
+
+@given(RECORDS)
+@example([])
+@example([{"suite": 'a", {"suite": "b', "x": '}, {"suite": "c"}'}, {"suite": "\n"}])
+def test_report_is_one_json_line_per_record(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.jsonl")
+        emit_report(records, path)
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == "".join(json.dumps(r) + "\n" for r in records)
+
+
+@given(RECORDS, st.data())
+def test_record_not_led_by_suite_is_refused_before_any_file_opens(records, data):
+    stray = data.draw(st.sampled_from([{}, {"n": 1}, {"n": 1, "suite": "a"}]))
+    records.insert(data.draw(st.integers(0, len(records))), stray)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, table = os.path.join(tmp, "r.jsonl"), os.path.join(tmp, "r.csv")
+        with pytest.raises(ValueError, match='first key is "suite"'):
+            emit_report(records, out, table)
+        assert os.listdir(tmp) == []
+
+
 def test_read_tuple_file_validates_count(tmp_path):
     path = tmp_path / "tuple.txt"
     path.write_text("2 2\nx1^2\n")
@@ -279,13 +328,19 @@ IDENTITY_RANGES = ["--max-p", "--max-r", "--max-n", "--max-m", "--max-nd"]
         ("relations", "--jobs", 0),
         ("koszul", "--seed", -1),
         ("tangent", "--seed", 2**64),
+        ("tangent", "--n", 1),
+        ("relations", "--n", 1),
+        ("koszul", "--d", 1),
+        ("tangent", "--coeff-bound", 0),
+        ("tangent", "--coeff-bound", 2**63),
         *[("identities", flag, -1) for flag in IDENTITY_RANGES],
     ],
 )
 def test_run_suite_refuses_what_main_refuses(capsys, command, flag, value):
     # The library call raises the error that main reports as its one
     # usage-error line, so the two share one contract and one message.
-    flags = {} if command == "identities" else {"--n": 4, "--d": 2, "--trials": 1}
+    # With no trial to run, nothing but the contract can refuse the input.
+    flags = {} if command == "identities" else {"--n": 4, "--d": 2, "--trials": 0}
     flags[flag] = value
     cfg = RunConfig(command, **{f[2:].replace("-", "_"): v for f, v in flags.items()})
     with pytest.raises(ValueError) as refused:

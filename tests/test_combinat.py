@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from apolar import binom, ci_hilbert, dim_forms, multinomial
-from apolar.combinat import _column_store, pascal_column, pascal_row
+from apolar import binom, ci_hilbert, dim_forms
+from apolar.combinat import _COLUMN_SLOTS, _columns, pascal_column, pascal_row
+from poly_reference import multinomial
 
 
 def test_binom_small_values():
@@ -55,10 +56,10 @@ def test_pascal_helpers_reject_negative_arguments():
 
 @given(st.integers(0, 30), st.lists(st.integers(0, 400), min_size=1, max_size=6))
 def test_column_grown_in_steps_equals_one_grown_at_once(k, tops):
-    _column_store.cache_clear()
+    _columns.clear()
     for top in tops:
         stepped = pascal_column(k, top)
-    _column_store.cache_clear()
+    _columns.clear()
     at_once = pascal_column(k, max(tops))
     shared = min(len(stepped), len(at_once))
     assert shared >= max(tops) - k + 1
@@ -67,13 +68,30 @@ def test_column_grown_in_steps_equals_one_grown_at_once(k, tops):
 
 def test_evicted_column_regrows_unchanged():
     before = pascal_column(5, 200)
-    store = _column_store(5)
-    for k in range(6, 7 + _column_store.cache_info().maxsize):
+    for k in range(6, 6 + _COLUMN_SLOTS):
         pascal_column(k, 10)
-    assert _column_store(5) is not store
+    assert 5 not in _columns
     again = pascal_column(5, 200)
     assert again is not before
     assert again[:196] == before[:196]
+
+
+# Requests over nine columns, so the four-slot store evicts; column k grows
+# by sums where column k-1 is kept, and by products past it and at k = 0.
+REQUESTS = st.lists(st.tuples(st.integers(0, 8), st.integers(-3, 150)), min_size=1, max_size=12)
+
+
+@given(REQUESTS)
+@example([(3, 40), (4, 60), (4, 200)])
+@example([(0, 5), (1, 30), (2, 20), (2, 80), (1, 90)])
+@example([(k, 20) for k in range(6)] + [(0, 30), (1, 40)])
+def test_any_sequence_of_column_requests_matches_math_comb(requests):
+    _columns.clear()
+    for k, top in requests:
+        col = pascal_column(k, top)
+        assert len(col) >= top - k + 1
+        assert col == tuple(comb(k + i, k) for i in range(len(col)))
+        assert len(_columns) <= _COLUMN_SLOTS
 
 
 def test_returned_rows_and_columns_never_change():

@@ -197,6 +197,37 @@ def test_sums_sign_and_weigh_every_table_entry(monkeypatch):
             assert tuple(res.lhs for res in check_aux(n, m)) == expected, (n, m)
 
 
+def test_default_run_grows_its_columns_by_sums(monkeypatch):
+    # The default run reads 33,581 column entries.  Each entry a column
+    # gains is counted once; those that accumulate yields came by sums.
+    # The other 1,660 came by products: column 0, the first columns that A3
+    # and the auxiliary sums ask for, and column p-1 where A1 at p reads
+    # past the end of column p-2.
+    import apolar.combinat as combinat
+    import apolar.identities
+    from apolar.cli import RunConfig, run_identities
+
+    counts = {"computed": 0, "by_sums": 0}
+    sums, column = combinat.accumulate, combinat.pascal_column
+
+    def counted_sums(values, initial):
+        out = list(sums(values, initial=initial))
+        counts["by_sums"] += len(out) - 1
+        return out
+
+    def counted_column(k, top):
+        before = len(combinat._columns.get(k, (1,)))
+        col = column(k, top)
+        counts["computed"] += len(col) - before
+        return col
+
+    monkeypatch.setattr(combinat, "accumulate", counted_sums)
+    monkeypatch.setattr(apolar.identities, "pascal_column", counted_column)
+    combinat._columns.clear()
+    assert all(record["pass"] for record in run_identities(RunConfig("identities")))
+    assert counts == {"computed": 35_610, "by_sums": 33_950}
+
+
 def test_identity_result_is_immutable_and_hashable():
     res = check_a1(2, 3)
     with pytest.raises(AttributeError):

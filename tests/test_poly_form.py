@@ -28,7 +28,6 @@ from apolar import (
     jacobian_det,
     koszul_kernel_check,
     monomial_basis,
-    multinomial,
     random_ci_tuple,
     random_invertible_matrix,
     roundtrip_span,
@@ -42,6 +41,7 @@ from poly_reference import (
     fraction_terms,
     integer_det,
     integer_power_products,
+    multinomial,
     polar_loop,
     primitive_terms,
 )
